@@ -67,6 +67,7 @@
 #include "core/fair_select.h"
 #include "manirank.h"
 #include "serve/durability.h"
+#include "serve/result_cache.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
@@ -306,6 +307,14 @@ struct SelectCacheBench {
   double cached_seconds = 0.0;
   double uncached_seconds = 0.0;
   bool equivalent = false;
+  // Past-capacity leg: more distinct SELECTs per generation than the
+  // SELECT tier holds, over several folds. Every slate misses, but the
+  // A3 consensus they prefix must be computed once per generation.
+  int generations = 0;
+  int flood_selects = 0;
+  uint64_t a3_recomputes = 0;
+  double flood_cached_seconds = 0.0;
+  double flood_uncached_seconds = 0.0;
   // SELECT algorithm split: greedy-certified vs forced ILP fallback.
   int select_n = 0;
   int select_reps = 0;
@@ -356,22 +365,28 @@ SelectCacheBench RunSelectCacheBench(bool quick) {
   const std::vector<Ranking> base =
       model.SampleMany(result.base_rankings, /*seed=*/78);
 
-  std::vector<std::string> requests;
-  {
+  // CREATE + the seed profile in 50-ranking APPENDs + FLUSH.
+  const auto load_table = [&](const std::string& table,
+                              std::vector<std::string>* out) {
     std::ostringstream create;
-    create << "CREATE mix CYCLIC " << result.n << " 2 3";
-    requests.push_back(create.str());
+    create << "CREATE " << table << " CYCLIC " << result.n << " 2 3";
+    out->push_back(create.str());
     for (size_t r = 0; r < base.size();) {
       const size_t batch = std::min<size_t>(base.size() - r, 50);
       std::ostringstream append;
-      append << "APPEND mix";
+      append << "APPEND " << table;
       for (size_t i = 0; i < batch; ++i, ++r) {
         if (i != 0) append << " ;";
         for (CandidateId c : base[r].order()) append << ' ' << c;
       }
-      requests.push_back(append.str());
+      out->push_back(append.str());
     }
-    requests.push_back("FLUSH mix");
+    out->push_back("FLUSH " + table);
+  };
+
+  std::vector<std::string> requests;
+  {
+    load_table("mix", &requests);
     std::ostringstream eval;
     eval << "EVAL mix";
     for (int c = 0; c < result.n; ++c) eval << ' ' << c;
@@ -399,6 +414,56 @@ SelectCacheBench RunSelectCacheBench(bool quick) {
     std::fprintf(stderr,
                  "FATAL: cached responses drifted from the uncached twin\n");
     std::abort();
+  }
+
+  result.generations = quick ? 3 : 5;
+  result.flood_selects =
+      static_cast<int>(serve::ResultCache::kMaxSelectEntries * 3 / 2);
+  {
+    std::vector<std::string> flood;
+    load_table("flood", &flood);
+    for (int g = 0; g < result.generations; ++g) {
+      // Single-grouping queries: greedy certifies every slate, so each
+      // one is cacheable and costs exactly one miss.
+      for (int i = 0; i < result.flood_selects; ++i) {
+        std::ostringstream select;
+        select << "SELECT flood " << 10 + i % 40 << " ATTR 0 0 " << i / 40
+               << ' ' << result.n;
+        flood.push_back(select.str());
+      }
+      std::ostringstream append;
+      append << "APPEND flood";
+      for (CandidateId c : base[g].order()) append << ' ' << c;
+      flood.push_back(append.str());
+      flood.push_back("FLUSH flood");
+    }
+    serve::ContextManager flood_cached;
+    const std::vector<std::string> cached_flood =
+        ReplayMix(&flood_cached, flood, &result.flood_cached_seconds);
+    serve::ContextManager flood_uncached;
+    flood_uncached.SetResultCacheEnabled(false);
+    const std::vector<std::string> uncached_flood =
+        ReplayMix(&flood_uncached, flood, &result.flood_uncached_seconds);
+    if (cached_flood != uncached_flood) {
+      std::fprintf(stderr,
+                   "FATAL: past-capacity SELECT responses drifted from the "
+                   "uncached twin\n");
+      std::abort();
+    }
+    uint64_t slates = 0;
+    for (size_t i = 0; i < flood.size(); ++i) {
+      if (flood[i].rfind("SELECT", 0) != 0) continue;
+      if (cached_flood[i].find(" algo=greedy ") == std::string::npos) {
+        std::fprintf(stderr, "FATAL: flood SELECT not greedy: %s\n",
+                     cached_flood[i].c_str());
+        std::abort();
+      }
+      ++slates;
+    }
+    // Misses are completed runs inserted: one per slate, the rest are
+    // the A3 consensus runs.
+    result.a3_recomputes =
+        flood_cached.Stats("flood").cache_misses - slates;
   }
 
   // SELECT algorithm split on one consensus: a single-grouping query
@@ -1843,6 +1908,9 @@ int main() {
       "\"requests\": %ld,\n"
       "    \"cached_seconds\": %.6f, \"uncached_seconds\": %.6f, "
       "\"speedup_cached\": %.3f, \"equivalent\": %s,\n"
+      "    \"generations\": %d, \"flood_selects\": %d, "
+      "\"a3_recomputes\": %llu, \"flood_cached_seconds\": %.6f, "
+      "\"flood_uncached_seconds\": %.6f,\n"
       "    \"select_n\": %d, \"select_reps\": %d, "
       "\"greedy_mean_us\": %.2f, \"ilp_mean_us\": %.2f,\n"
       "    \"eval_n\": %d, \"eval_rankings\": %d, "
@@ -1850,6 +1918,9 @@ int main() {
       select_cache.n, select_cache.base_rankings, select_cache.requests,
       select_cache.cached_seconds, select_cache.uncached_seconds,
       cached_speedup, select_cache.equivalent ? "true" : "false",
+      select_cache.generations, select_cache.flood_selects,
+      static_cast<unsigned long long>(select_cache.a3_recomputes),
+      select_cache.flood_cached_seconds, select_cache.flood_uncached_seconds,
       select_cache.select_n, select_cache.select_reps,
       select_cache.greedy_mean_us, select_cache.ilp_mean_us,
       select_cache.eval_n, select_cache.eval_rankings,
@@ -1999,11 +2070,17 @@ int main() {
   }
 #endif
   std::printf("select_cache (n=%d, %d rankings, %ld req): cached %.4fs vs "
-              "uncached %.4fs -> %.2fx, equivalent; SELECT greedy %.1fus vs "
+              "uncached %.4fs -> %.2fx, equivalent; past capacity %d "
+              "SELECTs x %d generations: %llu A3 runs, cached %.4fs vs "
+              "uncached %.4fs; SELECT greedy %.1fus vs "
               "ilp %.1fus; EVAL n=%d cold %.4fs warm %.4fs\n",
               select_cache.n, select_cache.base_rankings,
               select_cache.requests, select_cache.cached_seconds,
               select_cache.uncached_seconds, cached_speedup,
+              select_cache.flood_selects, select_cache.generations,
+              static_cast<unsigned long long>(select_cache.a3_recomputes),
+              select_cache.flood_cached_seconds,
+              select_cache.flood_uncached_seconds,
               select_cache.greedy_mean_us, select_cache.ilp_mean_us,
               select_cache.eval_n, select_cache.eval_cold_seconds,
               select_cache.eval_warm_seconds);

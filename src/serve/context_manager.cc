@@ -480,26 +480,17 @@ ConsensusOutput ContextManager::Run(const std::string& name,
   return RunCachedOn(*shard, method, options, generation_after);
 }
 
-uint64_t ContextManager::OptionsHash(const ConsensusOptions& options) {
-  uint64_t h = HashValue(options.delta, 0);
-  h = HashValue(static_cast<uint64_t>(options.max_nodes), h);
-  h = HashValue(options.time_limit_seconds, h);
-  return h;
-}
-
 ConsensusOutput ContextManager::RunCachedOn(Shard& shard,
                                             const MethodSpec& method,
                                             const ConsensusOptions& options,
                                             uint64_t* generation_out) {
-  const uint64_t options_hash = OptionsHash(options);
   // Lookup at the seqlock generation. A mid-fold value can never hit —
   // entries are only inserted at fold boundaries — so the worst case is
   // a miss whose keyed run blocks on the gate and observes the settled
   // post-fold state; a stale hit is impossible.
   const uint64_t lookup_generation = shard.ctx->generation();
   ConsensusOutput out;
-  if (shard.cache.LookupRun(method.id, options_hash, lookup_generation,
-                            &out)) {
+  if (shard.cache.LookupRun(method.id, options, lookup_generation, &out)) {
     shard.runs.fetch_add(1, std::memory_order_relaxed);
     if (generation_out != nullptr) *generation_out = lookup_generation;
     return out;
@@ -511,7 +502,7 @@ ConsensusOutput ContextManager::RunCachedOn(Shard& shard,
   // inexact solve's incumbent depends on wall clock, so serving it from
   // the cache could differ from a cold recompute.
   if (out.exact) {
-    shard.cache.InsertRun(method.id, options_hash, observed, out);
+    shard.cache.InsertRun(method.id, options, observed, out);
   }
   if (generation_out != nullptr) *generation_out = observed;
   return out;
@@ -723,7 +714,6 @@ ContextManager::RunSupportedOn(Shard& shard, const ConsensusOptions& options,
                                uint64_t* generation_after) {
   Drain(shard, /*try_only=*/false, nullptr);
   const std::vector<const MethodSpec*> supported = SupportedFor(*shard.ctx);
-  const uint64_t options_hash = OptionsHash(options);
   // All-or-nothing cache probe at one generation: the sweep contract is
   // that every output comes from the same profile state, so a partial
   // hit cannot mix cached results with a keyed re-run (which may observe
@@ -734,7 +724,7 @@ ContextManager::RunSupportedOn(Shard& shard, const ConsensusOptions& options,
   bool all_hit = !supported.empty();
   for (const MethodSpec* method : supported) {
     ConsensusOutput out;
-    if (!shard.cache.LookupRun(method->id, options_hash, lookup_generation,
+    if (!shard.cache.LookupRun(method->id, options, lookup_generation,
                                &out)) {
       all_hit = false;
       break;
@@ -749,7 +739,7 @@ ContextManager::RunSupportedOn(Shard& shard, const ConsensusOptions& options,
     outputs = shard.ctx->RunMethods(supported, options, &observed);
     for (size_t i = 0; i < outputs.size(); ++i) {
       if (outputs[i].exact) {
-        shard.cache.InsertRun(supported[i]->id, options_hash, observed,
+        shard.cache.InsertRun(supported[i]->id, options, observed,
                               outputs[i]);
       }
     }
@@ -810,26 +800,15 @@ SelectOutcome ContextManager::Select(const std::string& name,
                          spec.max_count});
   }
 
-  // The whole query folds into one key; the consensus method and its
-  // (default) options are fixed per verb, so they need no extra bytes.
-  uint64_t query_hash = HashValue(static_cast<uint64_t>(query.k), 0);
-  for (const SelectConstraintSpec& spec : query.constraints) {
-    query_hash =
-        HashValue(static_cast<uint64_t>(static_cast<int64_t>(spec.attribute)),
-                  query_hash);
-    query_hash = HashValue(static_cast<uint64_t>(spec.group), query_hash);
-    query_hash = HashValue(static_cast<uint64_t>(spec.min_count), query_hash);
-    query_hash = HashValue(static_cast<uint64_t>(spec.max_count), query_hash);
-  }
-  query_hash = HashValue(query.time_limit_seconds, query_hash);
-
   const MethodSpec* spec = FindMethod("A3");
   SelectOutcome outcome;
   outcome.method = spec->id;
 
+  // The parsed query is the whole key: the consensus method and its
+  // (default) options are fixed per verb.
   const uint64_t lookup_generation = shard->ctx->generation();
   CachedSelect cached;
-  if (shard->cache.LookupSelect(query_hash, lookup_generation, &cached)) {
+  if (shard->cache.LookupSelect(query, lookup_generation, &cached)) {
     // Every served SELECT bumps `runs` exactly once, hit or cold (the
     // cold path's bump comes from its consensus leg).
     shard->runs.fetch_add(1, std::memory_order_relaxed);
@@ -869,7 +848,7 @@ SelectOutcome ContextManager::Select(const std::string& name,
     entry.feasible = result.feasible;
     entry.used_ilp = result.used_ilp;
     entry.optimal = result.optimal;
-    shard->cache.InsertSelect(query_hash, outcome.generation, entry);
+    shard->cache.InsertSelect(query, outcome.generation, entry);
   }
   AuditSlate(table, outcome.selected, &outcome);
   return outcome;

@@ -78,8 +78,7 @@ struct TableStats {
   bool replica_connected = false;
   /// Result-cache counters (generation-keyed consensus/SELECT results,
   /// see serve/result_cache.h): lookup hits, completed runs inserted
-  /// (ERR paths move neither), and live entries at the current
-  /// generation.
+  /// (ERR paths move neither), and live entries in both tiers.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   size_t cache_entries = 0;
@@ -100,29 +99,6 @@ struct EvalResult {
   /// Fairness of the submitted ranking itself (ARP per attribute, IRP
   /// last — see FairnessReport::parity).
   FairnessReport fairness;
-};
-
-/// One SELECT count constraint at the protocol level: bounds how many of
-/// the selected k may come from one group of one grouping — a group of a
-/// single protected attribute (`attribute` >= 0), or of the full
-/// intersection p1 x ... x pq (`attribute` == kIntersection).
-struct SelectConstraintSpec {
-  static constexpr int kIntersection = -1;
-  int attribute = 0;
-  int group = 0;
-  int min_count = 0;
-  int max_count = 0;
-};
-
-/// A parsed SELECT query: the best top-k slate of the table's A3
-/// consensus under count constraints (see core/fair_select.h).
-struct SelectQuery {
-  int k = 0;
-  std::vector<SelectConstraintSpec> constraints;
-  /// Wall-clock budget for the ILP fallback (seconds; <= 0 uses the
-  /// serving default). Budget-limited non-optimal slates are served but
-  /// never cached (their incumbent depends on timing).
-  double time_limit_seconds = 0.0;
 };
 
 /// Result of one SELECT. When `feasible` is false no size-k slate
@@ -510,17 +486,16 @@ class ContextManager {
       uint64_t* generation_after);
   /// Stats snapshot straight off a shard (no name lookup).
   static TableStats StatsFor(const Shard& shard);
-  /// One method run through the shard's result cache: lookup at the
-  /// seqlock generation, else a keyed run (the generation the run
-  /// observed, read under the reader registration) + insert when the
-  /// output is a deterministic replay (exact). Bumps `runs` once either
-  /// way; `generation_out` receives the generation the served result is
-  /// keyed by.
+  /// One method run through the shard's result cache, keyed by the
+  /// method id and the exact `options`: lookup at the seqlock
+  /// generation, else a keyed run (the generation the run observed, read
+  /// under the reader registration) + insert when the output is a
+  /// deterministic replay (exact). Bumps `runs` once either way;
+  /// `generation_out` receives the generation the served result is keyed
+  /// by.
   static ConsensusOutput RunCachedOn(Shard& shard, const MethodSpec& method,
                                      const ConsensusOptions& options,
                                      uint64_t* generation_out);
-  /// Stable cache key for the per-call knobs.
-  static uint64_t OptionsHash(const ConsensusOptions& options);
   /// Steals and applies the queued backlog. With `try_only`, gives up
   /// without side effects when the gate is contended. Returns rankings
   /// applied via *applied; returns false only in try_only mode. When

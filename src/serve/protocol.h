@@ -101,10 +101,12 @@ namespace manirank::serve {
 /// servable on every table flavor including followers.
 ///
 /// Result cache. RUN, EVAL's consensus leg, and SELECT are served
-/// through a per-table result cache keyed by (method, options-hash,
-/// generation): repeated queries over an unchanged profile skip the
-/// consensus method entirely, and any fold commit (leader mutation wave
-/// or follower replication apply) invalidates by moving the generation.
+/// through a per-table result cache keyed by the exact request fields
+/// plus the generation — a consensus tier (method, options) and a SELECT
+/// tier (parsed query), each its own bounded LRU: repeated queries over
+/// an unchanged profile skip the consensus method entirely, and any fold
+/// commit (leader mutation wave or follower replication apply)
+/// invalidates by moving the generation.
 /// Responses are byte-identical hit or miss — only nondeterministic
 /// results (budget-limited inexact solves) bypass the cache. STATS
 /// reports per-table cache_hits= / cache_misses= / cache_entries=;

@@ -6,120 +6,92 @@
 namespace manirank::serve {
 
 namespace {
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-constexpr int kKindRun = 0;
-constexpr int kKindSelect = 1;
-}  // namespace
-
-uint64_t HashBytes(const void* data, size_t size, uint64_t seed) {
-  uint64_t h = seed == 0 ? kFnvOffset : seed;
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-uint64_t HashValue(uint64_t value, uint64_t seed) {
-  return HashBytes(&value, sizeof(value), seed);
-}
-
-uint64_t HashValue(double value, uint64_t seed) {
+uint64_t Bits(double value) {
   uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(value));
   std::memcpy(&bits, &value, sizeof(bits));
-  return HashValue(bits, seed);
+  return bits;
+}
+}  // namespace
+
+ResultCache::RunKey ResultCache::MakeRunKey(const std::string& method,
+                                            const ConsensusOptions& options,
+                                            uint64_t generation) {
+  return RunKey{generation, method, Bits(options.delta), options.max_nodes,
+                Bits(options.time_limit_seconds)};
+}
+
+ResultCache::SelectKey ResultCache::MakeSelectKey(const SelectQuery& query,
+                                                  uint64_t generation) {
+  std::vector<std::array<int, 4>> constraints;
+  constraints.reserve(query.constraints.size());
+  for (const SelectConstraintSpec& spec : query.constraints) {
+    constraints.push_back(
+        {spec.attribute, spec.group, spec.min_count, spec.max_count});
+  }
+  return SelectKey{generation, query.k, std::move(constraints),
+                   Bits(query.time_limit_seconds)};
 }
 
 void ResultCache::set_enabled(bool enabled) {
   std::lock_guard<std::mutex> lock(mu_);
   enabled_ = enabled;
-  if (!enabled) entries_.clear();
+  if (!enabled) {
+    runs_.Clear();
+    selects_.Clear();
+  }
 }
 
-bool ResultCache::enabled() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return enabled_;
-}
-
-bool ResultCache::LookupRun(const std::string& method, uint64_t options_hash,
-                            uint64_t generation, ConsensusOutput* out) const {
+bool ResultCache::LookupRun(const std::string& method,
+                            const ConsensusOptions& options,
+                            uint64_t generation, ConsensusOutput* out) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!enabled_) return false;
-  const auto it =
-      entries_.find(Key{kKindRun, method, options_hash, generation});
-  if (it == entries_.end()) return false;
+  const ConsensusOutput* hit =
+      runs_.Find(MakeRunKey(method, options, generation));
+  if (hit == nullptr) return false;
   ++hits_;
-  *out = it->second.run;
+  *out = *hit;
   return true;
 }
 
-void ResultCache::InsertRun(const std::string& method, uint64_t options_hash,
+void ResultCache::InsertRun(const std::string& method,
+                            const ConsensusOptions& options,
                             uint64_t generation,
                             const ConsensusOutput& output) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!enabled_) return;
-  Entry entry;
-  entry.run = output;
-  InsertLocked(Key{kKindRun, method, options_hash, generation},
-               std::move(entry));
+  // A re-insert of a live key (two requests raced the same miss) still
+  // counts: the second run recomputed the same bit-exact result.
+  ++misses_;
+  runs_.Put(MakeRunKey(method, options, generation), output);
 }
 
-bool ResultCache::LookupSelect(uint64_t query_hash, uint64_t generation,
-                               CachedSelect* out) const {
+bool ResultCache::LookupSelect(const SelectQuery& query, uint64_t generation,
+                               CachedSelect* out) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!enabled_) return false;
-  const auto it =
-      entries_.find(Key{kKindSelect, std::string(), query_hash, generation});
-  if (it == entries_.end()) return false;
+  const CachedSelect* hit = selects_.Find(MakeSelectKey(query, generation));
+  if (hit == nullptr) return false;
   ++hits_;
-  *out = it->second.select;
+  *out = *hit;
   return true;
 }
 
-void ResultCache::InsertSelect(uint64_t query_hash, uint64_t generation,
+void ResultCache::InsertSelect(const SelectQuery& query, uint64_t generation,
                                const CachedSelect& result) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!enabled_) return;
-  Entry entry;
-  entry.select = result;
-  InsertLocked(Key{kKindSelect, std::string(), query_hash, generation},
-               std::move(entry));
-}
-
-void ResultCache::InsertLocked(Key key, Entry entry) {
-  const auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    // Re-inserting an existing key (two requests raced the same miss):
-    // the second run recomputed the same bit-exact result; keep counters
-    // honest by still counting the completed recompute as a miss.
-    ++misses_;
-    it->second = std::move(entry);
-    return;
-  }
-  if (entries_.size() >= kMaxEntries) {
-    entries_.erase(entries_.begin());
-  }
   ++misses_;
-  entries_.emplace(std::move(key), std::move(entry));
+  selects_.Put(MakeSelectKey(query, generation), result);
 }
 
 void ResultCache::EvictOtherGenerations(uint64_t generation) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (std::get<3>(it->first) != generation) {
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void ResultCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
+  runs_.EraseIf(
+      [&](const RunKey& key) { return std::get<0>(key) != generation; });
+  selects_.EraseIf(
+      [&](const SelectKey& key) { return std::get<0>(key) != generation; });
 }
 
 uint64_t ResultCache::hits() const {
@@ -134,7 +106,7 @@ uint64_t ResultCache::misses() const {
 
 size_t ResultCache::entries() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
+  return runs_.size() + selects_.size();
 }
 
 }  // namespace manirank::serve

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -23,8 +24,12 @@
 namespace manirank {
 namespace {
 
+using serve::CachedSelect;
 using serve::ContextManager;
 using serve::Dispatcher;
+using serve::ResultCache;
+using serve::SelectConstraintSpec;
+using serve::SelectQuery;
 using serve::TableStats;
 
 /// Masks the volatile counter fields of a STATS response — runs= moves
@@ -307,6 +312,207 @@ TEST(SelectCacheTwinTest, FuzzedSelectLinesKeepGenerationInvariant) {
   // The sweep must exercise both outcomes to mean anything.
   EXPECT_GT(errs, 0);
   EXPECT_GT(oks, 0);
+}
+
+/// A cached server and a cache-disabled twin fed the same lines: every
+/// response must match byte for byte (STATS counters masked), however
+/// the cache's tiers fill and evict.
+class CacheTierTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    uncached_manager_.SetResultCacheEnabled(false);
+    for (const std::string line :
+         {"CREATE t CYCLIC 6 2 3",
+          "APPEND t 0 1 2 3 4 5 ; 5 4 3 2 1 0 ; 1 0 3 2 5 4", "FLUSH t"}) {
+      ASSERT_EQ(Handle(line).rfind("OK", 0), 0u) << line;
+    }
+  }
+
+  std::string Handle(const std::string& line) {
+    const std::string response = cached_.Handle(line);
+    EXPECT_EQ(MaskCounters(response), MaskCounters(uncached_.Handle(line)))
+        << "request '" << line << "'";
+    return response;
+  }
+
+  /// `count` distinct feasible SELECTs: only the bound of an inert
+  /// constraint varies, so no two share a cache key.
+  void SelectFlood(int count) {
+    for (int i = 0; i < count; ++i) {
+      const std::string response =
+          Handle("SELECT t 3 ATTR 0 0 0 " + std::to_string(3 + i));
+      ASSERT_EQ(response.rfind("OK SELECT", 0), 0u) << response;
+    }
+  }
+
+  TableStats Stats() { return cached_manager_.Stats("t"); }
+
+  ContextManager cached_manager_;
+  ContextManager uncached_manager_;
+  Dispatcher cached_{&cached_manager_};
+  Dispatcher uncached_{&uncached_manager_};
+};
+
+TEST_F(CacheTierTest, DistinctSelectFloodRunsA3OncePerGeneration) {
+  // RUN's A3 (default LIMIT 30) and the SELECT/EVAL A3 leg (default
+  // options) are distinct consensus keys; both must survive the flood.
+  ASSERT_EQ(Handle("RUN t A3").rfind("OK", 0), 0u);
+  const TableStats before = Stats();
+  const int selects = static_cast<int>(ResultCache::kMaxSelectEntries) + 72;
+  SelectFlood(selects);
+  TableStats s = Stats();
+  // One miss per SELECT slate plus ONE A3 run for the whole flood.
+  EXPECT_EQ(s.cache_misses - before.cache_misses,
+            static_cast<uint64_t>(selects) + 1);
+  EXPECT_EQ(s.cache_entries, ResultCache::kMaxSelectEntries + 2);
+
+  // The consensus entries outlived 200 SELECT inserts.
+  ASSERT_EQ(Handle("RUN t A3").rfind("OK", 0), 0u);
+  ASSERT_EQ(Handle("EVAL t 0 1 2 3 4 5").rfind("OK", 0), 0u);
+  const TableStats after = Stats();
+  EXPECT_EQ(after.cache_hits, s.cache_hits + 2);
+  EXPECT_EQ(after.cache_misses, s.cache_misses);
+
+  // The newest slate is still cached; the oldest was the LRU victim and
+  // recomputes from the cached consensus (one miss, one A3-leg hit).
+  s = after;
+  Handle("SELECT t 3 ATTR 0 0 0 " + std::to_string(3 + selects - 1));
+  EXPECT_EQ(Stats().cache_hits, s.cache_hits + 1);
+  EXPECT_EQ(Stats().cache_misses, s.cache_misses);
+  s = Stats();
+  Handle("SELECT t 3 ATTR 0 0 0 3");
+  EXPECT_EQ(Stats().cache_hits, s.cache_hits + 1);
+  EXPECT_EQ(Stats().cache_misses, s.cache_misses + 1);
+}
+
+TEST_F(CacheTierTest, DeltaFloodStaysWithinTheConsensusTier) {
+  for (int i = 0; i < 100; ++i) {
+    const std::string line =
+        "RUN t A3 DELTA " + std::to_string(0.05 + 0.001 * i);
+    ASSERT_EQ(Handle(line).rfind("OK", 0), 0u) << line;
+    EXPECT_LE(Stats().cache_entries, ResultCache::kMaxRunEntries) << line;
+  }
+  EXPECT_EQ(Stats().cache_misses, 100u);
+}
+
+TEST_F(CacheTierTest, RunAllSweepHitsWholeAroundSelectFlood) {
+  // DELTA 1 keeps the A1 ILP feasible, so all eight outputs are exact and
+  // cacheable (at the default delta it is infeasible on this profile).
+  const std::string sweep = Handle("RUN t all DELTA 1");
+  ASSERT_EQ(sweep.rfind("OK", 0), 0u) << sweep;
+  SelectFlood(200);
+  const TableStats before = Stats();
+  EXPECT_EQ(Handle("RUN t all DELTA 1"), sweep);
+  const TableStats after = Stats();
+  EXPECT_EQ(after.cache_hits,
+            before.cache_hits + cached_manager_.SupportedMethods("t").size());
+  EXPECT_EQ(after.cache_misses, before.cache_misses);
+}
+
+TEST(ResultCacheTest, KeysDifferingInOneFieldNeverShareAnEntry) {
+  const ConsensusOptions base_options;
+  std::vector<ConsensusOptions> option_variants(3, base_options);
+  option_variants[0].delta = std::nextafter(base_options.delta, 1.0);
+  option_variants[1].max_nodes = base_options.max_nodes + 1;
+  option_variants[2].time_limit_seconds =
+      std::nextafter(base_options.time_limit_seconds, 1.0);
+  const auto marked = [](double mark) {
+    ConsensusOutput output;
+    output.seconds = mark;
+    return output;
+  };
+  for (const ConsensusOptions& variant : option_variants) {
+    ResultCache cache;
+    cache.InsertRun("A3", base_options, 1, marked(1.0));
+    ConsensusOutput out;
+    EXPECT_FALSE(cache.LookupRun("A3", variant, 1, &out));
+    cache.InsertRun("A3", variant, 1, marked(2.0));
+    EXPECT_EQ(cache.entries(), 2u);
+    ASSERT_TRUE(cache.LookupRun("A3", base_options, 1, &out));
+    EXPECT_EQ(out.seconds, 1.0);
+    ASSERT_TRUE(cache.LookupRun("A3", variant, 1, &out));
+    EXPECT_EQ(out.seconds, 2.0);
+    EXPECT_FALSE(cache.LookupRun("A4", base_options, 1, &out));
+    EXPECT_FALSE(cache.LookupRun("A3", base_options, 2, &out));
+  }
+
+  SelectQuery base;
+  base.k = 3;
+  base.constraints = {{0, 0, 1, 3}, {1, 0, 2, 3}};
+  std::vector<SelectQuery> query_variants(6, base);
+  query_variants[0].constraints = {{0, 0, 2, 3}, {1, 0, 1, 3}};  // min swap
+  query_variants[1].constraints = {{1, 0, 2, 3}, {0, 0, 1, 3}};  // order
+  query_variants[2].k = 4;
+  query_variants[3].time_limit_seconds = std::nextafter(0.0, 1.0);
+  query_variants[4].constraints[0].attribute =
+      SelectConstraintSpec::kIntersection;
+  query_variants[5].constraints.push_back({0, 1, 0, 3});
+  const auto slate = [](CandidateId first) {
+    CachedSelect result;
+    result.selected = {first};
+    return result;
+  };
+  for (const SelectQuery& variant : query_variants) {
+    ResultCache cache;
+    cache.InsertSelect(base, 1, slate(1));
+    CachedSelect out;
+    EXPECT_FALSE(cache.LookupSelect(variant, 1, &out));
+    cache.InsertSelect(variant, 1, slate(2));
+    EXPECT_EQ(cache.entries(), 2u);
+    ASSERT_TRUE(cache.LookupSelect(base, 1, &out));
+    EXPECT_EQ(out.selected, std::vector<CandidateId>{1});
+    ASSERT_TRUE(cache.LookupSelect(variant, 1, &out));
+    EXPECT_EQ(out.selected, std::vector<CandidateId>{2});
+    EXPECT_FALSE(cache.LookupSelect(base, 2, &out));
+  }
+}
+
+TEST(ResultCacheTest, EachTierEvictsItsOwnLeastRecentlyUsedEntry) {
+  const auto query = [](int i) {
+    SelectQuery q;
+    q.k = 1;
+    q.constraints = {{0, 0, 0, i}};
+    return q;
+  };
+  const auto options = [](int i) {
+    ConsensusOptions o;
+    o.delta = 0.001 * i;
+    return o;
+  };
+  ResultCache cache;
+  const int runs = static_cast<int>(ResultCache::kMaxRunEntries);
+  const int selects = static_cast<int>(ResultCache::kMaxSelectEntries);
+  for (int i = 0; i < runs; ++i) cache.InsertRun("A3", options(i), 1, {});
+  for (int i = 0; i < selects; ++i) cache.InsertSelect(query(i), 1, {});
+  EXPECT_EQ(cache.entries(), ResultCache::kMaxRunEntries +
+                                 ResultCache::kMaxSelectEntries);
+
+  // A hit refreshes recency, so the next insert evicts entry 1, not 0 —
+  // and a SELECT insert never touches the consensus tier.
+  ConsensusOutput run;
+  CachedSelect select;
+  ASSERT_TRUE(cache.LookupSelect(query(0), 1, &select));
+  cache.InsertSelect(query(selects), 1, {});
+  EXPECT_TRUE(cache.LookupSelect(query(0), 1, &select));
+  EXPECT_FALSE(cache.LookupSelect(query(1), 1, &select));
+  for (int i = 0; i < runs; ++i) {
+    EXPECT_TRUE(cache.LookupRun("A3", options(i), 1, &run)) << i;
+  }
+
+  ASSERT_TRUE(cache.LookupRun("A3", options(0), 1, &run));
+  cache.InsertRun("A3", options(runs), 1, {});
+  EXPECT_TRUE(cache.LookupRun("A3", options(0), 1, &run));
+  EXPECT_FALSE(cache.LookupRun("A3", options(1), 1, &run));
+  EXPECT_EQ(cache.entries(), ResultCache::kMaxRunEntries +
+                                 ResultCache::kMaxSelectEntries);
+
+  // Fold boundary: only the new generation survives, in both tiers.
+  cache.InsertRun("A3", options(0), 2, {});
+  cache.InsertSelect(query(0), 2, {});
+  cache.EvictOtherGenerations(2);
+  EXPECT_EQ(cache.entries(), 2u);
+  EXPECT_TRUE(cache.LookupRun("A3", options(0), 2, &run));
+  EXPECT_TRUE(cache.LookupSelect(query(0), 2, &select));
 }
 
 }  // namespace
