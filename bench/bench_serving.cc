@@ -22,17 +22,14 @@
 // The batched and rebuild paths must produce bit-identical consensus
 // rankings; the bench aborts loudly if they ever drift.
 //
-// An `async` section races the two TCP front ends (serve/executor.h) on
-// a K-client mixed mutate/query workload over loopback: every client
-// owns one "hot" table receiving bulk APPEND backlogs + RUNs (a long
+// An `async` section drives the TCP executor (serve/executor.h) with a
+// K-client mixed mutate/query workload over loopback: every client owns
+// one "hot" table receiving bulk APPEND backlogs + RUNs (a long
 // exclusive drain per wave) and several light tables queried in the same
-// pipeline. The thread-per-connection server executes each connection's
-// pipeline serially, so the light RUNs queue behind the hot fold; the
-// executor overlaps them across its shared worker pool while still
-// delivering responses in request order. Both servers' response streams
-// must be bit-identical to a synchronous Dispatcher replay — the bench
-// aborts loudly on any drift. (The overlap needs real cores: on a
-// single-CPU host the two models converge to parity.)
+// pipeline. The executor overlaps the light RUNs with the hot fold
+// across its shared worker pool while still delivering responses in
+// request order. Every response stream must be bit-identical to a
+// synchronous Dispatcher replay — the bench aborts loudly on any drift.
 //
 // A second section measures the snapshot/restore path (data/snapshot.h):
 // a table folded from a large Mallows stream is snapshotted to disk,
@@ -815,7 +812,7 @@ OpLogBench RunOpLogBench(bool quick) {
   return bench;
 }
 
-// --- async executor vs thread-per-connection over loopback TCP -------------
+// --- async executor over loopback TCP --------------------------------------
 
 #ifdef MANIRANK_SERVE_HAVE_SOCKETS
 
@@ -894,8 +891,8 @@ AsyncClientPlan BuildAsyncPlan(const AsyncWorkload& w, int client) {
     }
     requests.push_back("RUN " + hot + " A4");
     // The light tables' query waves, pipelined behind the hot work on
-    // the same connection: the executor overlaps them, the
-    // thread-per-connection baseline head-of-line-blocks them.
+    // the same connection: the executor overlaps them with the hot fold
+    // instead of head-of-line-blocking them behind it.
     for (const std::string& light : lights) {
       std::ostringstream os;
       os << "APPEND " << light;
@@ -913,7 +910,7 @@ AsyncClientPlan BuildAsyncPlan(const AsyncWorkload& w, int client) {
   return plan;
 }
 
-/// Blocking loopback client used by both scenarios.
+/// Blocking loopback client used by the async sections.
 class AsyncClientSocket {
  public:
   explicit AsyncClientSocket(int port) {
@@ -989,12 +986,10 @@ class AsyncClientSocket {
   std::string buffer_;
 };
 
-/// Drives the K clients against an already-started server and gathers
-/// wall-clock + light-RUN latency. `Server` is either front end.
-template <typename Server>
-AsyncScenarioResult RunAsyncScenario(const AsyncWorkload& w,
-                                     const std::vector<AsyncClientPlan>& plans,
-                                     Server& server) {
+/// Drives the K clients against an already-started executor on `port`
+/// and gathers wall-clock + light-RUN latency.
+AsyncScenarioResult RunAsyncScenario(const std::vector<AsyncClientPlan>& plans,
+                                     int port) {
   AsyncScenarioResult result;
   result.responses.resize(plans.size());
   std::vector<double> latency_sums(plans.size(), 0.0);
@@ -1007,7 +1002,7 @@ AsyncScenarioResult RunAsyncScenario(const AsyncWorkload& w,
   for (size_t c = 0; c < plans.size(); ++c) {
     clients.emplace_back([&, c] {
       const AsyncClientPlan& plan = plans[c];
-      AsyncClientSocket socket(server.port());
+      AsyncClientSocket socket(port);
       // Untimed setup: CREATE + seed + cache warmup.
       {
         std::string wire;
@@ -1064,7 +1059,7 @@ AsyncScenarioResult RunAsyncScenario(const AsyncWorkload& w,
   return result;
 }
 
-/// The ground truth both servers must reproduce bit-for-bit: each
+/// The ground truth the executor must reproduce bit-for-bit: each
 /// client's full request stream replayed through a synchronous
 /// Dispatcher. One shared manager is correct because client table sets
 /// are disjoint.
@@ -1102,7 +1097,6 @@ void CheckAsyncEquivalent(const char* label,
 
 struct AsyncBench {
   AsyncWorkload workload;
-  AsyncScenarioResult threaded;
   AsyncScenarioResult executor;
   uint64_t parked = 0;
 };
@@ -1132,27 +1126,10 @@ AsyncBench RunAsyncBench(bool quick) {
   for (int c = 0; c < w.clients; ++c) plans.push_back(BuildAsyncPlan(w, c));
   const std::vector<std::vector<std::string>> expected = AsyncReference(plans);
 
-  // Best-of-3 per scenario (every repetition equivalence-checked, the
-  // fastest wall-clock reported): the two servers are measured at
-  // different instants, so on a small/noisy host a single background
-  // hiccup would otherwise swing the reported ratio by tens of percent.
+  // Best-of-3 (every repetition equivalence-checked, the fastest
+  // wall-clock reported): on a small/noisy host a single background
+  // hiccup would otherwise swing the reported time by tens of percent.
   constexpr int kReps = 3;
-  for (int rep = 0; rep < kReps; ++rep) {
-    serve::ContextManager manager;
-    serve::ServerOptions options;
-    serve::ThreadPerConnectionServer server(&manager, options);
-    std::string error;
-    if (!server.Start(&error)) {
-      std::fprintf(stderr, "async bench: %s\n", error.c_str());
-      std::abort();
-    }
-    AsyncScenarioResult result = RunAsyncScenario(w, plans, server);
-    server.Shutdown();
-    CheckAsyncEquivalent("thread_per_connection", result.responses, expected);
-    if (rep == 0 || result.seconds < bench.threaded.seconds) {
-      bench.threaded = std::move(result);
-    }
-  }
   for (int rep = 0; rep < kReps; ++rep) {
     serve::ContextManager manager;
     serve::ServerOptions options;
@@ -1163,7 +1140,7 @@ AsyncBench RunAsyncBench(bool quick) {
       std::fprintf(stderr, "async bench: %s\n", error.c_str());
       std::abort();
     }
-    AsyncScenarioResult result = RunAsyncScenario(w, plans, server);
+    AsyncScenarioResult result = RunAsyncScenario(plans, server.port());
     bench.parked += server.requests_parked();
     server.Shutdown();
     CheckAsyncEquivalent("executor", result.responses, expected);
@@ -1855,15 +1832,6 @@ int main() {
   CheckEquivalent(w, "per_request_rebuild", rebuild, batched);
 #ifdef MANIRANK_SERVE_HAVE_SOCKETS
   const AsyncBench async = RunAsyncBench(QuickMode());
-  const double async_speedup =
-      async.executor.seconds > 0.0
-          ? async.threaded.seconds / async.executor.seconds
-          : 0.0;
-  const double async_latency_ratio =
-      async.executor.light_latency_mean_ms > 0.0
-          ? async.threaded.light_latency_mean_ms /
-                async.executor.light_latency_mean_ms
-          : 0.0;
   const EpollScaleBench epoll_scale = RunEpollScaleBench(QuickMode());
   const ReplicationBench replication = RunReplicationBench(QuickMode());
 #endif
@@ -1931,21 +1899,14 @@ int main() {
       "  \"async\": {\"clients\": %d, \"light_tables\": %d, \"waves\": %d, "
       "\"n\": %d, \"hot_appends\": %d, \"hot_rankings\": %d, "
       "\"light_rankings\": %d, \"workers\": %zu, \"parked_requests\": %llu,\n"
-      "    \"thread_per_connection\": {\"seconds\": %.6f, \"requests\": %ld, "
-      "\"light_run_latency_ms\": %.3f},\n"
       "    \"executor\": {\"seconds\": %.6f, \"requests\": %ld, "
-      "\"light_run_latency_ms\": %.3f},\n"
-      "    \"speedup_executor_vs_threads\": %.3f, "
-      "\"light_latency_ratio\": %.3f},\n",
+      "\"light_run_latency_ms\": %.3f}},\n",
       async.workload.clients, async.workload.light_tables,
       async.workload.waves, async.workload.n, async.workload.hot_appends,
       async.workload.hot_rankings, async.workload.light_rankings,
       async.workload.workers,
-      static_cast<unsigned long long>(async.parked),
-      async.threaded.seconds, async.threaded.requests,
-      async.threaded.light_latency_mean_ms, async.executor.seconds,
-      async.executor.requests, async.executor.light_latency_mean_ms,
-      async_speedup, async_latency_ratio);
+      static_cast<unsigned long long>(async.parked), async.executor.seconds,
+      async.executor.requests, async.executor.light_latency_mean_ms);
   std::fprintf(f,
                "  \"async_epoll\": {\"cores\": %zu, "
                "\"requests_per_connection\": %d, \"reps\": %d,\n"
@@ -2038,13 +1999,10 @@ int main() {
   std::printf("batched vs rebuild: %.2fx   concurrent scaling: %.2fx\n",
               speedup, concurrent_speedup);
 #ifdef MANIRANK_SERVE_HAVE_SOCKETS
-  std::printf("async (%d clients, %d tables each): thread-per-conn %.4fs "
-              "(light RUN %.2fms) vs executor %.4fs (light RUN %.2fms) -> "
-              "%.2fx, latency %.2fx, parked %llu\n",
+  std::printf("async (%d clients, %d tables each): executor %.4fs "
+              "(light RUN %.2fms), parked %llu\n",
               async.workload.clients, 1 + async.workload.light_tables,
-              async.threaded.seconds, async.threaded.light_latency_mean_ms,
               async.executor.seconds, async.executor.light_latency_mean_ms,
-              async_speedup, async_latency_ratio,
               static_cast<unsigned long long>(async.parked));
   for (const EpollScalePoint& point : epoll_scale.points) {
     std::printf("async_epoll %4d conns: %s/1-loop %.4fs vs %s/%zu-loop "

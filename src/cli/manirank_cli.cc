@@ -8,7 +8,6 @@
 //   manirank consensus --restore S.snap --method A3 [...]
 //   manirank snapshot  --table T.csv --rankings R.csv --output S.snap
 //   manirank methods
-//   manirank serve     [--script S.txt]        (also: manirank --serve S.txt)
 //
 // `snapshot` folds a profile into the versioned binary snapshot format of
 // data/snapshot.h (Borda points + precedence matrix, checksummed);
@@ -27,15 +26,7 @@
 // place for every append file — each batch folds into the cached
 // precedence/parity/Borda state in O(n^2) per ranking instead of
 // rebuilding, and the chosen method re-runs against the updated profile.
-//
-// `serve` replays a request script (or stdin) through the multi-table
-// ContextManager using the line protocol of serve/protocol.h — the same
-// engine the manirank_serve binary exposes over a socket. Exit status 1
-// when any request drew an ERR response, 2 when the output stream died
-// mid-response (SIGPIPE is ignored during the replay, so a closed pipe
-// surfaces as that I/O error instead of killing the process).
 
-#include <csignal>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -56,7 +47,6 @@ struct Args {
   std::string rankings_path;
   std::string method = "A4";  // Fair-Copeland: fast and exact-polynomial
   std::string output_path;
-  std::string script_path;
   std::string restore_path;
   std::vector<std::string> append_paths;
   double delta = 0.1;
@@ -79,9 +69,7 @@ int Usage() {
       "  manirank snapshot  --table T.csv --rankings R.csv --output S.snap\n"
       "                     [--exact]     (exact: keep the full profile, so\n"
       "                      a restore serves all methods, B2-B4 included)\n"
-      "  manirank methods\n"
-      "  manirank serve     [--script S.txt]   (requests on stdin by default;\n"
-      "                     grammar in serve/protocol.h; also --serve S.txt)\n";
+      "  manirank methods\n";
   return 2;
 }
 
@@ -113,8 +101,7 @@ std::optional<Args> Parse(int argc, char** argv) {
     const bool known = flag == "--table" || flag == "--rankings" ||
                        flag == "--method" || flag == "--delta" ||
                        flag == "--time-limit" || flag == "--output" ||
-                       flag == "--append" || flag == "--script" ||
-                       flag == "--restore";
+                       flag == "--append" || flag == "--restore";
     if (!known) {
       std::cerr << "unknown flag: " << flag << "\n";
       return std::nullopt;
@@ -138,8 +125,6 @@ std::optional<Args> Parse(int argc, char** argv) {
       args.output_path = value;
     } else if (flag == "--append") {
       args.append_paths.push_back(value);
-    } else if (flag == "--script") {
-      args.script_path = value;
     } else if (flag == "--restore") {
       args.restore_path = value;
     } else {
@@ -151,10 +136,6 @@ std::optional<Args> Parse(int argc, char** argv) {
   }
   if (!args.append_paths.empty() && args.command != "consensus") {
     std::cerr << "--append is only valid with the consensus command\n";
-    return std::nullopt;
-  }
-  if (!args.script_path.empty() && args.command != "serve") {
-    std::cerr << "--script is only valid with the serve command\n";
     return std::nullopt;
   }
   if (args.exact_snapshot && args.command != "snapshot") {
@@ -451,37 +432,6 @@ int RunSnapshot(const Args& args) {
   return 0;
 }
 
-/// Offline serving replay: drives the multi-table ContextManager with the
-/// line protocol of serve/protocol.h, from a script file or stdin.
-int RunServe(const Args& args) {
-#if defined(__unix__) || defined(__APPLE__)
-  // A reader closing the response pipe must surface as a stream failure
-  // below, not SIGPIPE process death.
-  std::signal(SIGPIPE, SIG_IGN);
-#endif
-  serve::ContextManager manager;
-  serve::Dispatcher dispatcher(&manager);
-  int errors = 0;
-  if (!args.script_path.empty()) {
-    std::ifstream in(args.script_path);
-    if (!in) {
-      std::cerr << "cannot open script: " << args.script_path << "\n";
-      return 1;
-    }
-    errors = dispatcher.ServeStream(in, std::cout);
-  } else {
-    errors = dispatcher.ServeStream(std::cin, std::cout);
-  }
-  if (!std::cout) {
-    // The reader closed our output mid-response (SIGPIPE-ignored write
-    // failure); ServeStream stopped serving — report it as an I/O error
-    // rather than pretending the replay completed.
-    std::cerr << "serve: output stream failed mid-response\n";
-    return 2;
-  }
-  return errors == 0 ? 0 : 1;
-}
-
 int RunMethods() {
   TablePrinter out({"id", "name", "fairness-aware", "solver"});
   for (const MethodSpec& m : AllMethods()) {
@@ -495,19 +445,11 @@ int RunMethods() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // `manirank --serve S.txt` is shorthand for `manirank serve --script S.txt`.
-  if (argc == 3 && std::string(argv[1]) == "--serve") {
-    Args serve_args;
-    serve_args.command = "serve";
-    serve_args.script_path = argv[2];
-    return RunServe(serve_args);
-  }
   std::optional<Args> args = Parse(argc, argv);
   if (!args) return Usage();
   if (args->command == "audit") return RunAudit(*args);
   if (args->command == "consensus") return RunConsensus(*args);
   if (args->command == "snapshot") return RunSnapshot(*args);
   if (args->command == "methods") return RunMethods();
-  if (args->command == "serve") return RunServe(*args);
   return Usage();
 }

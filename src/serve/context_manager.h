@@ -379,9 +379,9 @@ class ContextManager {
   //
   // A draining verb (Run / RunAll / RunSupported / Flush / SnapshotTable)
   // can block for the length of a whole exclusive backlog fold. A
-  // thread-per-connection server just parks the client's thread; an async
-  // front end dispatching requests onto a bounded worker pool must not
-  // let one table's fold absorb every worker. These hooks let it route
+  // synchronous stream front end just blocks; an async front end
+  // dispatching requests onto a bounded worker pool must not let one
+  // table's fold absorb every worker. These hooks let it route
   // around the fold without ever blocking a scheduling thread:
   // IsDraining says "an exclusive fold is running on this table right
   // now", and the drain observer fires (table name, on the draining

@@ -309,17 +309,12 @@ void DurabilityManager::SnapshotNow(const std::string& table) {
             snap.summary.generation,
             static_cast<uint64_t>(snap.summary.num_rankings));
         const std::shared_ptr<Entry> entry = FindOrCreateEntry(table);
-        {
-          std::lock_guard<std::mutex> lock(entry->mu);
-          entry->writer = std::move(writer);
-          entry->healthy = true;
-          entry->last_error.clear();
-          ++entry->truncations;
-          entry->last_truncation = Clock::now();
-        }
-        // Chain rotated: streams on the old chain must close so their
-        // followers re-handshake against the new floor.
-        NotifyReplicationEvent();
+        std::lock_guard<std::mutex> lock(entry->mu);
+        entry->writer = std::move(writer);
+        entry->healthy = true;
+        entry->last_error.clear();
+        ++entry->truncations;
+        entry->last_truncation = Clock::now();
       });
 }
 
@@ -551,27 +546,6 @@ DurabilityManager::ReplicationPoll DurabilityManager::PollReplication(
   return ReplicationPoll::kData;
 }
 
-uint64_t DurabilityManager::ReplicationEvents() const {
-  std::lock_guard<std::mutex> lock(repl_mu_);
-  return repl_events_;
-}
-
-uint64_t DurabilityManager::WaitReplicationEvent(
-    uint64_t seen, std::chrono::milliseconds timeout) const {
-  std::unique_lock<std::mutex> lock(repl_mu_);
-  repl_cv_.wait_for(lock, timeout,
-                    [&] { return repl_events_ != seen; });
-  return repl_events_;
-}
-
-void DurabilityManager::NotifyReplicationEvent() {
-  {
-    std::lock_guard<std::mutex> lock(repl_mu_);
-    ++repl_events_;
-  }
-  repl_cv_.notify_all();
-}
-
 // --- DurabilityHook ---------------------------------------------------------
 
 void DurabilityManager::LogAppend(const std::string& table,
@@ -610,19 +584,13 @@ void DurabilityManager::AbortLastOp(const std::string& table) {
 void DurabilityManager::CommitFold(const std::string& table) {
   const std::shared_ptr<Entry> entry = FindEntry(table);
   if (entry == nullptr) return;
-  {
-    std::lock_guard<std::mutex> lock(entry->mu);
-    if (entry->writer == nullptr) return;
-    try {
-      entry->writer->Commit();
-    } catch (const std::exception& e) {
-      MarkUnhealthy(*entry, e.what());
-    }
+  std::lock_guard<std::mutex> lock(entry->mu);
+  if (entry->writer == nullptr) return;
+  try {
+    entry->writer->Commit();
+  } catch (const std::exception& e) {
+    MarkUnhealthy(*entry, e.what());
   }
-  // Wake replication streams: new committed bytes (or, on failure, a
-  // broken chain they must rotate off). Outside entry->mu — the waiters
-  // take entry locks themselves when they poll.
-  NotifyReplicationEvent();
 }
 
 void DurabilityManager::OnTableRegistered(const std::string& table,
@@ -645,7 +613,6 @@ void DurabilityManager::OnTableRegistered(const std::string& table,
       std::lock_guard<std::mutex> lock(mu_);
       entries_[table] = std::move(entry);
     }
-    NotifyReplicationEvent();
   } catch (...) {
     // The CREATE/RESTORE is about to fail: leave no ghost files behind,
     // or the next cold start would resurrect a table the client was told
@@ -671,8 +638,6 @@ void DurabilityManager::OnTableDropped(const std::string& table) {
     FsyncParentDir(SnapshotPathFor(table));
   } catch (const std::exception&) {
   }
-  // Streams on the dropped table discover the rotation and close.
-  NotifyReplicationEvent();
 }
 
 }  // namespace manirank::serve

@@ -2,7 +2,6 @@
 #define MANIRANK_SERVE_DURABILITY_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -181,18 +180,6 @@ class DurabilityManager : public DurabilityHook {
                                   uint64_t* offset, size_t max_bytes,
                                   std::string* out);
 
-  /// Monotonic counter bumped after every committed fold, truncation,
-  /// registration, and drop — the signal that a replication stream may
-  /// have new bytes (or needs to rotate).
-  uint64_t ReplicationEvents() const;
-
-  /// Blocks until the event counter passes `seen` or `timeout` elapses;
-  /// returns the current counter. Blocking front ends drive their
-  /// streaming loop with this; the event-loop front end pumps off its
-  /// drain observer instead.
-  uint64_t WaitReplicationEvent(uint64_t seen,
-                                std::chrono::milliseconds timeout) const;
-
   // --- DurabilityHook (fold group called under the table's gate) ------
   void LogAppend(const std::string& table,
                  const std::vector<Ranking>& batch) override;
@@ -229,17 +216,11 @@ class DurabilityManager : public DurabilityHook {
   RestoredTable RestoreOne(const std::string& table, bool has_log);
   /// Entry lookup that inserts a fresh entry when absent.
   std::shared_ptr<Entry> FindOrCreateEntry(const std::string& table);
-  /// Bumps the replication event counter and wakes waiters.
-  void NotifyReplicationEvent();
 
   const std::string dir_;
   ContextManager* const manager_;
   mutable std::mutex mu_;  ///< guards entries_ (the map only)
   std::unordered_map<std::string, std::shared_ptr<Entry>> entries_;
-  /// Replication event counter + waiters (see WaitReplicationEvent).
-  mutable std::mutex repl_mu_;
-  mutable std::condition_variable repl_cv_;
-  uint64_t repl_events_ = 0;
 };
 
 /// True when `name` can be used as a durability file stem: non-empty, no

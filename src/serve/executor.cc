@@ -64,19 +64,6 @@ void SetNoDelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-/// Bound on one blocking send() call in the thread-per-connection model:
-/// a client that stops reading would otherwise pin its handler thread in
-/// send() forever (and hang Shutdown's join with it). Generous for any
-/// live loopback/LAN peer — only a dead reader with a full socket buffer
-/// trips it, failing the send so the handler aborts the connection.
-constexpr time_t kSendTimeoutSeconds = 5;
-
-void SetSendTimeout(int fd) {
-  timeval timeout{};
-  timeout.tv_sec = kSendTimeoutSeconds;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
-}
-
 void Fail(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what + ": " + std::strerror(errno);
 }
@@ -127,36 +114,6 @@ int OpenListener(int port, bool reuseport, int* bound_port,
   return listener;
 }
 
-/// Writes one full response line on a BLOCKING socket; false when the
-/// peer went away. Empty responses (comment/blank requests) send nothing.
-bool SendLine(int fd, std::string response) {
-  if (response.empty()) return true;
-  response.push_back('\n');
-  size_t sent = 0;
-  while (sent < response.size()) {
-    const ssize_t w = ::send(fd, response.data() + sent,
-                             response.size() - sent, kSendFlags);
-    if (w < 0 && errno == EINTR) continue;
-    if (w <= 0) return false;
-    sent += static_cast<size_t>(w);
-  }
-  return true;
-}
-
-/// Raw-byte counterpart of SendLine for the replication payloads (no
-/// newline framing; the byte stream is the op-log format itself).
-bool SendAll(int fd, const std::string& bytes) {
-  size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t w = ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                             kSendFlags);
-    if (w < 0 && errno == EINTR) continue;
-    if (w <= 0) return false;
-    sent += static_cast<size_t>(w);
-  }
-  return true;
-}
-
 std::vector<std::string> SplitTokens(const std::string& line) {
   std::istringstream in(line);
   std::vector<std::string> tokens;
@@ -170,227 +127,6 @@ std::vector<std::string> SplitTokens(const std::string& line) {
 constexpr size_t kReplPumpBytes = 256u << 10;
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// ThreadPerConnectionServer
-// ---------------------------------------------------------------------------
-
-ThreadPerConnectionServer::ThreadPerConnectionServer(ContextManager* manager,
-                                                     ServerOptions options)
-    : manager_(manager), options_(options) {}
-
-ThreadPerConnectionServer::~ThreadPerConnectionServer() { Shutdown(); }
-
-bool ThreadPerConnectionServer::Start(std::string* error) {
-  if (started_) {
-    if (error != nullptr) *error = "server already started";
-    return false;
-  }
-  listener_ = OpenListener(options_.port, /*reuseport=*/false, &port_, error);
-  if (listener_ < 0) return false;
-  stopping_.store(false);
-  started_ = true;
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  if (options_.log != nullptr) {
-    *options_.log << "manirank_serve listening on 127.0.0.1:" << port_
-                  << " (thread per connection)\n";
-  }
-  return true;
-}
-
-void ThreadPerConnectionServer::AcceptLoop() {
-  for (;;) {
-    const int fd = ::accept(listener_, nullptr, nullptr);
-    if (fd < 0) {
-      if (stopping_.load()) break;
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
-          errno == ENOMEM || errno == EAGAIN || errno == EWOULDBLOCK) {
-        // Transient resource exhaustion (or an already-aborted backlog
-        // entry): a long-lived server must not become a zombie that
-        // holds the port while refusing every future connection. Back
-        // off briefly and retry.
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        continue;
-      }
-      break;  // listener shut down (or fatal): stop accepting
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_.load()) {
-        // Raced the shutdown: turn the connection away instead of
-        // spawning a handler Shutdown would not wait for.
-        ::close(fd);
-        continue;
-      }
-      live_fds_.push_back(fd);
-      ++active_;
-    }
-    SetNoDelay(fd);
-    SetSendTimeout(fd);
-    // Detached so a long-lived server does not accumulate one joinable
-    // (stack-retaining) thread per closed connection; Shutdown joins
-    // stragglers through the active_ counter + condition variable.
-    std::thread([this, fd] { Connection(fd); }).detach();
-  }
-}
-
-void ThreadPerConnectionServer::Connection(int fd) {
-  Dispatcher dispatcher(manager_);
-  // No event loop to run the policy timer off — tick inline per request.
-  dispatcher.set_durability(options_.durability, /*inline_policy_eval=*/true);
-  std::string buffer;
-  char chunk[4096];
-  bool peer_gone = false;
-  bool oversize = false;
-  for (;;) {
-    const ssize_t got = ::read(fd, chunk, sizeof(chunk));
-    if (got < 0 && errno == EINTR) continue;
-    if (got <= 0) break;
-    // Invariant: the retained buffer never contains '\n' (complete lines
-    // are consumed below), so only the new chunk needs scanning — a
-    // multi-megabyte line arriving in 4 KB reads stays O(L), not O(L^2).
-    const size_t scan_from = buffer.size();
-    buffer.append(chunk, static_cast<size_t>(got));
-    if (buffer.size() > kMaxRequestBytes &&
-        buffer.find('\n', scan_from) == std::string::npos) {
-      SendLine(fd, "ERR bad-request: request line exceeds 16 MiB");
-      oversize = true;
-      break;
-    }
-    size_t start = 0;
-    bool stream_closed = false;
-    for (;;) {
-      const size_t newline = buffer.find('\n', std::max(start, scan_from));
-      if (newline == std::string::npos) break;
-      const std::string line = buffer.substr(start, newline - start);
-      start = newline + 1;
-      // A valid REPLICATE flips the connection into a blocking
-      // replication stream on this very thread (the thread-per-connection
-      // model's natural shape). Invalid variants fall through to the
-      // dispatcher, which answers the precise ERR (bad-request /
-      // no-such-table / unavailable without --log-dir).
-      if (options_.durability != nullptr && ClassifyRequest(line).replicate) {
-        const std::vector<std::string> tokens = SplitTokens(line);
-        if (tokens.size() == 2 && manager_->Has(tokens[1])) {
-          switch (StreamReplication(fd, tokens[1])) {
-            case ReplStreamEnd::kKeepServing:
-              continue;  // handshake refused with an ERR line
-            case ReplStreamEnd::kCloseOrderly:
-              stream_closed = true;
-              break;
-            case ReplStreamEnd::kPeerGone:
-              peer_gone = true;
-              break;
-          }
-          break;
-        }
-      }
-      if (!SendLine(fd, dispatcher.Handle(line))) {
-        peer_gone = true;
-        break;
-      }
-    }
-    if (peer_gone) break;
-    if (stream_closed) {
-      oversize = true;  // suppress the final-buffer handling below
-      break;
-    }
-    buffer.erase(0, start);
-  }
-  if (!peer_gone) {
-    // A final request may arrive without a trailing newline before the
-    // client half-closes; answer it rather than dropping it.
-    if (!oversize && !buffer.empty()) SendLine(fd, dispatcher.Handle(buffer));
-    // Half-close and drain instead of an immediate close: an unread byte
-    // in the receive queue at close() makes the kernel send RST, which
-    // destroys the in-flight response — the client would see a reset
-    // instead of the oversize ERR (or its final answer). Draining until
-    // the client closes guarantees orderly delivery.
-    ::shutdown(fd, SHUT_WR);
-    for (;;) {
-      const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-      if (n > 0) continue;
-      if (n < 0 && errno == EINTR) continue;
-      break;
-    }
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  live_fds_.erase(std::remove(live_fds_.begin(), live_fds_.end(), fd),
-                  live_fds_.end());
-  ::close(fd);
-  if (--active_ == 0) done_cv_.notify_all();
-}
-
-ThreadPerConnectionServer::ReplStreamEnd
-ThreadPerConnectionServer::StreamReplication(int fd,
-                                             const std::string& table) {
-  DurabilityManager* durability = options_.durability;
-  DurabilityManager::ReplicationHandshake handshake;
-  try {
-    handshake = durability->TakeHandshake(table);
-  } catch (const std::invalid_argument& e) {
-    return SendLine(fd, std::string("ERR no-such-table: ") + e.what())
-               ? ReplStreamEnd::kKeepServing
-               : ReplStreamEnd::kPeerGone;
-  } catch (const std::exception& e) {
-    return SendLine(fd, std::string("ERR io: ") + e.what())
-               ? ReplStreamEnd::kKeepServing
-               : ReplStreamEnd::kPeerGone;
-  }
-  std::ostringstream head;
-  head << "OK REPLICATE " << table
-       << " snapshot_bytes=" << handshake.snapshot_bytes.size()
-       << " log_bytes=" << handshake.log_bytes.size();
-  if (!SendLine(fd, head.str()) || !SendAll(fd, handshake.snapshot_bytes) ||
-      !SendAll(fd, handshake.log_bytes)) {
-    return ReplStreamEnd::kPeerGone;
-  }
-  uint64_t offset = handshake.committed_bytes;
-  uint64_t seen = durability->ReplicationEvents();
-  while (!stopping_.load()) {
-    std::string chunk;
-    if (durability->PollReplication(table, handshake.chain, &offset,
-                                    1u << 20, &chunk) ==
-        DurabilityManager::ReplicationPoll::kRotated) {
-      return ReplStreamEnd::kCloseOrderly;
-    }
-    if (!chunk.empty()) {
-      if (!SendAll(fd, chunk)) return ReplStreamEnd::kPeerGone;
-      continue;  // drain everything available before waiting again
-    }
-    // The bounded wait doubles as the stopping_ poll: Shutdown's
-    // SHUT_RD does not interrupt a thread that never reads.
-    seen = durability->WaitReplicationEvent(seen,
-                                            std::chrono::milliseconds(200));
-  }
-  return ReplStreamEnd::kCloseOrderly;
-}
-
-void ThreadPerConnectionServer::Shutdown() {
-  if (!started_) return;
-  stopping_.store(true);
-  // shutdown() (not close()) reliably wakes the blocked accept().
-  ::shutdown(listener_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  ::close(listener_);
-  listener_ = -1;
-  {
-    // Half-close the read side of every live connection: its handler
-    // sees EOF once the in-flight request finishes, flushes the final
-    // response, and exits — no new requests are accepted, but already
-    // submitted ones are answered.
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int fd : live_fds_) ::shutdown(fd, SHUT_RD);
-  }
-  // In-flight requests finish at their own pace (methods are bounded by
-  // their time limits), and a handler can never block in send() beyond
-  // kSendTimeout to a client that stopped reading — so this join always
-  // terminates.
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return active_ == 0; });
-  started_ = false;
-}
 
 // ---------------------------------------------------------------------------
 // ServeExecutor

@@ -2,20 +2,19 @@
 #define MANIRANK_SERVE_EXECUTOR_H_
 
 /// \file
-/// TCP front ends for the multi-table serving layer: the async
-/// ServeExecutor (the production model) and the legacy
-/// ThreadPerConnectionServer (kept as the measured baseline). Both speak
-/// the newline-delimited protocol of serve/protocol.h over loopback TCP
-/// and share one ContextManager across every connection.
+/// The TCP front end for the multi-table serving layer: the async
+/// ServeExecutor. It speaks the newline-delimited protocol of
+/// serve/protocol.h over loopback TCP and shares one ContextManager across
+/// every connection.
 ///
 /// ## Why an executor
 ///
 /// MANI-Rank consensus runs are seconds-long gate holds: a RUN first
 /// drains the table's mutation backlog under the exclusive gate, then
-/// runs the method under the shared gate. A thread-per-connection server
-/// executes each connection's pipeline strictly serially, so one big
-/// request head-of-line-blocks every request queued behind it on that
-/// connection — even requests for completely unrelated tables.
+/// runs the method under the shared gate. A handler that executes each
+/// connection's pipeline strictly serially lets one big request
+/// head-of-line-block every request queued behind it on that connection
+/// — even requests for completely unrelated tables.
 ///
 /// The ServeExecutor splits the connection handler into
 ///
@@ -152,8 +151,7 @@ class DurabilityManager;
 /// without bound.
 inline constexpr size_t kMaxRequestBytes = 16u << 20;
 
-/// Shared knobs for both TCP front ends. The worker/backpressure/loop
-/// fields only apply to the ServeExecutor.
+/// Knobs for the ServeExecutor.
 struct ServerOptions {
   /// Loopback port to bind; 0 asks the kernel for an ephemeral port
   /// (read it back via port() — this is how the tests and bench run).
@@ -184,69 +182,10 @@ struct ServerOptions {
   std::ostream* log = nullptr;
   /// Optional durability layer (serve/durability.h), borrowed. Enables
   /// SNAPSHOT-POLICY on every connection, appends oplog_* tokens to
-  /// METRICS, and — on the ServeExecutor — drives the time-based policy
-  /// timer from event loop 0's poll timeout and re-evaluates generation
-  /// policies after each finished drain; the thread-per-connection
-  /// server instead ticks policies inline after each request.
+  /// METRICS, drives the time-based policy timer from event loop 0's poll
+  /// timeout, and re-evaluates generation policies after each finished
+  /// drain.
   DurabilityManager* durability = nullptr;
-};
-
-/// The pre-executor serving model: one detached thread per accepted
-/// connection, each running the read-request/execute/write-response loop
-/// synchronously. Kept in the library as the baseline the executor is
-/// benchmarked against (bench_serving's `async` section) and as a
-/// maximally-simple fallback (`manirank_serve --threaded`).
-class ThreadPerConnectionServer {
- public:
-  explicit ThreadPerConnectionServer(ContextManager* manager,
-                                     ServerOptions options = {});
-  ~ThreadPerConnectionServer();
-  ThreadPerConnectionServer(const ThreadPerConnectionServer&) = delete;
-  ThreadPerConnectionServer& operator=(const ThreadPerConnectionServer&) =
-      delete;
-
-  /// Binds 127.0.0.1:<port> and starts the accept thread. On failure
-  /// reports into `*error` and returns false.
-  bool Start(std::string* error = nullptr);
-
-  /// The bound port (after Start); useful with options.port == 0.
-  int port() const { return port_; }
-
-  /// Graceful shutdown: closes the listener, half-closes the read side
-  /// of every live connection so its handler sees EOF after the current
-  /// request, and blocks on a condition variable until every connection
-  /// thread has flushed its final response and exited.
-  void Shutdown();
-
- private:
-  /// Outcome of one blocking REPLICATE stream (see StreamReplication).
-  enum class ReplStreamEnd {
-    kKeepServing,   ///< handshake refused with an ERR line; keep serving
-    kCloseOrderly,  ///< chain rotated or shutting down: half-close
-    kPeerGone,      ///< follower vanished mid-stream
-  };
-
-  void AcceptLoop();
-  void Connection(int fd);
-  /// Serves one leader-side replication stream synchronously on the
-  /// connection's own thread: handshake, then PollReplication chunks
-  /// driven by DurabilityManager::WaitReplicationEvent until the chain
-  /// rotates, the peer disappears, or the server stops.
-  ReplStreamEnd StreamReplication(int fd, const std::string& table);
-
-  ContextManager* manager_;
-  ServerOptions options_;
-  int listener_ = -1;
-  int port_ = 0;
-  bool started_ = false;
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-  /// Guards live_fds_/active_; done_cv_ signals active_ reaching zero —
-  /// connection threads detach, so this is how Shutdown joins stragglers.
-  std::mutex mu_;
-  std::condition_variable done_cv_;
-  std::vector<int> live_fds_;
-  int active_ = 0;
 };
 
 /// Async request pipeline: N sharded event loops + shared worker pool +

@@ -502,11 +502,10 @@ std::string HandleRestore(ContextManager* manager,
 
 std::string Dispatcher::Handle(const std::string& line) {
   std::string response = HandleRequest(line);
-  // Single-threaded front ends (stdin, script replay, thread-per-conn)
-  // have no event loop to run the snapshot-policy timer, so they
-  // piggyback it on request handling: any due policy fires between
-  // requests — which is also the only instant the response stream is
-  // quiet. The executor front end passes inline_policy_eval=false and
+  // Single-threaded front ends (stdin, script replay) have no event loop
+  // to run the snapshot-policy timer, so they piggyback it on request
+  // handling: any due policy fires between requests — which is also the
+  // only instant the response stream is quiet. The executor front end passes inline_policy_eval=false and
   // drives RunDuePolicies from its loops instead.
   if (durability_ != nullptr && inline_policy_eval_ && !response.empty()) {
     durability_->RunDuePolicies();
@@ -525,11 +524,10 @@ std::string Dispatcher::HandleRequest(const std::string& line) {
     if (verb == "EVAL") return HandleEval(manager_, tokens);
     if (verb == "SELECT") return HandleSelect(manager_, tokens);
     if (verb == "REPLICATE") {
-      // Streaming front ends (the executor and the threaded server)
-      // intercept REPLICATE before dispatch; reaching this handler means
-      // the front end cannot switch the connection into a binary stream
-      // (stdin, script replay). Validate anyway so every front end
-      // agrees on the failure modes.
+      // The executor intercepts REPLICATE before dispatch; reaching this
+      // handler means the front end cannot switch the connection into a
+      // binary stream (stdin, script replay). Validate anyway so every
+      // front end agrees on the failure modes.
       if (tokens.size() != 2) return Err("bad-request", "REPLICATE <table>");
       if (!manager_->Has(tokens[1])) {
         return Err("no-such-table", "no such table: " + tokens[1]);

@@ -14,7 +14,7 @@ namespace manirank::serve {
 /// line, one response line per request; responses start with "OK" or
 /// "ERR <code>:". Blank lines and lines starting with '#' are skipped
 /// (no response). The same grammar is served by the manirank_serve binary
-/// (stdin or socket), the CLI's --serve replay mode, and bench_serving.
+/// (stdin, --script, or socket) and bench_serving.
 ///
 /// Grammar (tokens are whitespace-separated; ';' separates rankings in an
 /// APPEND payload and may be glued to a number):
@@ -153,8 +153,8 @@ namespace manirank::serve {
 ///
 /// METRICS reports the serving front end's per-event-loop counters (see
 /// ServeExecutor::MetricsResponse); it answers "ERR unavailable:" on
-/// front ends without an executor (stdin / --serve replay / --threaded),
-/// which have no event loops to report on.
+/// front ends without an executor (stdin / --script replay), which have
+/// no event loops to report on.
 ///
 /// With durability attached, STATS gains oplog_* fields (committed log
 /// records/bytes, truncations, cold-start replay counters, health) for

@@ -28,8 +28,6 @@
 //                                       (default: min(4, cores)); the
 //                                       MANIRANK_POLLER env var picks the
 //                                       readiness backend (epoll|poll|auto)
-//   manirank_serve --threaded           TCP fallback: one thread per
-//                                       connection (the pre-executor model)
 //   manirank_serve --restore-dir DIR    cold start: restore every *.snap table
 //                                       snapshot in DIR before serving
 //   manirank_serve --log-dir DIR        exact-profile durability: cold-start
@@ -39,6 +37,7 @@
 //                                       log every fold to DIR and enable the
 //                                       SNAPSHOT-POLICY verb
 //   manirank_serve --echo               echo each request before its response
+//                                       (stdin/script modes only)
 //
 // The request grammar is documented in serve/protocol.h (CREATE / APPEND /
 // REMOVE / RUN / STATS / FLUSH / SNAPSHOT / RESTORE / DROP / TABLES). Every
@@ -107,16 +106,15 @@ int Usage() {
   std::cerr << "usage: manirank_serve [--script FILE | --port P]\n"
                "                      [--follow HOST:PORT]\n"
                "                      [--workers N] [--io-threads N]\n"
-               "                      [--threaded] [--restore-dir DIR]\n"
-               "                      [--log-dir DIR] [--echo]\n"
+               "                      [--restore-dir DIR] [--log-dir DIR]\n"
+               "                      [--echo]\n"
                "                      [--no-result-cache]\n"
                "  (no mode flag: serve requests from stdin; --restore-dir\n"
                "   cold-starts every DIR/<table>.snap before serving;\n"
                "   --log-dir adds exact-profile durability: op-log replay\n"
                "   at cold start, fold logging and SNAPSHOT-POLICY while\n"
                "   serving; --port serves the async executor pipeline\n"
-               "   (0 = ephemeral), --threaded falls back to one thread\n"
-               "   per connection; --follow replicates every table of the\n"
+               "   (0 = ephemeral); --follow replicates every table of the\n"
                "   leader at HOST:PORT and serves them read-only;\n"
                "   --no-result-cache disables the generation-keyed\n"
                "   consensus result cache shared by RUN/EVAL/SELECT)\n";
@@ -280,10 +278,9 @@ extern "C" void OnTerminationSignal(int) {
   [[maybe_unused]] const ssize_t w = ::write(g_signal_pipe[1], &byte, 1);
 }
 
-/// Runs `server` (either TCP front end) until SIGINT/SIGTERM, then shuts
-/// it down gracefully. Returns the process exit status.
-template <typename Server>
-int ServeUntilSignal(Server& server) {
+/// Runs `server` until SIGINT/SIGTERM, then shuts it down gracefully.
+/// Returns the process exit status.
+int ServeUntilSignal(manirank::serve::ServeExecutor& server) {
   std::string error;
   if (!server.Start(&error)) {
     std::cerr << error << "\n";
@@ -326,15 +323,12 @@ int main(int argc, char** argv) {
   std::optional<int> port;
   size_t workers = 0;
   size_t io_threads = 0;
-  bool threaded = false;
   bool echo = false;
   bool no_result_cache = false;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--echo") {
       echo = true;
-    } else if (flag == "--threaded") {
-      threaded = true;
     } else if (flag == "--no-result-cache") {
       no_result_cache = true;
     } else if (flag == "--script" && i + 1 < argc) {
@@ -410,17 +404,12 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if ((threaded || workers != 0 || io_threads != 0) && !port.has_value()) {
-    std::cerr << "--threaded/--workers/--io-threads only apply to --port "
-                 "mode\n";
+  if ((workers != 0 || io_threads != 0) && !port.has_value()) {
+    std::cerr << "--workers/--io-threads only apply to --port mode\n";
     return 2;
   }
-  if (threaded && (workers != 0 || io_threads != 0)) {
-    // Refuse rather than silently ignore: the thread-per-connection
-    // model has no worker pool or event loops, and an operator who asked
-    // for them must learn the flag did nothing before deploying that way.
-    std::cerr << "--workers/--io-threads have no effect with --threaded "
-                 "(one thread per connection)\n";
+  if (echo && port.has_value()) {
+    std::cerr << "--echo only applies to stdin/--script mode\n";
     return 2;
   }
 
@@ -493,10 +482,6 @@ int main(int argc, char** argv) {
     options.io_threads = io_threads;
     options.log = &std::cerr;
     options.durability = durability_ptr;
-    if (threaded) {
-      manirank::serve::ThreadPerConnectionServer server(&manager, options);
-      return ServeUntilSignal(server);
-    }
     manirank::serve::ServeExecutor server(&manager, options);
     return ServeUntilSignal(server);
 #else

@@ -240,7 +240,7 @@ TEST_F(ProtocolTest, EvalRejectsBadInputsAndLeavesStateUnchanged) {
 }
 
 TEST_F(ProtocolTest, ReplicateIsUnavailableWithoutAStreamingFrontEnd) {
-  // The plain dispatcher (stdin / script / --serve replay) has no
+  // The plain dispatcher (stdin / --script replay) has no
   // durability layer and no binary stream to switch into: every arity
   // draws a single ERR line and no state moves.
   const std::string before = StateSnapshot();

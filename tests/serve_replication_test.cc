@@ -258,6 +258,25 @@ TEST_F(ReplicationTest, FollowerDiscoversTablesCreatedAfterItStarted) {
             client.ReadLines(1)[0]);
 }
 
+/// Leader-side REPLICATE failure modes through the executor's
+/// ScheduleLine interception: a refused handshake answers one ERR line
+/// and leaves the connection serving ordinary requests.
+TEST_F(ReplicationTest, LeaderRejectsMalformedReplicateAndKeepsServing) {
+  testing::Client client(leader_->port());
+  ASSERT_TRUE(client.Send("CREATE t CYCLIC 6 2 2\n"
+                          "REPLICATE ghost\n"
+                          "REPLICATE\n"
+                          "REPLICATE t extra\n"
+                          "STATS t\n"));
+  const std::vector<std::string> lines = client.ReadLines(5);
+  ASSERT_EQ(lines.size(), 5u);
+  EXPECT_EQ(lines[0].rfind("OK CREATE t", 0), 0u) << lines[0];
+  EXPECT_EQ(lines[1].rfind("ERR no-such-table", 0), 0u) << lines[1];
+  EXPECT_EQ(lines[2].rfind("ERR bad-request", 0), 0u) << lines[2];
+  EXPECT_EQ(lines[3].rfind("ERR bad-request", 0), 0u) << lines[3];
+  EXPECT_EQ(lines[4].rfind("OK STATS t ", 0), 0u) << lines[4];
+}
+
 }  // namespace
 }  // namespace manirank
 

@@ -143,7 +143,7 @@ TEST(ServeSchedulingTest, BurstBitIdenticalUnderEpoll) {
 }
 
 /// METRICS is only answerable by the executor front end; the synchronous
-/// Dispatcher (stdin / --serve replay / --threaded) reports unavailable.
+/// Dispatcher (stdin / --script replay) reports unavailable.
 TEST(ServeSchedulingTest, MetricsSurface) {
   ContextManager manager;
   Dispatcher sync_dispatcher(&manager);

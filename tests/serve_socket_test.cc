@@ -1,14 +1,13 @@
-// End-to-end loopback-TCP tests for the serving front ends
-// (serve/executor.h): the async ServeExecutor and the legacy
-// ThreadPerConnectionServer. The serving equivalence contract extends to
-// the wire: a pipelined client must receive exactly one response line
-// per request, in request order, bit-identical to replaying the same
-// request stream through a synchronous Dispatcher — no matter how the
-// executor overlaps the work across its pool. Also covered: the final
-// request arriving without a trailing newline, the 16 MiB oversize-line
-// rejection (the client must actually RECEIVE the ERR — half-close +
-// drain, not an immediate close/RST), read backpressure under a huge
-// pipelined burst, and graceful shutdown.
+// End-to-end loopback-TCP tests for the serving front end
+// (serve/executor.h): the async ServeExecutor. The serving equivalence
+// contract extends to the wire: a pipelined client must receive exactly
+// one response line per request, in request order, bit-identical to
+// replaying the same request stream through a synchronous Dispatcher —
+// no matter how the executor overlaps the work across its pool. Also
+// covered: the final request arriving without a trailing newline, the
+// 16 MiB oversize-line rejection (the client must actually RECEIVE the
+// ERR — half-close + drain, not an immediate close/RST), read
+// backpressure under a huge pipelined burst, and graceful shutdown.
 
 #include "serve/executor.h"
 
@@ -40,17 +39,15 @@ using serve::ContextManager;
 using serve::Dispatcher;
 using serve::ServeExecutor;
 using serve::ServerOptions;
-using serve::ThreadPerConnectionServer;
 
 using testing::Client;
 using testing::JoinRequests;
 using testing::MixedWorkload;
 using testing::SyncReference;
 
-template <typename Server>
-void ExpectServesMixedWorkloadBitIdentical() {
+TEST(ServeSocketTest, ExecutorServesMixedWorkloadBitIdentical) {
   ContextManager manager;
-  Server server(&manager, ServerOptions{});
+  ServeExecutor server(&manager, ServerOptions{});
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -67,14 +64,6 @@ void ExpectServesMixedWorkloadBitIdentical() {
   client.HalfClose();
   EXPECT_EQ(client.ReadLinesUntilEof(), expected);
   server.Shutdown();
-}
-
-TEST(ServeSocketTest, ExecutorServesMixedWorkloadBitIdentical) {
-  ExpectServesMixedWorkloadBitIdentical<ServeExecutor>();
-}
-
-TEST(ServeSocketTest, ThreadServerServesMixedWorkloadBitIdentical) {
-  ExpectServesMixedWorkloadBitIdentical<ThreadPerConnectionServer>();
 }
 
 /// Multi-client pipelining: every client owns its tables, so each
@@ -186,10 +175,9 @@ TEST(ServeSocketTest, ExecutorSharedTableConcurrentRuns) {
   server.Shutdown();
 }
 
-template <typename Server>
-void ExpectAnswersFinalRequestWithoutNewline() {
+TEST(ServeSocketTest, ExecutorAnswersFinalRequestWithoutNewline) {
   ContextManager manager;
-  Server server(&manager, ServerOptions{});
+  ServeExecutor server(&manager, ServerOptions{});
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -203,18 +191,9 @@ void ExpectAnswersFinalRequestWithoutNewline() {
   server.Shutdown();
 }
 
-TEST(ServeSocketTest, ExecutorAnswersFinalRequestWithoutNewline) {
-  ExpectAnswersFinalRequestWithoutNewline<ServeExecutor>();
-}
-
-TEST(ServeSocketTest, ThreadServerAnswersFinalRequestWithoutNewline) {
-  ExpectAnswersFinalRequestWithoutNewline<ThreadPerConnectionServer>();
-}
-
-template <typename Server>
-void ExpectDeliversOversizeError() {
+TEST(ServeSocketTest, ExecutorDeliversOversizeLineError) {
   ContextManager manager;
-  Server server(&manager, ServerOptions{});
+  ServeExecutor server(&manager, ServerOptions{});
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -233,14 +212,6 @@ void ExpectDeliversOversizeError() {
   EXPECT_EQ(lines[0], "OK CREATE t candidates=6 rankings=0");
   EXPECT_EQ(lines[1], "ERR bad-request: request line exceeds 16 MiB");
   server.Shutdown();
-}
-
-TEST(ServeSocketTest, ExecutorDeliversOversizeLineError) {
-  ExpectDeliversOversizeError<ServeExecutor>();
-}
-
-TEST(ServeSocketTest, ThreadServerDeliversOversizeLineError) {
-  ExpectDeliversOversizeError<ThreadPerConnectionServer>();
 }
 
 /// A pipelined burst far beyond the in-flight budget: the executor stops
@@ -284,10 +255,9 @@ TEST(ServeSocketTest, ExecutorBackpressuredBurstAnswersEverythingInOrder) {
   server.Shutdown();
 }
 
-template <typename Server>
-void ExpectGracefulShutdownWithIdleClient() {
+TEST(ServeSocketTest, ExecutorGracefulShutdownWithIdleClient) {
   ContextManager manager;
-  Server server(&manager, ServerOptions{});
+  ServeExecutor server(&manager, ServerOptions{});
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -317,10 +287,6 @@ void ExpectGracefulShutdownWithIdleClient() {
   ::close(probe);
 }
 
-TEST(ServeSocketTest, ExecutorGracefulShutdownWithIdleClient) {
-  ExpectGracefulShutdownWithIdleClient<ServeExecutor>();
-}
-
 /// One executor object must survive a Start → Shutdown → Start cycle
 /// with its internal state (wake flag, stopping flag, pipes) fully
 /// reset — a stale wake_pending_ from the first life would silently
@@ -346,10 +312,6 @@ TEST(ServeSocketTest, ExecutorRestartsAfterShutdown) {
   // The table created in the first life survives on the shared manager.
   EXPECT_TRUE(manager.Has("t0"));
   EXPECT_TRUE(manager.Has("t1"));
-}
-
-TEST(ServeSocketTest, ThreadServerGracefulShutdownWithIdleClient) {
-  ExpectGracefulShutdownWithIdleClient<ThreadPerConnectionServer>();
 }
 
 /// Shutdown must wait for in-flight requests and flush their responses:
