@@ -1151,17 +1151,15 @@ AsyncBench RunAsyncBench(bool quick) {
   return bench;
 }
 
-// --- epoll vs poll event-loop scaling --------------------------------------
+// --- event-loop connection scaling -----------------------------------------
 //
-// The `async_epoll` section measures the readiness backends head to head
-// on the axis they differ on: wake cost per ready connection. C clients
-// each pipeline an identical read-only STATS stream (served inline on
-// the event loop, so the worker pool is idle and the measurement is pure
-// I/O machinery), against poll with a single loop and against epoll with
-// the default sharded loop count. Every connection's response stream is
-// equivalence-checked against a synchronous Dispatcher replay. On a
-// one-core host the two converge — the CI gate only applies with >= 2
-// cores and a real epoll backend.
+// The `async_epoll` section times the executor's one epoll event loop
+// under 16/128/512 connections. C clients each pipeline an identical
+// read-only STATS stream (served inline on the event loop, so the worker
+// pool is idle and the measurement is pure I/O machinery). Every
+// connection's response stream is equivalence-checked against a
+// synchronous Dispatcher replay; speed is gated out of process by
+// perfbench/, not here.
 
 /// Raises RLIMIT_NOFILE toward its hard limit so the 512-connection
 /// point fits (each connection costs a client fd + an accepted fd).
@@ -1188,17 +1186,14 @@ size_t MaxAffordableConnections() {
 struct EpollScalePoint {
   int connections = 0;
   long requests = 0;  // whole scenario, all connections
-  double poll_seconds = 0.0;
-  double epoll_seconds = 0.0;
+  double seconds = 0.0;  // best of `reps`
 };
 
 struct EpollScaleBench {
   size_t cores = 0;
+  size_t workers = 0;
   int requests_per_connection = 0;
   int reps = 0;
-  std::string poll_backend;   // resolved names: the "epoll" config falls
-  std::string epoll_backend;  // back to poll off Linux
-  size_t epoll_loops = 0;
   std::vector<EpollScalePoint> points;
 };
 
@@ -1208,8 +1203,7 @@ struct EpollScaleBench {
 double RunEpollScalePoint(const serve::ServerOptions& options, int connections,
                           const std::vector<std::string>& seed,
                           const std::string& wire,
-                          const std::vector<std::string>& expected,
-                          std::string* backend, size_t* loops) {
+                          const std::vector<std::string>& expected) {
   serve::ContextManager manager;
   serve::ServeExecutor server(&manager, options);
   std::string error;
@@ -1217,8 +1211,6 @@ double RunEpollScalePoint(const serve::ServerOptions& options, int connections,
     std::fprintf(stderr, "async_epoll bench: %s\n", error.c_str());
     std::abort();
   }
-  if (backend != nullptr) *backend = server.poller_name();
-  if (loops != nullptr) *loops = server.io_loops();
   {
     AsyncClientSocket seeder(server.port());
     std::string seed_wire;
@@ -1278,10 +1270,9 @@ double RunEpollScalePoint(const serve::ServerOptions& options, int connections,
   server.Shutdown();
   if (mismatches.load() != 0) {
     std::fprintf(stderr,
-                 "FATAL: async_epoll (%s, %d connections) response streams "
+                 "FATAL: async_epoll (%d connections) response streams "
                  "drifted from the synchronous dispatcher on %d connections\n",
-                 backend != nullptr ? backend->c_str() : "?", connections,
-                 mismatches.load());
+                 connections, mismatches.load());
     std::abort();
   }
   return seconds;
@@ -1323,14 +1314,9 @@ EpollScaleBench RunEpollScaleBench(bool quick) {
     }
   }
 
-  serve::ServerOptions poll_options;
-  poll_options.workers = 2;
-  poll_options.io_threads = 1;
-  poll_options.poller = PollerBackend::kPoll;
-  serve::ServerOptions epoll_options;
-  epoll_options.workers = 2;
-  epoll_options.io_threads = std::min<size_t>(4, bench.cores);
-  epoll_options.poller = DefaultPollerBackend();
+  serve::ServerOptions options;
+  options.workers = 2;
+  bench.workers = options.workers;
 
   const size_t affordable = MaxAffordableConnections();
   for (const int connections : {16, 128, 512}) {
@@ -1346,18 +1332,9 @@ EpollScaleBench RunEpollScaleBench(bool quick) {
     point.requests =
         static_cast<long>(connections) * bench.requests_per_connection;
     for (int rep = 0; rep < bench.reps; ++rep) {
-      const double poll_seconds =
-          RunEpollScalePoint(poll_options, connections, seed, wire, expected,
-                             &bench.poll_backend, nullptr);
-      const double epoll_seconds =
-          RunEpollScalePoint(epoll_options, connections, seed, wire, expected,
-                             &bench.epoll_backend, &bench.epoll_loops);
-      if (rep == 0 || poll_seconds < point.poll_seconds) {
-        point.poll_seconds = poll_seconds;
-      }
-      if (rep == 0 || epoll_seconds < point.epoll_seconds) {
-        point.epoll_seconds = epoll_seconds;
-      }
+      const double seconds =
+          RunEpollScalePoint(options, connections, seed, wire, expected);
+      if (rep == 0 || seconds < point.seconds) point.seconds = seconds;
     }
     bench.points.push_back(point);
   }
@@ -1673,7 +1650,7 @@ ReplicationBench RunReplicationBench(bool quick) {
   std::string error;
   ServeProcess leader = SpawnServe(
       bin,
-      {"--port", "0", "--workers", "1", "--io-threads", "1", "--log-dir", dir},
+      {"--port", "0", "--workers", "1", "--log-dir", dir},
       &error);
   std::vector<ServeProcess> followers;
   const auto cleanup = [&] {
@@ -1725,7 +1702,7 @@ ReplicationBench RunReplicationBench(bool quick) {
   for (int k = 0; k < bench.followers; ++k) {
     ServeProcess follower = SpawnServe(
         bin,
-        {"--port", "0", "--workers", "1", "--io-threads", "1", "--follow",
+        {"--port", "0", "--workers", "1", "--follow",
          "127.0.0.1:" + std::to_string(leader.port)},
         &error);
     if (follower.pid < 0) {
@@ -1908,25 +1885,18 @@ int main() {
       static_cast<unsigned long long>(async.parked), async.executor.seconds,
       async.executor.requests, async.executor.light_latency_mean_ms);
   std::fprintf(f,
-               "  \"async_epoll\": {\"cores\": %zu, "
+               "  \"async_epoll\": {\"cores\": %zu, \"workers\": %zu, "
                "\"requests_per_connection\": %d, \"reps\": %d,\n"
-               "    \"poll\": {\"backend\": \"%s\", \"io_loops\": 1},\n"
-               "    \"epoll\": {\"backend\": \"%s\", \"io_loops\": %zu},\n"
                "    \"points\": [",
-               epoll_scale.cores, epoll_scale.requests_per_connection,
-               epoll_scale.reps, epoll_scale.poll_backend.c_str(),
-               epoll_scale.epoll_backend.c_str(), epoll_scale.epoll_loops);
+               epoll_scale.cores, epoll_scale.workers,
+               epoll_scale.requests_per_connection, epoll_scale.reps);
   for (size_t i = 0; i < epoll_scale.points.size(); ++i) {
     const EpollScalePoint& point = epoll_scale.points[i];
-    const double point_speedup = point.epoll_seconds > 0.0
-                                     ? point.poll_seconds / point.epoll_seconds
-                                     : 0.0;
     std::fprintf(f,
                  "%s\n      {\"connections\": %d, \"requests\": %ld, "
-                 "\"poll_seconds\": %.6f, \"epoll_seconds\": %.6f, "
-                 "\"speedup_epoll_vs_poll\": %.3f}",
+                 "\"seconds\": %.6f}",
                  i == 0 ? "" : ",", point.connections, point.requests,
-                 point.poll_seconds, point.epoll_seconds, point_speedup);
+                 point.seconds);
   }
   std::fprintf(f, "]},\n");
   if (replication.skipped) {
@@ -2005,15 +1975,9 @@ int main() {
               async.executor.seconds, async.executor.light_latency_mean_ms,
               static_cast<unsigned long long>(async.parked));
   for (const EpollScalePoint& point : epoll_scale.points) {
-    std::printf("async_epoll %4d conns: %s/1-loop %.4fs vs %s/%zu-loop "
-                "%.4fs -> %.2fx (%ld req, %zu cores)\n",
-                point.connections, epoll_scale.poll_backend.c_str(),
-                point.poll_seconds, epoll_scale.epoll_backend.c_str(),
-                epoll_scale.epoll_loops, point.epoll_seconds,
-                point.epoll_seconds > 0.0
-                    ? point.poll_seconds / point.epoll_seconds
-                    : 0.0,
-                point.requests, epoll_scale.cores);
+    std::printf("async_epoll %4d conns: %.4fs (%ld req, %zu cores)\n",
+                point.connections, point.seconds, point.requests,
+                epoll_scale.cores);
   }
   if (replication.skipped) {
     std::printf("replication: skipped (%s)\n",

@@ -6,6 +6,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -50,11 +51,6 @@ constexpr uint64_t kDrainWeight = 8;
 /// heavier than STATS/APPEND yet lighter than a drain.
 constexpr uint64_t kComputeWeight = 4;
 
-bool SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
 /// Nagle off for accepted connections: with it on, a pipelining client's
 /// final sub-MSS segment can stall ~40 ms behind the peer's delayed ACK
 /// whenever the server has no response traffic to piggyback ACKs on —
@@ -68,29 +64,18 @@ void Fail(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what + ": " + std::strerror(errno);
 }
 
-/// Binds and listens on 127.0.0.1:<port> (0 = ephemeral), reporting the
-/// actually-bound port. With `reuseport`, SO_REUSEPORT is set before the
-/// bind so several listeners can share one port and the kernel shards
-/// incoming connections across them (the executor's accept sharding; the
-/// first listener of the group must set it too, which is why the flag is
-/// decided up front from the loop count). Returns the listener fd, or -1
-/// with *error set.
-int OpenListener(int port, bool reuseport, int* bound_port,
-                 std::string* error) {
-  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+/// Binds and listens (nonblocking) on 127.0.0.1:<port> (0 = ephemeral),
+/// reporting the actually-bound port. Returns the listener fd, or -1 with
+/// *error set.
+int OpenListener(int port, int* bound_port, std::string* error) {
+  const int listener =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listener < 0) {
     Fail(error, "socket");
     return -1;
   }
   const int one = 1;
   ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-#ifdef SO_REUSEPORT
-  if (reuseport) {
-    ::setsockopt(listener, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
-  }
-#else
-  (void)reuseport;
-#endif
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -126,6 +111,17 @@ std::vector<std::string> SplitTokens(const std::string& line) {
 /// read on the loop thread and the response-buffer growth per stream.
 constexpr size_t kReplPumpBytes = 256u << 10;
 
+/// Registers `fd` with the loop's epoll set, edge-triggered (EPOLLET): a
+/// readiness level is reported once per edge, so every consumer drains
+/// to EAGAIN or latches the readiness itself. EPOLLRDHUP turns a peer
+/// half-close into an input edge. `data` comes back in every event.
+bool EpollAdd(int epfd, int fd, bool want_write, void* data) {
+  epoll_event event{};
+  event.events = EPOLLIN | EPOLLRDHUP | EPOLLET | (want_write ? EPOLLOUT : 0u);
+  event.data.ptr = data;
+  return ::epoll_ctl(epfd, EPOLL_CTL_ADD, fd, &event) == 0;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -158,17 +154,14 @@ struct ServeExecutor::Request {
 struct ServeExecutor::Conn {
   Conn(int fd, ContextManager* manager) : fd(fd), dispatcher(manager) {}
 
-  /// Mutated only by the owning loop thread, and only under write_mu
+  /// Mutated only by the loop thread, and only under write_mu
   /// (FlushConn reads it under write_mu from any thread).
   int fd;
-  /// The event loop this connection is pinned to for life. Set once at
-  /// accept, read by completion-side code to route notifications.
-  IoLoop* loop = nullptr;
   /// Stateless over the shared manager, so concurrent requests of one
   /// connection may execute on different workers simultaneously.
   Dispatcher dispatcher;
 
-  // --- touched only by the owning loop thread ---
+  // --- touched only by the loop thread ---
   std::string in_buffer;
   /// Reading and scheduling new requests (false after client EOF, an
   /// oversize line, or executor shutdown).
@@ -178,21 +171,16 @@ struct ServeExecutor::Conn {
   /// until the client closes (so close() never turns into an RST that
   /// destroys the tail of the response stream).
   bool discarding = false;
-  /// Edge-triggered readiness latch: the poller reported the fd readable
-  /// and it has not been drained to EAGAIN since. The poll backend
-  /// re-reports a still-ready level, which merely re-sets this.
+  /// Edge-triggered readiness latch: epoll reported the fd readable and
+  /// it has not been drained to EAGAIN since.
   bool read_ready = false;
   /// An error/hangup edge not yet acted on.
   bool saw_error = false;
-  /// Already queued on its loop's service list (dedupe flag).
+  /// Already queued on the loop's service list (dedupe flag).
   bool in_service = false;
   /// Currently counted as backpressure-stalled (counts transitions, not
   /// service passes).
   bool stalled = false;
-  /// The poll backend's currently-declared interest (epoll registers
-  /// both directions edge-triggered once and never updates).
-  bool poll_want_read = true;
-  bool poll_want_write = false;
   /// During shutdown a discarding client gets a bounded linger to close
   /// its end, then is dropped — one idle peer must not hang Shutdown().
   std::chrono::steady_clock::time_point discard_deadline{};
@@ -236,7 +224,7 @@ struct ServeExecutor::Conn {
   size_t unsent_bytes = 0;
   /// Write error: the peer is gone; discard completions silently.
   bool dead = false;
-  /// Already on its loop's notify list (dedupe flag).
+  /// Already on the loop's notify list (dedupe flag).
   bool notified = false;
 
   // --- guarded by write_mu ---
@@ -250,30 +238,33 @@ struct ServeExecutor::Conn {
   size_t send_offset = 0;
 };
 
-/// One event loop: poller + SO_REUSEPORT listener + wake pipe +
-/// emergency fd + every connection the kernel sharded to it.
+/// The event loop: epoll set + listener + wake pipe + emergency fd +
+/// every accepted connection. Its destructor closes whichever of its own
+/// fds are still open (a failed Start, or Shutdown after the join).
 struct ServeExecutor::IoLoop {
-  size_t index = 0;
+  ~IoLoop() {
+    for (int fd : {listener, wake_fds[0], wake_fds[1], emergency_fd, epfd}) {
+      if (fd >= 0) ::close(fd);
+    }
+  }
+
+  int epfd = -1;
   int listener = -1;
   int wake_fds[2] = {-1, -1};
   /// Reserved fd burned to accept-then-reject on EMFILE/ENFILE.
   int emergency_fd = -1;
-  /// Edge-triggered backend (epoll): register both directions once;
-  /// otherwise maintain the poll interest set per connection.
-  bool et = false;
   std::atomic<bool> wake_pending{false};
-  std::unique_ptr<EventPoller> poller;
   std::thread thread;
   /// Event-data sentinels distinguishing the wake pipe and listener from
   /// connection pointers.
   char wake_tag = 0;
   char listener_tag = 0;
 
-  // --- touched only by this loop's thread ---
+  // --- touched only by the loop thread ---
   std::map<int, std::shared_ptr<Conn>> conns;
   /// Connections queued for a service pass (deduped via Conn::in_service).
   std::vector<std::shared_ptr<Conn>> pending;
-  /// Replication streams pinned to this loop. Each iteration queues them
+  /// Live replication streams. Each iteration queues them
   /// for service (bounded 200 ms poll tick: catches chain rotations and
   /// missed pushes) and prunes closed entries.
   std::vector<std::shared_ptr<Conn>> repl_streams;
@@ -281,7 +272,7 @@ struct ServeExecutor::IoLoop {
   std::chrono::steady_clock::time_point accept_backoff_until{};
 
   // --- guarded by sched_mu_ ---
-  /// Connections with completion-side news for this loop; ground truth
+  /// Connections with completion-side news for the loop; ground truth
   /// for cross-thread wakeups (the wake pipe is only the doorbell).
   std::vector<std::shared_ptr<Conn>> notify;
   struct Shadow {
@@ -385,66 +376,34 @@ bool ServeExecutor::Start(std::string* error) {
     if (error != nullptr) *error = "executor already started";
     return false;
   }
-  backend_ = ResolvePollerBackend(options_.poller);
-  size_t nloops = options_.io_threads;
-  if (nloops == 0) {
-    nloops = std::min<size_t>(4, std::max<size_t>(1, DefaultThreadCount()));
+  // Every fd below belongs to `loop` until it is installed, so each
+  // failure return closes exactly what this call opened.
+  auto loop = std::make_unique<IoLoop>();
+  loop->listener = OpenListener(options_.port, &port_, error);
+  if (loop->listener < 0) return false;
+  if (::pipe2(loop->wake_fds, O_NONBLOCK | O_CLOEXEC) != 0) {
+    Fail(error, "wake pipe");
+    return false;
   }
-  nloops = std::min(std::max<size_t>(1, nloops), kMaxThreads);
-#ifndef SO_REUSEPORT
-  // Without kernel accept sharding, a second listener on the same port
-  // cannot bind; run the single-loop topology.
-  nloops = 1;
-#endif
-  const auto cleanup = [this] {
-    for (auto& loop : loops_) {
-      if (loop->listener >= 0) ::close(loop->listener);
-      for (int fd : loop->wake_fds) {
-        if (fd >= 0) ::close(fd);
-      }
-      if (loop->emergency_fd >= 0) ::close(loop->emergency_fd);
-    }
-    loops_.clear();
-  };
-  port_ = options_.port;
-  for (size_t i = 0; i < nloops; ++i) {
-    auto loop = std::make_unique<IoLoop>();
-    loop->index = i;
-    int bound = 0;
-    // Loop 0 may bind an ephemeral port; the rest of the group joins the
-    // port it actually got.
-    loop->listener =
-        OpenListener(i == 0 ? options_.port : port_, nloops > 1, &bound,
-                     error);
-    if (loop->listener < 0) {
-      cleanup();
-      return false;
-    }
-    if (i == 0) port_ = bound;
-    loops_.push_back(std::move(loop));
-    IoLoop& l = *loops_.back();
-    if (::pipe(l.wake_fds) != 0 || !SetNonBlocking(l.wake_fds[0]) ||
-        !SetNonBlocking(l.wake_fds[1]) || !SetNonBlocking(l.listener)) {
-      Fail(error, "wake pipe");
-      cleanup();
-      return false;
-    }
-    l.emergency_fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-    l.poller = MakeEventPoller(backend_);
-    l.et = l.poller->backend() == PollerBackend::kEpoll;
-    if (!l.poller->Add(l.wake_fds[0], true, false, &l.wake_tag) ||
-        !l.poller->Add(l.listener, true, false, &l.listener_tag)) {
-      Fail(error, "poller registration");
-      cleanup();
-      return false;
-    }
-    // Sweep the backlog once at startup regardless of edges (connects
-    // racing Start).
-    l.accept_ready = true;
+  loop->epfd = ::epoll_create1(EPOLL_CLOEXEC);
+  if (loop->epfd < 0) {
+    Fail(error, "epoll_create1");
+    return false;
   }
-  // MakeEventPoller may have degraded the request (epoll_create1 failure).
-  backend_ = loops_.front()->poller->backend();
-  io_loops_ = nloops;
+  loop->emergency_fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  if (loop->emergency_fd < 0) {
+    Fail(error, "emergency fd (open /dev/null)");
+    return false;
+  }
+  if (!EpollAdd(loop->epfd, loop->wake_fds[0], false, &loop->wake_tag) ||
+      !EpollAdd(loop->epfd, loop->listener, false, &loop->listener_tag)) {
+    Fail(error, "epoll_ctl");
+    return false;
+  }
+  // Sweep the backlog once at startup regardless of edges (connects
+  // racing Start).
+  loop->accept_ready = true;
+  loop_ = std::move(loop);
   pool_ = std::make_unique<TaskPool>(options_.workers);
   // Park-instead-of-block for draining verbs (see DispatchLocked); the
   // observer releases parked requests the moment the fold ends.
@@ -453,15 +412,10 @@ bool ServeExecutor::Start(std::string* error) {
   stopping_.store(false);
   parked_flushed_ = false;
   started_ = true;
-  for (auto& loop : loops_) {
-    IoLoop* raw = loop.get();
-    raw->thread = std::thread([this, raw] { LoopMain(*raw); });
-  }
+  loop_->thread = std::thread([this] { LoopMain(); });
   if (options_.log != nullptr) {
     *options_.log << "manirank_serve executor listening on 127.0.0.1:"
-                  << port_ << " (" << options_.workers << " workers, "
-                  << io_loops_ << " io-loops, " << PollerBackendName(backend_)
-                  << ")\n";
+                  << port_ << " (" << options_.workers << " workers, epoll)\n";
   }
   return true;
 }
@@ -469,15 +423,13 @@ bool ServeExecutor::Start(std::string* error) {
 void ServeExecutor::Shutdown() {
   if (!started_) return;
   stopping_.store(true);
-  for (auto& loop : loops_) WakeLoop(*loop);
-  // A loop exits only once every connection it owns is closed, i.e.
-  // every accepted request has executed and flushed.
-  for (auto& loop : loops_) {
-    if (loop->thread.joinable()) loop->thread.join();
-  }
+  WakeLoop();
+  // The loop exits only once every connection is closed, i.e. every
+  // accepted request has executed and flushed.
+  if (loop_->thread.joinable()) loop_->thread.join();
   // Stop() then drains whatever stragglers belong to already-aborted
-  // connections; those completions may still ring loop doorbells, so the
-  // wake pipes stay open until after the pool is down.
+  // connections; those completions may still ring the loop doorbell, so
+  // the wake pipe stays open until after the pool is down.
   pool_->Stop();
   manager_->SetDrainObserver(nullptr);
   {
@@ -488,114 +440,100 @@ void ServeExecutor::Shutdown() {
     table_vfinish_.clear();
     virtual_time_ = 0;
     repl_conns_.clear();
-    for (auto& loop : loops_) loop->notify.clear();
   }
-  for (auto& loop : loops_) {
-    for (int& fd : loop->wake_fds) {
-      if (fd >= 0) ::close(fd);
-      fd = -1;
-    }
-    if (loop->emergency_fd >= 0) {
-      ::close(loop->emergency_fd);
-      loop->emergency_fd = -1;
-    }
-    if (loop->listener >= 0) {
-      ::close(loop->listener);
-      loop->listener = -1;
-    }
-  }
-  loops_.clear();
-  io_loops_ = 0;
+  loop_.reset();  // closes the wake pipe, reserve fd and epoll set
   started_ = false;
 }
 
-void ServeExecutor::WakeLoop(IoLoop& loop) {
-  if (loop.wake_pending.exchange(true)) return;
+void ServeExecutor::WakeLoop() {
+  if (loop_->wake_pending.exchange(true)) return;
   const char byte = 1;
   // Nonblocking; a full pipe means a wakeup is already in flight. A lost
   // byte is harmless: the notify list under sched_mu_ is the ground
   // truth and is re-checked at the top of every loop iteration.
-  [[maybe_unused]] const ssize_t w = ::write(loop.wake_fds[1], &byte, 1);
+  [[maybe_unused]] const ssize_t w = ::write(loop_->wake_fds[1], &byte, 1);
 }
 
-void ServeExecutor::LoopMain(IoLoop& loop) {
-  std::vector<PolledEvent> events;
+void ServeExecutor::LoopMain() {
+  constexpr int kMaxEvents = 128;
+  epoll_event events[kMaxEvents];
   std::vector<std::shared_ptr<Conn>> work;
   for (;;) {
     const bool stopping = stopping_.load();
-    if (stopping && loop.listener >= 0) {
-      loop.poller->Remove(loop.listener);
-      ::close(loop.listener);
-      loop.listener = -1;
-      loop.accept_ready = false;
+    if (stopping && loop_->listener >= 0) {
+      ::epoll_ctl(loop_->epfd, EPOLL_CTL_DEL, loop_->listener, nullptr);
+      ::close(loop_->listener);
+      loop_->listener = -1;
+      loop_->accept_ready = false;
     }
     {
       std::lock_guard<std::mutex> lock(sched_mu_);
       if (stopping && !parked_flushed_) {
         // No further drains may come to release parked requests once the
-        // request inflow stops — dispatch them now (first loop to notice
-        // wins); they execute, at worst briefly blocking on a finishing
-        // fold, and their clients still get responses before half-close.
+        // request inflow stops — dispatch them now; they execute, at
+        // worst briefly blocking on a finishing fold, and their clients
+        // still get responses before half-close.
         parked_flushed_ = true;
         for (auto& [table, nodes] : parked_) {
           for (Request* node : nodes) EnqueueReadyLocked(node);
         }
         parked_.clear();
       }
-      for (const std::shared_ptr<Conn>& conn : loop.notify) {
+      for (const std::shared_ptr<Conn>& conn : loop_->notify) {
         conn->notified = false;
         if (!conn->in_service) {
           conn->in_service = true;
-          loop.pending.push_back(conn);
+          loop_->pending.push_back(conn);
         }
       }
-      loop.notify.clear();
+      loop_->notify.clear();
     }
     if (stopping) {
       // Tick every connection so shutdown transitions and linger
       // deadlines advance even without fd events.
-      for (auto& [fd, conn] : loop.conns) {
+      for (auto& [fd, conn] : loop_->conns) {
         if (!conn->in_service) {
           conn->in_service = true;
-          loop.pending.push_back(conn);
+          loop_->pending.push_back(conn);
         }
       }
     }
-    if (!loop.repl_streams.empty()) {
+    if (!loop_->repl_streams.empty()) {
       // Pump every live replication stream this pass (the 200 ms poll
       // tick below caps the latency between passes); prune closed ones.
-      loop.repl_streams.erase(
-          std::remove_if(loop.repl_streams.begin(), loop.repl_streams.end(),
+      loop_->repl_streams.erase(
+          std::remove_if(loop_->repl_streams.begin(),
+                         loop_->repl_streams.end(),
                          [](const std::shared_ptr<Conn>& conn) {
                            return conn->fd < 0;
                          }),
-          loop.repl_streams.end());
-      for (const std::shared_ptr<Conn>& conn : loop.repl_streams) {
+          loop_->repl_streams.end());
+      for (const std::shared_ptr<Conn>& conn : loop_->repl_streams) {
         if (!conn->in_service) {
           conn->in_service = true;
-          loop.pending.push_back(conn);
+          loop_->pending.push_back(conn);
         }
       }
     }
     work.clear();
-    work.swap(loop.pending);
+    work.swap(loop_->pending);
     // Clear the dedupe flags before servicing: a connection that needs
     // another pass (read budget, self-unblocked flush) re-queues itself
-    // onto loop.pending for the next iteration.
+    // onto the pending list for the next iteration.
     for (const std::shared_ptr<Conn>& conn : work) conn->in_service = false;
-    for (const std::shared_ptr<Conn>& conn : work) ServiceConn(loop, conn);
-    if (stopping && loop.conns.empty()) break;
+    for (const std::shared_ptr<Conn>& conn : work) ServiceConn(conn);
+    if (stopping && loop_->conns.empty()) break;
     const bool backing_off =
-        std::chrono::steady_clock::now() < loop.accept_backoff_until;
-    if (loop.accept_ready && !backing_off) AcceptReady(loop);
+        std::chrono::steady_clock::now() < loop_->accept_backoff_until;
+    if (loop_->accept_ready && !backing_off) AcceptReady();
     int timeout_ms;
-    if (!loop.pending.empty()) {
+    if (!loop_->pending.empty()) {
       timeout_ms = 0;  // more service work already queued
     } else if (stopping) {
       timeout_ms = 100;  // tick linger deadlines
-    } else if (loop.accept_ready) {
+    } else if (loop_->accept_ready) {
       timeout_ms = 50;  // resume accepting after the backoff expires
-    } else if (!loop.repl_streams.empty()) {
+    } else if (!loop_->repl_streams.empty()) {
       // Replication poll tick: bounds the latency of rotation detection
       // and of any pump notification lost to a race. The drain observer
       // is the fast path; this is the backstop.
@@ -603,11 +541,11 @@ void ServeExecutor::LoopMain(IoLoop& loop) {
     } else {
       timeout_ms = -1;
     }
-    if (loop.index == 0 && options_.durability != nullptr && !stopping) {
-      // Loop 0 doubles as the snapshot-policy timer: bound its poll
-      // timeout by the earliest SECONDS deadline and hand due work to
-      // the pool — the loop thread itself never snapshots (a truncation
-      // drains a whole table under its exclusive gate).
+    if (options_.durability != nullptr && !stopping) {
+      // The loop doubles as the snapshot-policy timer: bound its wait by
+      // the earliest SECONDS deadline and hand due work to the pool —
+      // the loop thread itself never snapshots (a truncation drains a
+      // whole table under its exclusive gate).
       const int64_t due_ms = options_.durability->NextDeadlineMs();
       if (due_ms == 0) {
         SchedulePolicyEval();
@@ -617,42 +555,52 @@ void ServeExecutor::LoopMain(IoLoop& loop) {
         if (timeout_ms < 0 || bounded < timeout_ms) timeout_ms = bounded;
       }
     }
-    const int rc = loop.poller->Wait(&events, timeout_ms);
-    if (rc < 0) break;  // poller failed: abandon ship (teardown below)
-    for (const PolledEvent& event : events) {
-      if (event.data == &loop.wake_tag) {
+    int ready = ::epoll_wait(loop_->epfd, events, kMaxEvents, timeout_ms);
+    if (ready < 0) {
+      if (errno != EINTR) break;  // epoll failed: abandon ship (teardown)
+      ready = 0;
+    }
+    for (int i = 0; i < ready; ++i) {
+      void* const data = events[i].data.ptr;
+      if (data == &loop_->wake_tag) {
         char drain[64];
-        while (::read(loop.wake_fds[0], drain, sizeof(drain)) > 0) {
+        while (::read(loop_->wake_fds[0], drain, sizeof(drain)) > 0) {
         }
         // Drain THEN clear: a doorbell rung after this store writes a
         // fresh byte; one rung in the window loses its byte but its
         // notify entry is drained next iteration anyway.
-        loop.wake_pending.store(false);
+        loop_->wake_pending.store(false);
         continue;
       }
-      if (event.data == &loop.listener_tag) {
-        loop.accept_ready = true;
+      if (data == &loop_->listener_tag) {
+        loop_->accept_ready = true;
         continue;
       }
       // A connection. The pointer is safe: closes happen only in the
-      // service phase, which runs before Wait, and Remove precedes every
-      // close — so no event in this batch refers to a freed Conn.
-      Conn* raw = static_cast<Conn*>(event.data);
-      const auto it = loop.conns.find(raw->fd);
-      if (it == loop.conns.end() || it->second.get() != raw) continue;
+      // service phase, which runs before epoll_wait, and EPOLL_CTL_DEL
+      // precedes every close — so no event in this batch refers to a
+      // freed Conn. EPOLLRDHUP (peer half-close) counts as readable: the
+      // read surfaces the EOF.
+      Conn* raw = static_cast<Conn*>(data);
+      const auto it = loop_->conns.find(raw->fd);
+      if (it == loop_->conns.end() || it->second.get() != raw) continue;
       const std::shared_ptr<Conn>& conn = it->second;
-      if (event.readable || event.error) conn->read_ready = true;
-      if (event.error) conn->saw_error = true;
+      const uint32_t flags = events[i].events;
+      const bool error = (flags & (EPOLLERR | EPOLLHUP)) != 0;
+      if (error || (flags & (EPOLLIN | EPOLLRDHUP)) != 0) {
+        conn->read_ready = true;
+      }
+      if (error) conn->saw_error = true;
       if (!conn->in_service) {
         conn->in_service = true;
-        loop.pending.push_back(conn);
+        loop_->pending.push_back(conn);
       }
     }
   }
-  // Defensive teardown for the poller-failure exit: Shutdown's cleanup
-  // assumes the loop closed everything it owned.
-  for (auto& [fd, conn] : loop.conns) {
-    loop.poller->Remove(fd);
+  // Defensive teardown for the epoll-failure exit: Shutdown's cleanup
+  // assumes the loop closed every connection.
+  for (auto& [fd, conn] : loop_->conns) {
+    ::epoll_ctl(loop_->epfd, EPOLL_CTL_DEL, fd, nullptr);
     {
       std::lock_guard<std::mutex> wlock(conn->write_mu);
       ::close(fd);
@@ -665,82 +613,79 @@ void ServeExecutor::LoopMain(IoLoop& loop) {
     conn->pending_out.clear();
     conn->unsent_bytes = 0;
   }
-  loop.conns.clear();
-  if (loop.listener >= 0) {
-    ::close(loop.listener);
-    loop.listener = -1;
+  loop_->conns.clear();
+  if (loop_->listener >= 0) {
+    ::close(loop_->listener);
+    loop_->listener = -1;
   }
 }
 
-void ServeExecutor::AcceptReady(IoLoop& loop) {
-  loop.accept_ready = false;
+void ServeExecutor::AcceptReady() {
+  loop_->accept_ready = false;
   for (;;) {
-    const int fd = ::accept(loop.listener, nullptr, nullptr);
+    const int fd = ::accept4(loop_->listener, nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EMFILE || errno == ENFILE) {
-        RejectOverloadedAccept(loop);
-        continue;
+        // Linux allocates the fd before it looks at the backlog, so a
+        // full fd table reports EMFILE even with nobody waiting.
+        if (RejectOverloadedAccept()) continue;
+        return;
       }
       if (errno == ENOBUFS || errno == ENOMEM) {
         // Transient kernel memory pressure: the pending connection stays
         // queued. Back off briefly; accept_ready keeps the timed retry
         // alive (mandatory under edge triggering — no new edge will
         // announce the already-queued backlog).
-        loop.accept_backoff_until = std::chrono::steady_clock::now() +
-                                    std::chrono::milliseconds(50);
-        loop.accept_ready = true;
+        loop_->accept_backoff_until = std::chrono::steady_clock::now() +
+                                      std::chrono::milliseconds(50);
+        loop_->accept_ready = true;
         return;
       }
       return;  // listener closed or fatal
     }
-    if (!SetNonBlocking(fd)) {
-      ::close(fd);
-      continue;
-    }
     SetNoDelay(fd);
     auto conn = std::make_shared<Conn>(fd, manager_);
-    conn->loop = &loop;
     conn->dispatcher.set_metrics_provider([this] { return MetricsResponse(); });
-    // The executor drives RunDuePolicies from loop 0's poll timeout and
-    // the drain observer — never inline on a loop thread.
+    // The executor drives RunDuePolicies from the loop's epoll timeout
+    // and the drain observer — never inline on the loop thread.
     conn->dispatcher.set_durability(options_.durability,
                                     /*inline_policy_eval=*/false);
-    // Register both directions under epoll (edge-triggered, set once);
-    // the poll backend starts read-only and maintains interest per pass.
-    if (!loop.poller->Add(fd, true, loop.et, conn.get())) {
+    // Both directions, edge-triggered, registered once for life.
+    if (!EpollAdd(loop_->epfd, fd, true, conn.get())) {
       ::close(fd);
       continue;
     }
-    conn->poll_want_read = true;
-    conn->poll_want_write = loop.et;
     // Data may have raced the registration; force one read attempt.
     conn->read_ready = true;
     conn->in_service = true;
-    loop.conns.emplace(fd, conn);
-    loop.pending.push_back(std::move(conn));
+    loop_->conns.emplace(fd, conn);
+    loop_->pending.push_back(std::move(conn));
     std::lock_guard<std::mutex> lock(sched_mu_);
-    ++loop.shadow.accepted;
-    loop.PublishLocked();
+    ++loop_->shadow.accepted;
+    loop_->PublishLocked();
   }
 }
 
-void ServeExecutor::RejectOverloadedAccept(IoLoop& loop) {
+bool ServeExecutor::RejectOverloadedAccept() {
   // Out of descriptors: burn the reserve to accept into the freed slot,
   // tell the client why, and hang up — a loud rejection instead of a
   // connect that hangs in the backlog until an fd frees.
-  if (loop.emergency_fd >= 0) {
-    ::close(loop.emergency_fd);
-    loop.emergency_fd = -1;
+  if (loop_->emergency_fd >= 0) {
+    ::close(loop_->emergency_fd);
+    loop_->emergency_fd = -1;
   }
-  const int fd = ::accept(loop.listener, nullptr, nullptr);
+  const int fd = ::accept4(loop_->listener, nullptr, nullptr,
+                           SOCK_NONBLOCK | SOCK_CLOEXEC);
+  const bool backlog_empty =
+      fd < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
   if (fd >= 0) {
     // Nonblocking throughout: this path must never park the loop on a
     // hostile peer. The one-line ERR fits any socket buffer; the brief
     // drain reduces (but cannot eliminate) the close-with-unread-RST
     // window.
-    SetNonBlocking(fd);
     const char msg[] = "ERR unavailable: server out of file descriptors\n";
     [[maybe_unused]] const ssize_t w = ::send(fd, msg, sizeof(msg) - 1,
                                               kSendFlags);
@@ -750,26 +695,28 @@ void ServeExecutor::RejectOverloadedAccept(IoLoop& loop) {
     }
     ::close(fd);
     std::lock_guard<std::mutex> lock(sched_mu_);
-    ++loop.shadow.emfile_rejected;
-    loop.PublishLocked();
-  } else {
+    ++loop_->shadow.emfile_rejected;
+    loop_->PublishLocked();
+  } else if (!backlog_empty) {
     // Even the emergency slot did not cover it (another thread won the
     // fd); fall back to a timed retry.
-    loop.accept_backoff_until = std::chrono::steady_clock::now() +
-                                std::chrono::milliseconds(50);
-    loop.accept_ready = true;
+    loop_->accept_backoff_until = std::chrono::steady_clock::now() +
+                                  std::chrono::milliseconds(50);
+    loop_->accept_ready = true;
   }
-  loop.emergency_fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  loop_->emergency_fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  // Only a rejection keeps the accept loop going: an empty backlog waits
+  // for the next listener edge, a timed retry for its backoff.
+  return fd >= 0;
 }
 
-void ServeExecutor::ServiceConn(IoLoop& loop,
-                                const std::shared_ptr<Conn>& conn) {
+void ServeExecutor::ServiceConn(const std::shared_ptr<Conn>& conn) {
   if (conn->fd < 0) return;  // closed earlier in this service batch
   const bool stopping = stopping_.load();
   const auto requeue = [&] {
     if (!conn->in_service) {
       conn->in_service = true;
-      loop.pending.push_back(conn);
+      loop_->pending.push_back(conn);
     }
   };
   const auto can_read_locked = [&] {
@@ -786,7 +733,7 @@ void ServeExecutor::ServiceConn(IoLoop& loop,
     can_read = can_read_locked();
   }
   if (dead) {
-    CloseConn(loop, conn);
+    CloseConn(conn);
     return;
   }
   if (stopping && conn->scheduling_reads) {
@@ -809,26 +756,25 @@ void ServeExecutor::ServiceConn(IoLoop& loop,
           conn->saw_error = false;
           break;
         }
-        CloseConn(loop, conn);  // EOF or error: fully closed now
+        CloseConn(conn);  // EOF or error: fully closed now
         return;
       }
     }
   } else if (conn->scheduling_reads && conn->read_ready) {
-    // saw_error overrides the backpressure gate: a HUP/ERR level would
-    // otherwise re-fire every poll() while the budget recovers (the old
-    // single-loop code read through it the same way — the read surfaces
-    // EOF/ECONNRESET and retires the connection).
+    // saw_error overrides the backpressure gate: the peer is gone, so
+    // read through it — the read surfaces EOF/ECONNRESET and retires the
+    // connection now instead of once the budget recovers.
     if (!can_read && !conn->saw_error) {
       if (!conn->stalled) {
         conn->stalled = true;
         std::lock_guard<std::mutex> lock(sched_mu_);
-        ++loop.shadow.backpressure_stalls;
-        loop.PublishLocked();
+        ++loop_->shadow.backpressure_stalls;
+        loop_->PublishLocked();
       }
     } else {
       conn->stalled = false;
       conn->saw_error = false;
-      switch (HandleReadable(loop, conn)) {
+      switch (HandleReadable(conn)) {
         case ReadStatus::kAborted:
           return;  // connection closed
         case ReadStatus::kDrained:
@@ -841,8 +787,8 @@ void ServeExecutor::ServiceConn(IoLoop& loop,
           if (!conn->stalled) {
             conn->stalled = true;
             std::lock_guard<std::mutex> lock(sched_mu_);
-            ++loop.shadow.backpressure_stalls;
-            loop.PublishLocked();
+            ++loop_->shadow.backpressure_stalls;
+            loop_->PublishLocked();
           }
           break;
         case ReadStatus::kEof:
@@ -862,10 +808,10 @@ void ServeExecutor::ServiceConn(IoLoop& loop,
         // outright; the follower treats EOF as "reconnect and
         // re-handshake" (against whoever serves the durable dir next).
         FlushConn(conn);
-        CloseConn(loop, conn);
+        CloseConn(conn);
         return;
       }
-      if (PumpReplication(loop, conn)) return;  // chain rotated: closed
+      if (PumpReplication(conn)) return;  // chain rotated: closed
     }
   }
   FlushConn(conn);
@@ -885,7 +831,7 @@ void ServeExecutor::ServiceConn(IoLoop& loop,
                    conn->repl == nullptr;
   }
   if (now_dead) {
-    CloseConn(loop, conn);
+    CloseConn(conn);
     return;
   }
   if (!conn->discarding) {
@@ -894,7 +840,7 @@ void ServeExecutor::ServiceConn(IoLoop& loop,
       // complete.
       if (conn->saw_eof) {
         // The client already half-closed: nothing in flight either way.
-        CloseConn(loop, conn);
+        CloseConn(conn);
         return;
       }
       // Oversize ERR or shutdown: half-close and drain so the client
@@ -906,8 +852,8 @@ void ServeExecutor::ServiceConn(IoLoop& loop,
       requeue();
     } else if (conn->saw_error && !conn->scheduling_reads) {
       // Peer hangup while not reading: the remaining responses are
-      // undeliverable; close rather than spin on a level-triggered HUP.
-      CloseConn(loop, conn);
+      // undeliverable; close now.
+      CloseConn(conn);
       return;
     } else if (conn->scheduling_reads && conn->read_ready && now_can_read) {
       // Readiness is latched and the budget allows reading — requeue
@@ -924,7 +870,7 @@ void ServeExecutor::ServiceConn(IoLoop& loop,
       if (conn->discard_deadline == decltype(now){}) {
         conn->discard_deadline = now + std::chrono::seconds(1);
       } else if (now >= conn->discard_deadline) {
-        CloseConn(loop, conn);
+        CloseConn(conn);
         return;
       }
     } else if (all_executed && unsent > 0) {
@@ -934,34 +880,15 @@ void ServeExecutor::ServiceConn(IoLoop& loop,
       if (conn->flush_deadline == decltype(now){}) {
         conn->flush_deadline = now + std::chrono::seconds(5);
       } else if (now >= conn->flush_deadline) {
-        CloseConn(loop, conn);
+        CloseConn(conn);
         return;
       }
-    }
-  }
-  if (!loop.et && conn->fd >= 0) {
-    // Maintain the poll backend's interest set (epoll registered both
-    // directions edge-triggered at accept and never changes it).
-    const bool want_read =
-        conn->discarding || (conn->scheduling_reads && now_can_read);
-    const bool want_write = unsent > 0;
-    if (want_read != conn->poll_want_read ||
-        want_write != conn->poll_want_write) {
-      loop.poller->Update(conn->fd, want_read, want_write);
-      if (want_read && !conn->poll_want_read) {
-        // A level may have come and gone while the read side was muted;
-        // force one read attempt rather than trusting a future report.
-        conn->read_ready = true;
-        requeue();
-      }
-      conn->poll_want_read = want_read;
-      conn->poll_want_write = want_write;
     }
   }
 }
 
 ServeExecutor::ReadStatus ServeExecutor::HandleReadable(
-    IoLoop& loop, const std::shared_ptr<Conn>& conn) {
+    const std::shared_ptr<Conn>& conn) {
   // Per-pass fairness budget: one connection streaming data at full
   // speed (e.g. a firehose of comment lines, which never trip the
   // in-flight backpressure because they draw no response) must not pin
@@ -999,8 +926,8 @@ ServeExecutor::ReadStatus ServeExecutor::HandleReadable(
           // verb, so any residual bytes are protocol garbage — drop them.
           conn->in_buffer.clear();
           std::lock_guard<std::mutex> lock(sched_mu_);
-          loop.shadow.bytes_in += static_cast<uint64_t>(got);
-          loop.PublishLocked();
+          loop_->shadow.bytes_in += static_cast<uint64_t>(got);
+          loop_->PublishLocked();
           return ReadStatus::kEof;
         }
       }
@@ -1010,8 +937,8 @@ ServeExecutor::ReadStatus ServeExecutor::HandleReadable(
         // Soft backpressure check between chunks: everything already
         // read is scheduled, but stop pulling more once over budget.
         std::lock_guard<std::mutex> lock(sched_mu_);
-        loop.shadow.bytes_in += static_cast<uint64_t>(got);
-        loop.PublishLocked();
+        loop_->shadow.bytes_in += static_cast<uint64_t>(got);
+        loop_->PublishLocked();
         over = conn->next_seq - conn->next_send >=
                    options_.max_inflight_per_connection ||
                conn->unsent_bytes > options_.max_buffered_response_bytes ||
@@ -1035,7 +962,7 @@ ServeExecutor::ReadStatus ServeExecutor::HandleReadable(
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         return ReadStatus::kDrained;
       }
-      CloseConn(loop, conn);
+      CloseConn(conn);
       return ReadStatus::kAborted;
     }
   }
@@ -1057,29 +984,27 @@ ServeExecutor::Request* ServeExecutor::ScheduleLine(
     const std::vector<std::string> tokens = SplitTokens(line);
     if (tokens.size() == 2 && manager_->Has(tokens[1])) {
       if (conn->unfinished.empty() && conn->repl == nullptr) {
-        // We are on the owning loop thread (the only ScheduleLine
+        // We are on the loop thread (the only ScheduleLine
         // caller), so flipping the read-side flag here is safe;
         // HandleReadable stops parsing the moment it observes it.
         conn->scheduling_reads = false;
         conn->repl = std::make_unique<Conn::Repl>();
         conn->repl->table = tokens[1];
         repl_conns_.emplace(conn.get(), conn);
-        if (conn->loop != nullptr) conn->loop->repl_streams.push_back(conn);
+        loop_->repl_streams.push_back(conn);
         const std::shared_ptr<Conn> stream = conn;
         // The worker cannot observe a half-built stream: StartReplication
         // takes sched_mu_ (held here) before reading the Repl state.
         if (pool_->Submit([this, stream] { StartReplication(stream); })) {
-          if (conn->loop != nullptr) {
-            ++conn->loop->shadow.repl_sessions;
-            conn->loop->PublishLocked();
-          }
+          ++loop_->shadow.repl_sessions;
+          loop_->PublishLocked();
           return nullptr;
         }
         // Pool already stopping (shutdown race): revert and let the
         // normal path answer whatever the dispatcher says.
         conn->repl.reset();
         repl_conns_.erase(conn.get());
-        if (conn->loop != nullptr) conn->loop->repl_streams.pop_back();
+        loop_->repl_streams.pop_back();
         conn->scheduling_reads = true;
       } else {
         // Pipelined predecessors would interleave their responses into
@@ -1180,10 +1105,8 @@ void ServeExecutor::DispatchLocked(Request* node) {
     // run between our check and this insertion.
     parked_[node->table].push_back(node);
     requests_parked_.fetch_add(1);
-    if (node->conn->loop != nullptr) {
-      ++node->conn->loop->shadow.parked_drains;
-      node->conn->loop->PublishLocked();
-    }
+    ++loop_->shadow.parked_drains;
+    loop_->PublishLocked();
     return;
   }
   EnqueueReadyLocked(node);
@@ -1245,19 +1168,19 @@ void ServeExecutor::ExecuteNode(Request* node, bool inline_on_loop) {
   } catch (...) {
     // Handle() maps every failure to an ERR response; this is a belt for
     // the contract so one rogue exception cannot kill a worker (or the
-    // owning loop, on the inline path).
+    // loop, on the inline path).
     response = "ERR internal: unexpected exception in request execution";
   }
   {
     std::lock_guard<std::mutex> lock(sched_mu_);
-    if (inline_on_loop && conn->loop != nullptr) {
-      ++conn->loop->shadow.inline_served;
-      conn->loop->PublishLocked();
+    if (inline_on_loop) {
+      ++loop_->shadow.inline_served;
+      loop_->PublishLocked();
     }
     CompleteLocked(node, std::move(response), !inline_on_loop);
   }
   // Flush from the worker instead of waiting for the loop: on an
-  // oversubscribed CPU the busy workers can starve the loops for a whole
+  // oversubscribed CPU the busy workers can starve the loop for a whole
   // scheduling quantum, which would batch every response toward the end
   // of a pipeline. The socket is nonblocking, so this never stalls a
   // worker; leftovers fall back to the loop's writability handling. The
@@ -1287,13 +1210,11 @@ void ServeExecutor::CompleteLocked(Request* node, std::string response,
     conn->finished_out_of_order.emplace(node->seq, std::move(response));
     SequenceLocked(*conn);
   }
-  if (conn->loop != nullptr) {
-    ++conn->loop->shadow.served;
-    conn->loop->PublishLocked();
-  }
+  ++loop_->shadow.served;
+  loop_->PublishLocked();
   requests_served_.fetch_add(1);
   // Output may be flushable, reads resumable, or the connection
-  // finishable — let the owning loop re-evaluate (skipped on the inline
+  // finishable — let the loop re-evaluate (skipped on the inline
   // path: the loop is the caller and re-evaluates at the end of this
   // very service pass).
   if (notify_loop) NotifyLoopLocked(conn);
@@ -1317,10 +1238,10 @@ void ServeExecutor::SequenceLocked(Conn& conn) {
 }
 
 void ServeExecutor::NotifyLoopLocked(const std::shared_ptr<Conn>& conn) {
-  if (conn->notified || conn->loop == nullptr) return;
+  if (conn->notified) return;
   conn->notified = true;
-  conn->loop->notify.push_back(conn);
-  WakeLoop(*conn->loop);
+  loop_->notify.push_back(conn);
+  WakeLoop();
 }
 
 void ServeExecutor::OnDrainFinished(const std::string& table) {
@@ -1332,7 +1253,7 @@ void ServeExecutor::OnDrainFinished(const std::string& table) {
       parked_.erase(it);
     }
     // A finished fold is exactly when this table's replication streams
-    // have new committed bytes: push a pump pass to their loops so
+    // have new committed bytes: push a pump pass to the loop so
     // replication latency tracks fold latency, not the 200 ms backstop.
     for (const auto& [raw, conn] : repl_conns_) {
       if (conn->repl != nullptr && conn->repl->handshake_done &&
@@ -1361,8 +1282,8 @@ void ServeExecutor::SchedulePolicyEval() {
     }
     policy_eval_scheduled_.store(false);
     // Re-check after the clear: a deadline that came due during the pass
-    // (or a drain that raced the flag) must not wait for the next loop-0
-    // poll tick.
+    // (or a drain that raced the flag) must not wait for the next loop
+    // wakeup.
     if (!stopping_.load() && options_.durability->NextDeadlineMs() == 0) {
       SchedulePolicyEval();
     }
@@ -1415,15 +1336,12 @@ void ServeExecutor::StartReplication(const std::shared_ptr<Conn>& conn) {
   conn->repl->chain = handshake.chain;
   conn->repl->offset = handshake.committed_bytes;
   conn->repl->handshake_done = true;
-  if (conn->loop != nullptr) {
-    conn->loop->shadow.repl_bytes += added;
-    conn->loop->PublishLocked();
-  }
+  loop_->shadow.repl_bytes += added;
+  loop_->PublishLocked();
   NotifyLoopLocked(conn);
 }
 
-bool ServeExecutor::PumpReplication(IoLoop& loop,
-                                    const std::shared_ptr<Conn>& conn) {
+bool ServeExecutor::PumpReplication(const std::shared_ptr<Conn>& conn) {
   std::string table;
   uint64_t chain;
   uint64_t offset;
@@ -1450,7 +1368,7 @@ bool ServeExecutor::PumpReplication(IoLoop& loop,
     // already buffered (best effort), then close so the follower
     // re-handshakes against the new floor.
     FlushConn(conn);
-    CloseConn(loop, conn);
+    CloseConn(conn);
     return true;
   }
   if (chunk.empty()) return false;
@@ -1459,8 +1377,8 @@ bool ServeExecutor::PumpReplication(IoLoop& loop,
   conn->repl->offset = offset;
   conn->pending_out += chunk;
   conn->unsent_bytes += chunk.size();
-  loop.shadow.repl_bytes += chunk.size();
-  loop.PublishLocked();
+  loop_->shadow.repl_bytes += chunk.size();
+  loop_->PublishLocked();
   return false;
 }
 
@@ -1488,7 +1406,7 @@ void ServeExecutor::FlushConn(const std::shared_ptr<Conn>& conn) {
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     // Peer gone: the remaining responses are undeliverable. Only flag it
-    // — fd lifecycle (close + conns erase) belongs to the owning loop
+    // — fd lifecycle (close + conns erase) belongs to the loop thread
     // alone, otherwise a reused descriptor number could alias a freshly
     // accepted connection.
     peer_gone = true;
@@ -1499,9 +1417,9 @@ void ServeExecutor::FlushConn(const std::shared_ptr<Conn>& conn) {
   if (sent_total == 0 && !peer_gone) return;
   std::lock_guard<std::mutex> lock(sched_mu_);
   conn->unsent_bytes -= std::min(conn->unsent_bytes, sent_total);
-  if (sent_total > 0 && conn->loop != nullptr) {
-    conn->loop->shadow.bytes_out += sent_total;
-    conn->loop->PublishLocked();
+  if (sent_total > 0) {
+    loop_->shadow.bytes_out += sent_total;
+    loop_->PublishLocked();
   }
   if (peer_gone && !conn->dead) {
     conn->dead = true;
@@ -1511,10 +1429,10 @@ void ServeExecutor::FlushConn(const std::shared_ptr<Conn>& conn) {
   }
 }
 
-void ServeExecutor::CloseConn(IoLoop& loop, const std::shared_ptr<Conn>& conn) {
+void ServeExecutor::CloseConn(const std::shared_ptr<Conn>& conn) {
   if (conn->fd >= 0) {
-    loop.poller->Remove(conn->fd);
-    loop.conns.erase(conn->fd);
+    ::epoll_ctl(loop_->epfd, EPOLL_CTL_DEL, conn->fd, nullptr);
+    loop_->conns.erase(conn->fd);
     std::lock_guard<std::mutex> wlock(conn->write_mu);
     ::close(conn->fd);
     conn->fd = -1;
@@ -1534,37 +1452,21 @@ void ServeExecutor::CloseConn(IoLoop& loop, const std::shared_ptr<Conn>& conn) {
 }
 
 std::string ServeExecutor::MetricsResponse() const {
-  // Safe from any worker while the executor runs: loops_ is mutated only
-  // in Start/Shutdown, when no requests execute; the per-loop snapshots
-  // are seqlock reads.
-  IoLoop::Shadow total;
-  std::vector<IoLoop::Shadow> snaps;
-  snaps.reserve(loops_.size());
-  for (const auto& loop : loops_) {
-    snaps.push_back(loop->ReadCounters());
-    const IoLoop::Shadow& s = snaps.back();
-    total.accepted += s.accepted;
-    total.served += s.served;
-    total.inline_served += s.inline_served;
-    total.bytes_in += s.bytes_in;
-    total.bytes_out += s.bytes_out;
-    total.backpressure_stalls += s.backpressure_stalls;
-    total.parked_drains += s.parked_drains;
-    total.emfile_rejected += s.emfile_rejected;
-    total.repl_sessions += s.repl_sessions;
-    total.repl_bytes += s.repl_bytes;
-  }
+  // Safe from any worker while the executor runs: loop_ is replaced only
+  // in Start/Shutdown, when no requests execute; the counter snapshot is
+  // a seqlock read. The poller=, io_loops= and loop0= tokens predate the
+  // single epoll loop and stay so the wire format is unchanged.
+  const IoLoop::Shadow s = loop_->ReadCounters();
   std::ostringstream out;
-  out << "OK METRICS poller=" << PollerBackendName(backend_)
-      << " io_loops=" << io_loops_ << " workers=" << options_.workers
-      << " accepted=" << total.accepted << " served=" << total.served
-      << " inline=" << total.inline_served
-      << " parked_drains=" << total.parked_drains
-      << " bytes_in=" << total.bytes_in << " bytes_out=" << total.bytes_out
-      << " backpressure_stalls=" << total.backpressure_stalls
-      << " emfile_rejected=" << total.emfile_rejected
-      << " repl_sessions=" << total.repl_sessions
-      << " repl_bytes_streamed=" << total.repl_bytes;
+  out << "OK METRICS poller=epoll io_loops=1 workers=" << options_.workers
+      << " accepted=" << s.accepted << " served=" << s.served
+      << " inline=" << s.inline_served
+      << " parked_drains=" << s.parked_drains
+      << " bytes_in=" << s.bytes_in << " bytes_out=" << s.bytes_out
+      << " backpressure_stalls=" << s.backpressure_stalls
+      << " emfile_rejected=" << s.emfile_rejected
+      << " repl_sessions=" << s.repl_sessions
+      << " repl_bytes_streamed=" << s.repl_bytes;
   {
     // Result-cache totals across every table (hits/misses move only on
     // served lookups and completed runs — see serve/result_cache.h).
@@ -1573,13 +1475,10 @@ std::string ServeExecutor::MetricsResponse() const {
         << " result_cache_misses=" << cache.misses
         << " result_cache_entries=" << cache.entries;
   }
-  for (size_t i = 0; i < snaps.size(); ++i) {
-    const IoLoop::Shadow& s = snaps[i];
-    out << " loop" << i << "=accepted:" << s.accepted << ",served:" << s.served
-        << ",inline:" << s.inline_served << ",bytes_in:" << s.bytes_in
-        << ",bytes_out:" << s.bytes_out << ",stalls:" << s.backpressure_stalls
-        << ",parked:" << s.parked_drains << ",emfile:" << s.emfile_rejected;
-  }
+  out << " loop0=accepted:" << s.accepted << ",served:" << s.served
+      << ",inline:" << s.inline_served << ",bytes_in:" << s.bytes_in
+      << ",bytes_out:" << s.bytes_out << ",stalls:" << s.backpressure_stalls
+      << ",parked:" << s.parked_drains << ",emfile:" << s.emfile_rejected;
   if (options_.durability != nullptr) {
     out << options_.durability->MetricsSuffix();
   }

@@ -18,22 +18,19 @@
 ///
 /// The ServeExecutor splits the connection handler into
 ///
-///  - N independent event loops (ServerOptions::io_threads, default
-///    min(4, cores)). Each loop owns an edge-triggered readiness poller
-///    (util/event_poller.h — epoll on Linux, poll(2) as the portable
-///    fallback, MANIRANK_POLLER=epoll|poll|auto), its own SO_REUSEPORT
-///    listener so the kernel shards accepted connections across loops,
-///    and every connection the kernel hands it: a connection is pinned
-///    to its loop for life, so all per-connection I/O state stays
-///    single-writer (and TSan-clean) with no cross-loop fd migration.
-///    Loops never execute requests, so accepts and every socket stay
-///    live during the heaviest fold; and
+///  - one edge-triggered epoll event loop that owns the listener and
+///    every accepted connection, so all per-connection I/O state is
+///    single-writer (and TSan-clean). The loop never executes a
+///    consensus request — only moves bytes — so accepts and every socket
+///    stay live during the heaviest fold, and one loop keeps up with the
+///    handful of pipelining analyst connections the server is built
+///    for; and
 ///  - a bounded shared worker pool (util/threading.h TaskPool) that
 ///    executes parsed requests through the per-connection Dispatcher.
 ///    Small non-draining per-table requests with no in-flight
 ///    predecessor (STATS, APPEND, REMOVE) skip the pool handoff and
-///    execute inline on their loop — a read-mostly workload then scales
-///    with the loop count instead of serializing on the pool queue.
+///    execute inline on the loop, skipping the pool queue and its
+///    wakeups.
 ///
 /// Scheduling preserves the observable semantics of serial execution:
 /// requests addressing the same table execute in arrival order, requests
@@ -57,7 +54,7 @@
 /// arrival-order FIFO would queue it behind every one of them. Compute
 /// verbs are also excluded from the loop-thread inline fast path: a
 /// cold-cache consensus run (or SELECT's ILP fallback) always executes
-/// on the worker pool, never on an event loop.
+/// on the worker pool, never on the event loop.
 ///
 /// Draining verbs additionally consult the ContextManager's non-blocking
 /// scheduling hooks: a RUN or FLUSH aimed at a table whose backlog is
@@ -77,7 +74,7 @@
 ///
 /// ## Accept-time resource exhaustion
 ///
-/// Each loop holds one reserved emergency fd (/dev/null). On
+/// The loop holds one reserved emergency fd (/dev/null). On
 /// EMFILE/ENFILE the loop closes it, accepts the pending connection into
 /// the freed slot, answers "ERR unavailable: ..." and closes, then
 /// reopens the reserve — a client sees a loud rejection instead of a
@@ -85,7 +82,7 @@
 ///
 /// ## Observability
 ///
-/// Every loop publishes counters (connections accepted, requests served
+/// The loop publishes counters (connections accepted, requests served
 /// and served-inline, bytes in/out, backpressure stalls, parked drains,
 /// EMFILE rejections) through the same seqlock idiom as the engine's
 /// ProfileCounters: writers are serialized by the scheduler lock, the
@@ -96,7 +93,7 @@
 /// Shutdown() (and the destructor) stop accepting and reading, let every
 /// in-flight request finish, flush its response, half-close each
 /// connection (shutdown(SHUT_WR)) so the client actually receives the
-/// tail of the stream, and join every event loop and worker. A client
+/// tail of the stream, and join the event loop and every worker. A client
 /// that never closes its end after the half-close is given a bounded
 /// linger (~1 s) and then dropped, so one idle or hostile connection
 /// cannot hang the shutdown. The same flush-then-half-close discipline
@@ -109,8 +106,8 @@
 /// connection into a leader-side replication stream (serve/protocol.h
 /// documents the wire format). The handshake (snapshot floor + committed
 /// log prefix, read from the durable files by DurabilityManager::
-/// TakeHandshake) is built on a pool worker; from then on the owning
-/// event loop pumps newly committed log bytes into the ordinary response
+/// TakeHandshake) is built on a pool worker; from then on the event loop
+/// pumps newly committed log bytes into the ordinary response
 /// buffer, so replication rides the same edge-triggered write path and
 /// response-byte backpressure as every other connection. Pump triggers:
 /// the drain observer (a finished fold is exactly when new committed
@@ -120,7 +117,9 @@
 /// closed outright at shutdown; followers treat any EOF as "reconnect
 /// and re-handshake".
 
-#if defined(__unix__) || defined(__APPLE__)
+// The TCP front end is built on epoll, so it exists on Linux only; other
+// platforms keep the stdin/--script stream modes.
+#if defined(__linux__)
 #define MANIRANK_SERVE_HAVE_SOCKETS 1
 #endif
 
@@ -139,7 +138,6 @@
 
 #include "serve/context_manager.h"
 #include "serve/protocol.h"
-#include "util/event_poller.h"
 #include "util/threading.h"
 
 namespace manirank::serve {
@@ -158,14 +156,6 @@ struct ServerOptions {
   int port = 0;
   /// Executor worker threads; 0 = DefaultThreadCount() (at least 1).
   size_t workers = 0;
-  /// Executor event-loop (I/O) threads; each owns its own poller and
-  /// SO_REUSEPORT listener. 0 = min(4, DefaultThreadCount()). Clamped
-  /// to 1 on platforms without SO_REUSEPORT.
-  size_t io_threads = 0;
-  /// Readiness-backend preference for the event loops. The
-  /// MANIRANK_POLLER environment variable (epoll|poll|auto) overrides a
-  /// non-auto value at Start — see util/event_poller.h.
-  PollerBackend poller = DefaultPollerBackend();
   /// Parsed-but-unanswered requests per connection before the reader
   /// stops polling that socket.
   size_t max_inflight_per_connection = 64;
@@ -182,13 +172,13 @@ struct ServerOptions {
   std::ostream* log = nullptr;
   /// Optional durability layer (serve/durability.h), borrowed. Enables
   /// SNAPSHOT-POLICY on every connection, appends oplog_* tokens to
-  /// METRICS, drives the time-based policy timer from event loop 0's poll
-  /// timeout, and re-evaluates generation policies after each finished
-  /// drain.
+  /// METRICS, drives the time-based policy timer from the event loop's
+  /// epoll timeout, and re-evaluates generation policies after each
+  /// finished drain.
   DurabilityManager* durability = nullptr;
 };
 
-/// Async request pipeline: N sharded event loops + shared worker pool +
+/// Async request pipeline: one epoll event loop + shared worker pool +
 /// per-connection in-order response queues. See the file comment for the
 /// model. All public methods are safe to call from one controlling
 /// thread (the usual Start / wait / Shutdown lifecycle); the accessors
@@ -200,9 +190,11 @@ class ServeExecutor {
   ServeExecutor(const ServeExecutor&) = delete;
   ServeExecutor& operator=(const ServeExecutor&) = delete;
 
-  /// Binds the SO_REUSEPORT listener group on 127.0.0.1:<port>,
-  /// registers the drain observer, and starts the event loops and worker
-  /// pool. On failure reports into `*error` and returns false.
+  /// Binds the listener on 127.0.0.1:<port>, opens the loop's wake pipe,
+  /// epoll set and emergency fd, registers the drain observer, and starts
+  /// the event loop and worker pool. On failure (including fd exhaustion:
+  /// socket, pipe2, epoll_create1, ...) reports into `*error`, closes
+  /// every fd it opened, and returns false.
   bool Start(std::string* error = nullptr);
 
   /// The bound port (after Start); useful with options.port == 0.
@@ -213,10 +205,6 @@ class ServeExecutor {
   void Shutdown();
 
   size_t workers() const;
-  /// Event loops actually running (after Start).
-  size_t io_loops() const { return io_loops_; }
-  /// Resolved readiness backend name ("epoll" / "poll", after Start).
-  const char* poller_name() const { return PollerBackendName(backend_); }
   /// Requests whose responses were completed (diagnostics).
   uint64_t requests_served() const;
   /// Requests parked on the IsDraining hook instead of blocking a
@@ -237,14 +225,16 @@ class ServeExecutor {
   };
   enum class ReadStatus { kDrained, kBudget, kBackpressured, kEof, kAborted };
 
-  void LoopMain(IoLoop& loop);
-  static void WakeLoop(IoLoop& loop);
-  void ServiceConn(IoLoop& loop, const std::shared_ptr<Conn>& conn);
-  void AcceptReady(IoLoop& loop);
+  void LoopMain();
+  void WakeLoop();
+  void ServiceConn(const std::shared_ptr<Conn>& conn);
+  void AcceptReady();
   /// EMFILE/ENFILE: burn the reserved emergency fd to accept, reject
-  /// loudly, reopen the reserve.
-  void RejectOverloadedAccept(IoLoop& loop);
-  ReadStatus HandleReadable(IoLoop& loop, const std::shared_ptr<Conn>& conn);
+  /// loudly, reopen the reserve. Returns true when a connection was
+  /// rejected (the caller keeps accepting), false when the backlog was
+  /// empty or a timed retry was scheduled.
+  bool RejectOverloadedAccept();
+  ReadStatus HandleReadable(const std::shared_ptr<Conn>& conn);
   /// Classifies and registers one request line. Returns a node the
   /// CALLER must execute inline (loop-thread fast path), or nullptr when
   /// the request was dispatched to the pool / parked / answered.
@@ -262,11 +252,11 @@ class ServeExecutor {
   /// and — on the worker path — flushes the response.
   void ExecuteNode(Request* node, bool inline_on_loop);
   /// sched_mu_ held: record the response, resolve dependents, sequence,
-  /// bump counters, and (unless the caller IS the owning loop) queue the
-  /// connection for service on its loop.
+  /// bump counters, and (unless the caller IS the loop) queue the
+  /// connection for service on the loop.
   void CompleteLocked(Request* node, std::string response, bool notify_loop);
   static void SequenceLocked(Conn& conn);
-  /// sched_mu_ held: add the connection to its loop's service queue
+  /// sched_mu_ held: add the connection to the loop's notify list
   /// (deduplicated) and wake the loop.
   void NotifyLoopLocked(const std::shared_ptr<Conn>& conn);
   void OnDrainFinished(const std::string& table);
@@ -279,19 +269,19 @@ class ServeExecutor {
   /// Pool-worker entry for a replication handshake: reads the snapshot
   /// floor + committed log prefix (TakeHandshake) and appends the header
   /// line plus both raw payloads to the connection's response buffer —
-  /// the stream then continues via PumpReplication on the owning loop.
+  /// the stream then continues via PumpReplication on the loop.
   void StartReplication(const std::shared_ptr<Conn>& conn);
   /// Loop-thread only: appends newly committed log bytes (bounded per
   /// pass, gated by the response-byte budget) to a live replication
   /// stream. Returns true when the connection was closed (chain
   /// rotation — the follower must re-handshake).
-  bool PumpReplication(IoLoop& loop, const std::shared_ptr<Conn>& conn);
+  bool PumpReplication(const std::shared_ptr<Conn>& conn);
   /// Any-thread response flusher: two-buffer scheme, so the send()
   /// syscalls run under the connection's write lock only — never under
   /// the global scheduler lock. Lock order: write_mu before sched_mu_.
   void FlushConn(const std::shared_ptr<Conn>& conn);
   /// Loop-thread only: deregister, close, and forget a connection.
-  void CloseConn(IoLoop& loop, const std::shared_ptr<Conn>& conn);
+  void CloseConn(const std::shared_ptr<Conn>& conn);
   /// One-line counter snapshot for the METRICS verb (lock-free reads).
   std::string MetricsResponse() const;
 
@@ -300,12 +290,12 @@ class ServeExecutor {
   int port_ = 0;
   bool started_ = false;
   std::atomic<bool> stopping_{false};
-  PollerBackend backend_ = PollerBackend::kPoll;
-  size_t io_loops_ = 0;
-  std::vector<std::unique_ptr<IoLoop>> loops_;
+  /// The event loop's fds, thread, and loop-thread state; created by
+  /// Start, destroyed by Shutdown.
+  std::unique_ptr<IoLoop> loop_;
   std::unique_ptr<TaskPool> pool_;
 
-  /// One scheduling lock for parse-side (event loops) and completion-side
+  /// One scheduling lock for parse-side (event loop) and completion-side
   /// (workers) bookkeeping. Scheduling operations are micro-sized
   /// compared to request execution, which never holds it — and response
   /// flushing happens under per-connection write locks, not this one.
@@ -331,8 +321,7 @@ class ServeExecutor {
   /// Draining requests parked while their table's backlog folds;
   /// released by OnDrainFinished.
   std::unordered_map<std::string, std::vector<Request*>> parked_;
-  /// One global parked-queue flush when shutdown begins (first loop to
-  /// notice performs it).
+  /// One global parked-queue flush when shutdown begins.
   bool parked_flushed_ = false;
   /// Live replication streams (handshake pending or done), keyed by raw
   /// Conn pointer: the drain observer pushes a pump notification to each

@@ -26,7 +26,8 @@
 /// re-handshake atomically (Drop + Restore under the manager's lifecycle
 /// lock) replaces the table with the new floor before replaying.
 
-#if defined(__unix__) || defined(__APPLE__)
+// Same platform gate as serve/executor.h: Linux only.
+#if defined(__linux__)
 #ifndef MANIRANK_SERVE_HAVE_SOCKETS
 #define MANIRANK_SERVE_HAVE_SOCKETS 1
 #endif

@@ -4,12 +4,12 @@
 //   manirank_serve                      serve the line protocol on stdin/stdout
 //   manirank_serve --script FILE        replay a request script (offline mode)
 //   manirank_serve --port P             TCP server: async executor pipeline —
-//                                       N sharded event loops (epoll where
-//                                       available, SO_REUSEPORT accept
-//                                       sharding) plus a shared worker pool
-//                                       (serve/executor.h); P=0 picks an
-//                                       ephemeral port (the bound port is
-//                                       printed as "listening on port N")
+//                                       one edge-triggered epoll event loop
+//                                       plus a shared worker pool
+//                                       (serve/executor.h; Linux only); P=0
+//                                       picks an ephemeral port (the bound
+//                                       port is printed as "listening on
+//                                       port N")
 //   manirank_serve --follow HOST:PORT   follower: replicate every table of
 //                                       the leader at HOST:PORT (snapshot
 //                                       floor + streamed op log, verified
@@ -23,11 +23,6 @@
 //                                       (serve/replica.h)
 //   manirank_serve --workers N          executor worker threads (default:
 //                                       hardware concurrency, max 256)
-//   manirank_serve --io-threads N       executor event-loop threads, each
-//                                       with its own poller and listener
-//                                       (default: min(4, cores)); the
-//                                       MANIRANK_POLLER env var picks the
-//                                       readiness backend (epoll|poll|auto)
 //   manirank_serve --restore-dir DIR    cold start: restore every *.snap table
 //                                       snapshot in DIR before serving
 //   manirank_serve --log-dir DIR        exact-profile durability: cold-start
@@ -69,8 +64,9 @@
 //
 // Exit status: 0 when every request succeeded (TCP: clean signal
 // shutdown), 1 when any request drew an ERR response (stdin/script
-// modes), 2 on usage or I/O errors — including the output stream dying
-// mid-response in stdin/script mode.
+// modes), 2 on usage, startup or I/O errors — including a TCP server that
+// cannot start (bind, or creating its epoll set, fails) and the output
+// stream dying mid-response in stdin/script mode.
 
 #include <algorithm>
 #include <csignal>
@@ -105,7 +101,7 @@ using manirank::serve::Dispatcher;
 int Usage() {
   std::cerr << "usage: manirank_serve [--script FILE | --port P]\n"
                "                      [--follow HOST:PORT]\n"
-               "                      [--workers N] [--io-threads N]\n"
+               "                      [--workers N]\n"
                "                      [--restore-dir DIR] [--log-dir DIR]\n"
                "                      [--echo]\n"
                "                      [--no-result-cache]\n"
@@ -322,7 +318,6 @@ int main(int argc, char** argv) {
   std::optional<std::string> follow;
   std::optional<int> port;
   size_t workers = 0;
-  size_t io_threads = 0;
   bool echo = false;
   bool no_result_cache = false;
   for (int i = 1; i < argc; ++i) {
@@ -347,16 +342,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       workers = static_cast<size_t>(w);
-    } else if (flag == "--io-threads" && i + 1 < argc) {
-      char* end = nullptr;
-      const long n = std::strtol(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || n < 1 ||
-          n > static_cast<long>(manirank::kMaxThreads)) {
-        std::cerr << "--io-threads needs a value in [1, "
-                  << manirank::kMaxThreads << "]\n";
-        return 2;
-      }
-      io_threads = static_cast<size_t>(n);
     } else if (flag == "--port" && i + 1 < argc) {
       char* end = nullptr;
       const long p = std::strtol(argv[++i], &end, 10);
@@ -404,8 +389,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if ((workers != 0 || io_threads != 0) && !port.has_value()) {
-    std::cerr << "--workers/--io-threads only apply to --port mode\n";
+  if (workers != 0 && !port.has_value()) {
+    std::cerr << "--workers only applies to --port mode\n";
     return 2;
   }
   if (echo && port.has_value()) {
@@ -479,7 +464,6 @@ int main(int argc, char** argv) {
     manirank::serve::ServerOptions options;
     options.port = *port;
     options.workers = workers;
-    options.io_threads = io_threads;
     options.log = &std::cerr;
     options.durability = durability_ptr;
     manirank::serve::ServeExecutor server(&manager, options);

@@ -1,7 +1,8 @@
-// Scheduling-focused tests for the multi-event-loop ServeExecutor
-// (serve/executor.h): a 256-connection pipelined burst that must stay
-// bit-identical to the synchronous Dispatcher under BOTH poller backends
-// (forced via MANIRANK_POLLER), the METRICS response surface, and the
+// Scheduling-focused tests for the ServeExecutor (serve/executor.h): a
+// 256-connection pipelined burst on its one epoll loop that must stay
+// bit-identical to the synchronous Dispatcher, the METRICS response
+// surface, file-descriptor exhaustion (a loud startup failure that leaks
+// no fd; an idle, not spinning, loop on a full fd table), and the
 // weighted-fair-queue guarantee that a saturated table cannot starve a
 // light table's request behind its backlog.
 
@@ -11,12 +12,16 @@
 
 #ifdef MANIRANK_SERVE_HAVE_SOCKETS
 
+#include <dirent.h>
 #include <sys/resource.h>
+#include <time.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,7 +30,6 @@
 #include "serve/protocol.h"
 #include "serve_test_util.h"
 #include "test_util.h"
-#include "util/event_poller.h"
 
 namespace manirank {
 namespace {
@@ -35,7 +39,6 @@ using serve::Dispatcher;
 using serve::ServeExecutor;
 using serve::ServerOptions;
 using testing::Client;
-using testing::ScopedPollerEnv;
 using testing::SyncReference;
 
 /// Raises RLIMIT_NOFILE toward the hard limit and returns how many
@@ -74,22 +77,16 @@ std::vector<std::string> PerConnectionWorkload(size_t index) {
   };
 }
 
-/// 256 concurrent pipelined connections against a sharded executor
-/// (io_threads=2 exercises SO_REUSEPORT accept distribution even on one
-/// core). Every connection's response stream must be bit-identical to a
-/// synchronous replay of its own requests.
-void ExpectBurstBitIdentical(const char* poller_env,
-                             const char* expect_poller) {
-  ScopedPollerEnv scoped(poller_env);
+/// 256 concurrent pipelined connections against the executor's one
+/// event loop. Every connection's response stream must be bit-identical
+/// to a synchronous replay of its own requests.
+TEST(ServeSchedulingTest, BurstBitIdentical) {
   ContextManager manager;
   ServerOptions options;
   options.workers = 3;
-  options.io_threads = 2;
   ServeExecutor server(&manager, options);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
-  EXPECT_STREQ(server.poller_name(), expect_poller);
-  EXPECT_EQ(server.io_loops(), 2u);
 
   const size_t kConnections = AffordableConnections(256);
   ASSERT_GE(kConnections, 8u);
@@ -115,7 +112,7 @@ void ExpectBurstBitIdentical(const char* poller_env,
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(mismatches.load(), 0) << "of " << kConnections << " connections";
 
-  // The per-loop accept counters must account for every connection.
+  // The accept counter must account for every connection.
   Client probe(static_cast<int>(server.port()));
   ASSERT_TRUE(probe.Send("METRICS\n"));
   const std::vector<std::string> metrics = probe.ReadLines(1);
@@ -126,20 +123,6 @@ void ExpectBurstBitIdentical(const char* poller_env,
             std::string::npos)
       << metrics[0];
   server.Shutdown();
-}
-
-TEST(ServeSchedulingTest, BurstBitIdenticalUnderPoll) {
-  ExpectBurstBitIdentical("poll", "poll");
-}
-
-TEST(ServeSchedulingTest, BurstBitIdenticalUnderEpoll) {
-#if MANIRANK_HAVE_EPOLL
-  ExpectBurstBitIdentical("epoll", "epoll");
-#else
-  // Forcing epoll on a platform without it falls back to poll (with a
-  // one-time warning); the wire contract must hold regardless.
-  ExpectBurstBitIdentical("epoll", "poll");
-#endif
 }
 
 /// METRICS is only answerable by the executor front end; the synchronous
@@ -162,7 +145,10 @@ TEST(ServeSchedulingTest, MetricsSurface) {
   const std::vector<std::string> lines = client.ReadLines(2);
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(lines[0].rfind("ERR no-such-table:", 0), 0u) << lines[0];
-  EXPECT_EQ(lines[1].rfind("OK METRICS poller=", 0), 0u) << lines[1];
+  // The token order of the multi-loop era is part of the wire format.
+  EXPECT_EQ(lines[1].rfind("OK METRICS poller=epoll io_loops=1 workers=", 0),
+            0u)
+      << lines[1];
   for (const char* field :
        {" io_loops=", " workers=", " accepted=", " served=", " inline=",
         " parked_drains=", " bytes_in=", " bytes_out=",
@@ -170,6 +156,115 @@ TEST(ServeSchedulingTest, MetricsSurface) {
     EXPECT_NE(lines[1].find(field), std::string::npos)
         << "missing " << field << " in " << lines[1];
   }
+  server.Shutdown();
+}
+
+/// This process's open descriptors, by number (the listing's own
+/// directory fd excluded).
+std::set<int> OpenFds() {
+  std::set<int> fds;
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) return fds;
+  const int self = ::dirfd(dir);
+  while (const dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] == '.') continue;
+    const int fd = std::atoi(entry->d_name);
+    if (fd != self) fds.insert(fd);
+  }
+  ::closedir(dir);
+  return fds;
+}
+
+/// The RLIMIT_NOFILE value under which exactly `k` more fds can be
+/// opened. The limit bounds fd numbers, and a new fd takes the lowest
+/// free number, so it sits at the (k+1)-th number not in `open`.
+rlim_t LimitLeavingFree(const std::set<int>& open, int k) {
+  int limit = 0;
+  for (int free_below = 0; open.count(limit) != 0 || free_below < k;
+       ++limit) {
+    if (open.count(limit) == 0) ++free_below;
+  }
+  return static_cast<rlim_t>(limit);
+}
+
+/// Start opens five descriptors: the listener socket, the wake pipe's
+/// two ends, the epoll set, and the emergency reserve. Capping
+/// RLIMIT_NOFILE so that only k more fit (k = 0..4) makes socket,
+/// pipe2, epoll_create1 and the reserve fail in turn. Each failure must
+/// be loud (false plus an error naming the failed step) and must close
+/// every fd opened before it; with the limit restored, Start succeeds.
+TEST(ServeSchedulingTest, StartFailsLoudlyAndLeaksNoFdUnderFdLimit) {
+  const char* const kFailedStep[] = {"socket", "wake pipe", "wake pipe",
+                                     "epoll_create1", "emergency fd"};
+  ContextManager manager;
+  ServerOptions options;
+  options.workers = 1;
+  struct rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  for (int k = 0; k <= 4; ++k) {
+    const std::set<int> before = OpenFds();
+    ASSERT_FALSE(before.empty()) << "/proc/self/fd unreadable";
+    struct rlimit capped = saved;
+    capped.rlim_cur = LimitLeavingFree(before, k);
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &capped), 0) << "k=" << k;
+    std::string error;
+    bool started;
+    {
+      ServeExecutor server(&manager, options);
+      started = server.Start(&error);
+    }
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+    EXPECT_FALSE(started) << "k=" << k;
+    EXPECT_NE(error.find(kFailedStep[k]), std::string::npos)
+        << "k=" << k << ": " << error;
+    EXPECT_EQ(OpenFds(), before) << "k=" << k << ": " << error;
+  }
+  ServeExecutor server(&manager, options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  Client client(static_cast<int>(server.port()));
+  ASSERT_TRUE(client.Send("TABLES\n"));
+  const std::vector<std::string> lines = client.ReadLines(1);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0].rfind("OK TABLES", 0), 0u) << lines[0];
+  server.Shutdown();
+}
+
+/// Linux accept() reports EMFILE on a full fd table even when nobody is
+/// waiting in the backlog. The emergency-fd path must then let the loop
+/// go idle instead of spinning on the empty backlog: with Start's five
+/// fds exactly filling the table, an idle server burns (almost) no CPU,
+/// and it serves normally once descriptors free up.
+TEST(ServeSchedulingTest, FullFdTableLeavesTheLoopIdle) {
+  ContextManager manager;
+  ServerOptions options;
+  options.workers = 1;
+  ServeExecutor server(&manager, options);
+  struct rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  struct rlimit capped = saved;
+  capped.rlim_cur = LimitLeavingFree(OpenFds(), 5);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &capped), 0);
+  std::string error;
+  const bool started = server.Start(&error);
+  const auto cpu_ms = [] {
+    timespec now{};
+    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
+    return now.tv_sec * 1e3 + now.tv_nsec / 1e6;
+  };
+  const double cpu_before = cpu_ms();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const double idle_cpu_ms = cpu_ms() - cpu_before;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_TRUE(started) << error;
+  // A spinning accept loop burns the whole 500 ms window.
+  EXPECT_LT(idle_cpu_ms, 150.0);
+
+  Client client(static_cast<int>(server.port()));
+  ASSERT_TRUE(client.Send("TABLES\n"));
+  const std::vector<std::string> lines = client.ReadLines(1);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0].rfind("OK TABLES", 0), 0u) << lines[0];
   server.Shutdown();
 }
 
@@ -184,7 +279,6 @@ TEST(ServeSchedulingTest, LightTableNotStarvedBehindHotBacklog) {
   ContextManager manager;
   ServerOptions options;
   options.workers = 1;
-  options.io_threads = 1;
   ServeExecutor server(&manager, options);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;

@@ -55,15 +55,6 @@ class ScopedKernelEnv : public ScopedEnvVar {
       : ScopedEnvVar("MANIRANK_KERNEL", value) {}
 };
 
-/// Forces MANIRANK_POLLER (the serving event-poller override) for one
-/// scope: "epoll", "poll", "auto", or nullptr (= auto). Read once per
-/// ServeExecutor::Start, so scope it around server construction+Start.
-class ScopedPollerEnv : public ScopedEnvVar {
- public:
-  explicit ScopedPollerEnv(const char* value)
-      : ScopedEnvVar("MANIRANK_POLLER", value) {}
-};
-
 /// Every precedence kernel this machine can run: the scalar reference and
 /// portable bit-sliced always, AVX2 when the CPU supports it.
 inline std::vector<std::string> AllPrecedenceKernels() {
