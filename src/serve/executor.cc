@@ -99,14 +99,6 @@ int OpenListener(int port, int* bound_port, std::string* error) {
   return listener;
 }
 
-std::vector<std::string> SplitTokens(const std::string& line) {
-  std::istringstream in(line);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (in >> token) tokens.push_back(std::move(token));
-  return tokens;
-}
-
 /// Per-pass byte budget for one replication pump: bounds both the file
 /// read on the loop thread and the response-buffer growth per stream.
 constexpr size_t kReplPumpBytes = 256u << 10;
@@ -981,15 +973,19 @@ ServeExecutor::Request* ServeExecutor::ScheduleLine(
     // to the dispatcher, which answers the precise ERR; the "streaming
     // front end" rejection it would give a VALID request never surfaces
     // here because that case is intercepted.
-    const std::vector<std::string> tokens = SplitTokens(line);
-    if (tokens.size() == 2 && manager_->Has(tokens[1])) {
+    // Split exactly as the dispatcher splits it, so both agree on which
+    // table (if any) a REPLICATE line names.
+    RequestTokenizer tokenizer(line);
+    tokenizer.Next();  // REPLICATE
+    const std::string table(tokenizer.Next());
+    if (!table.empty() && tokenizer.Next().empty() && manager_->Has(table)) {
       if (conn->unfinished.empty() && conn->repl == nullptr) {
         // We are on the loop thread (the only ScheduleLine
         // caller), so flipping the read-side flag here is safe;
         // HandleReadable stops parsing the moment it observes it.
         conn->scheduling_reads = false;
         conn->repl = std::make_unique<Conn::Repl>();
-        conn->repl->table = tokens[1];
+        conn->repl->table = table;
         repl_conns_.emplace(conn.get(), conn);
         loop_->repl_streams.push_back(conn);
         const std::shared_ptr<Conn> stream = conn;

@@ -1,14 +1,17 @@
 #include "serve/protocol.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <istream>
 #include <limits>
 #include <optional>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "data/csv.h"
@@ -19,42 +22,49 @@
 namespace manirank::serve {
 namespace {
 
-/// Whitespace tokenizer that also splits ';' into its own token, so an
-/// APPEND payload may write "0 1 2; 2 1 0" or "0 1 2 ; 2 1 0".
-std::vector<std::string> Tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::string current;
-  for (char c : line) {
-    if (c == ' ' || c == '\t' || c == '\r') {
-      if (!current.empty()) tokens.push_back(std::move(current));
-      current.clear();
-    } else if (c == ';') {
-      if (!current.empty()) tokens.push_back(std::move(current));
-      current.clear();
-      tokens.emplace_back(";");
-    } else {
-      current.push_back(c);
-    }
-  }
-  if (!current.empty()) tokens.push_back(std::move(current));
-  return tokens;
-}
+/// A request's fields as views into its line (see RequestTokenizer).
+using Tokens = std::vector<std::string_view>;
 
-std::optional<long> ParseLong(const std::string& token) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(token.c_str(), &end, 10);
-  if (end == token.c_str() || *end != '\0' || errno == ERANGE) {
+/// Parses a whole token as a base-10 long, accepting exactly the tokens
+/// strtol(token, 10) consumes to their end: leading isspace bytes, one
+/// optional sign, digits (leading zeros allowed), nothing out of range. A
+/// NUL byte ends the token as it would end strtol's C string.
+std::optional<long> ParseLong(std::string_view token) {
+  const char* p = token.data();
+  const char* const end = p + token.size();
+  while (p != end && (*p == ' ' || (*p >= '\t' && *p <= '\r'))) ++p;
+  // from_chars takes '-' but not '+'. A digit must follow the '+', or
+  // "+-3" would parse.
+  if (p != end && *p == '+') {
+    ++p;
+    if (p == end || *p < '0' || *p > '9') return std::nullopt;
+  }
+  long value = 0;
+  const auto [last, ec] = std::from_chars(p, end, value);
+  if (ec != std::errc() || (last != end && *last != '\0')) {
     return std::nullopt;
   }
-  return v;
+  return value;
 }
 
-std::optional<double> ParseDouble(const std::string& token) {
+/// ParseLong bound-checked before the int32 cast: ids beyond CandidateId
+/// would otherwise truncate and alias a valid candidate.
+std::optional<CandidateId> ParseCandidateId(std::string_view token) {
+  const auto c = ParseLong(token);
+  if (!c || *c < 0 || *c > std::numeric_limits<CandidateId>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<CandidateId>(*c);
+}
+
+std::optional<double> ParseDouble(std::string_view token) {
+  // Cold path (RUN / SELECT / SNAPSHOT-POLICY options): strtod wants a
+  // NUL-terminated string.
+  const std::string copy(token);
   errno = 0;
   char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || *end != '\0' || errno == ERANGE) {
+  const double v = std::strtod(copy.c_str(), &end);
+  if (end == copy.c_str() || *end != '\0' || errno == ERANGE) {
     return std::nullopt;
   }
   return v;
@@ -64,24 +74,80 @@ std::string Err(const char* code, const std::string& detail) {
   return std::string("ERR ") + code + ": " + detail;
 }
 
-/// Formats one method result as "<id> sat=<0|1> consensus=<c0,c1,...>".
-void AppendMethodResult(std::ostringstream* os, const std::string& id,
-                        const ConsensusOutput& out) {
-  *os << ' ' << id << " sat=" << (out.satisfied ? 1 : 0) << " consensus=";
-  const std::vector<CandidateId>& order = out.consensus.order();
-  for (size_t i = 0; i < order.size(); ++i) {
-    if (i != 0) *os << ',';
-    *os << order[i];
-  }
+std::string BadCandidateId(std::string_view token) {
+  return Err("bad-ranking",
+             "candidate id must be a non-negative integer, got '" +
+                 std::string(token) + "'");
 }
 
-std::string HandleCreate(ContextManager* manager,
-                         const std::vector<std::string>& tokens) {
+/// One response line, built in a single string with the bytes an
+/// std::ostringstream would write: integers through std::to_chars,
+/// doubles as "%g" (to_chars general, precision 6 — the ostream
+/// default), text verbatim.
+class ResponseLine {
+ public:
+  ResponseLine& operator<<(std::string_view text) {
+    text_.append(text);
+    return *this;
+  }
+  ResponseLine& operator<<(char c) {
+    text_.push_back(c);
+    return *this;
+  }
+  ResponseLine& operator<<(double v) {
+    char buf[32];
+    const auto result = std::to_chars(buf, buf + sizeof(buf), v,
+                                      std::chars_format::general, 6);
+    text_.append(buf, result.ptr);
+    return *this;
+  }
+  template <typename Int,
+            typename = std::enable_if_t<std::is_integral_v<Int> &&
+                                        !std::is_same_v<Int, bool> &&
+                                        !std::is_same_v<Int, char>>>
+  ResponseLine& operator<<(Int v) {
+    char buf[24];
+    const auto result = std::to_chars(buf, buf + sizeof(buf), v);
+    text_.append(buf, result.ptr);
+    return *this;
+  }
+
+  /// Appends "c0,c1,..." formatted in place: one resize to the widest
+  /// possible rendering, then one shrink to what was written.
+  ResponseLine& AppendIds(const std::vector<CandidateId>& ids) {
+    // Digits, sign, and the ',' separator.
+    constexpr size_t kMaxWidth =
+        std::numeric_limits<CandidateId>::digits10 + 3;
+    const size_t at = text_.size();
+    text_.resize(at + ids.size() * kMaxWidth);
+    char* p = text_.data() + at;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if (i != 0) *p++ = ',';
+      p = std::to_chars(p, p + kMaxWidth, ids[i]).ptr;
+    }
+    text_.resize(static_cast<size_t>(p - text_.data()));
+    return *this;
+  }
+
+  std::string str() && { return std::move(text_); }
+
+ private:
+  std::string text_;
+};
+
+/// Formats one method result as "<id> sat=<0|1> consensus=<c0,c1,...>".
+void AppendMethodResult(ResponseLine* os, const std::string& id,
+                        const ConsensusOutput& out) {
+  *os << ' ' << id << " sat=" << (out.satisfied ? 1 : 0) << " consensus=";
+  os->AppendIds(out.consensus.order());
+}
+
+std::string HandleCreate(ContextManager* manager, const Tokens& tokens) {
   if (tokens.size() < 3) {
     return Err("bad-request", "CREATE <table> FILE <csv> | CYCLIC <n> <d0> <d1>");
   }
-  const std::string& table_name = tokens[1];
-  const std::string& kind = tokens[2];
+  const std::string table_name(tokens[1]);
+  const std::string_view kind = tokens[2];
   std::optional<CandidateTable> table;
   std::vector<Ranking> initial;
   if (kind == "CYCLIC") {
@@ -110,17 +176,19 @@ std::string HandleCreate(ContextManager* manager,
       return Err("bad-request",
                  "CREATE <table> FILE <csv> [RANKINGS <csv>]");
     }
-    std::ifstream table_file(tokens[3]);
-    if (!table_file) return Err("io", "cannot open table file: " + tokens[3]);
+    const std::string table_path(tokens[3]);
+    std::ifstream table_file(table_path);
+    if (!table_file) return Err("io", "cannot open table file: " + table_path);
     try {
       table = ReadCandidateTableCsv(table_file);
     } catch (const std::exception& e) {
       return Err("io", "table csv: " + std::string(e.what()));
     }
     if (tokens.size() == 6) {
-      std::ifstream rankings_file(tokens[5]);
+      const std::string rankings_path(tokens[5]);
+      std::ifstream rankings_file(rankings_path);
       if (!rankings_file) {
-        return Err("io", "cannot open rankings file: " + tokens[5]);
+        return Err("io", "cannot open rankings file: " + rankings_path);
       }
       try {
         initial = ReadRankingsCsv(rankings_file);
@@ -130,26 +198,29 @@ std::string HandleCreate(ContextManager* manager,
     }
   } else {
     return Err("bad-request", "CREATE source must be FILE or CYCLIC, got '" +
-                                  kind + "'");
+                                  std::string(kind) + "'");
   }
   const int n = table->num_candidates();
   const size_t m = initial.size();
   manager->Create(table_name, std::move(*table), std::move(initial));
-  std::ostringstream os;
+  ResponseLine os;
   os << "OK CREATE " << table_name << " candidates=" << n
      << " rankings=" << m;
-  return os.str();
+  return std::move(os).str();
 }
 
-std::string HandleAppend(ContextManager* manager,
-                         const std::vector<std::string>& tokens) {
-  if (tokens.size() < 3) {
+/// APPEND parses its payload straight off the tokenizer — no token
+/// vector, no per-id string.
+std::string HandleAppend(ContextManager* manager, RequestTokenizer* tokens) {
+  const std::string_view table = tokens->Next();
+  std::string_view token = tokens->Next();
+  if (token.empty()) {
     return Err("bad-request", "APPEND <table> <c0> <c1> ... [; ...]");
   }
   std::vector<Ranking> batch;
   std::vector<CandidateId> order;
-  for (size_t i = 2; i <= tokens.size(); ++i) {
-    if (i == tokens.size() || tokens[i] == ";") {
+  for (;; token = tokens->Next()) {
+    if (token.empty() || token == ";") {
       if (order.empty()) {
         return Err("bad-ranking", "empty ranking in APPEND payload");
       }
@@ -158,52 +229,48 @@ std::string HandleAppend(ContextManager* manager,
                    "APPEND payload is not a permutation of 0..n-1");
       }
       batch.emplace_back(std::move(order));
-      order.clear();
+      if (token.empty()) break;
+      // Rankings of one table share a length: size the next one exactly.
+      order = std::vector<CandidateId>();
+      order.reserve(batch.back().size());
       continue;
     }
-    const auto c = ParseLong(tokens[i]);
-    // Bound-check before the int32 cast: ids beyond CandidateId would
-    // otherwise truncate and alias a valid candidate.
-    if (!c || *c < 0 || *c > std::numeric_limits<CandidateId>::max()) {
-      return Err("bad-ranking",
-                 "candidate id must be a non-negative integer, got '" +
-                     tokens[i] + "'");
-    }
-    order.push_back(static_cast<CandidateId>(*c));
+    const auto c = ParseCandidateId(token);
+    if (!c) return BadCandidateId(token);
+    order.push_back(*c);
   }
   const size_t queued = batch.size();
-  const TableStats stats = manager->Append(tokens[1], std::move(batch));
-  std::ostringstream os;
-  os << "OK APPEND " << tokens[1] << " queued=" << queued
+  const std::string name(table);
+  const TableStats stats = manager->Append(name, std::move(batch));
+  ResponseLine os;
+  os << "OK APPEND " << name << " queued=" << queued
      << " pending_ops=" << stats.pending_ops
      << " pending_rankings=" << stats.pending_rankings;
-  return os.str();
+  return std::move(os).str();
 }
 
-std::string HandleEval(ContextManager* manager,
-                       const std::vector<std::string>& tokens) {
-  if (tokens.size() < 3) {
+/// EVAL parses its ranking straight off the tokenizer, like APPEND.
+std::string HandleEval(ContextManager* manager, RequestTokenizer* tokens) {
+  const std::string_view table = tokens->Next();
+  std::string_view token = tokens->Next();
+  if (token.empty()) {
     return Err("bad-request", "EVAL <table> <c0> <c1> ...");
   }
   std::vector<CandidateId> order;
-  order.reserve(tokens.size() - 2);
-  for (size_t i = 2; i < tokens.size(); ++i) {
-    const auto c = ParseLong(tokens[i]);
-    // Same bound-check-before-cast discipline as APPEND.
-    if (!c || *c < 0 || *c > std::numeric_limits<CandidateId>::max()) {
-      return Err("bad-ranking",
-                 "candidate id must be a non-negative integer, got '" +
-                     tokens[i] + "'");
-    }
-    order.push_back(static_cast<CandidateId>(*c));
+  // Every id takes at least one byte plus a separator.
+  order.reserve(tokens->remaining() / 2 + 1);
+  for (; !token.empty(); token = tokens->Next()) {
+    const auto c = ParseCandidateId(token);
+    if (!c) return BadCandidateId(token);
+    order.push_back(*c);
   }
   if (!Ranking::IsValidOrder(order)) {
     return Err("bad-ranking", "EVAL payload is not a permutation of 0..n-1");
   }
-  const EvalResult result =
-      manager->Eval(tokens[1], Ranking(std::move(order)));
-  std::ostringstream os;
-  os << "OK EVAL " << tokens[1] << " gen=" << result.generation
+  const std::string name(table);
+  const EvalResult result = manager->Eval(name, Ranking(std::move(order)));
+  ResponseLine os;
+  os << "OK EVAL " << name << " gen=" << result.generation
      << " method=" << result.method << " tau=" << result.tau
      << " ntau=" << result.normalized_tau << " parity=";
   for (size_t i = 0; i < result.fairness.parity.size(); ++i) {
@@ -237,18 +304,17 @@ std::string HandleEval(ContextManager* manager,
     os << " ifpr_max=" << max_g << ':' << inter[max_g]
        << " ifpr_min=" << min_g << ':' << inter[min_g];
   }
-  return os.str();
+  return std::move(os).str();
 }
 
-std::string HandleSelect(ContextManager* manager,
-                         const std::vector<std::string>& tokens) {
+std::string HandleSelect(ContextManager* manager, const Tokens& tokens) {
   static constexpr char kUsage[] =
       "SELECT <table> <k> [ATTR <a> <g> <min> <max>]* [INTER <g> <min> "
       "<max>]* [LIMIT <s>]";
   if (tokens.size() < 3) return Err("bad-request", kUsage);
   // Every numeric field is bound-checked before its int cast, like
   // APPEND's candidate ids: an id beyond int would otherwise truncate.
-  const auto parse_int = [](const std::string& token) -> std::optional<int> {
+  const auto parse_int = [](std::string_view token) -> std::optional<int> {
     const auto v = ParseLong(token);
     if (!v || *v < 0 || *v > std::numeric_limits<int>::max()) {
       return std::nullopt;
@@ -257,14 +323,14 @@ std::string HandleSelect(ContextManager* manager,
   };
   const auto k = parse_int(tokens[2]);
   if (!k || *k < 1) {
-    return Err("bad-request",
-               "SELECT k must be a positive integer, got '" + tokens[2] + "'");
+    return Err("bad-request", "SELECT k must be a positive integer, got '" +
+                                  std::string(tokens[2]) + "'");
   }
   SelectQuery query;
   query.k = *k;
   size_t i = 3;
   while (i < tokens.size()) {
-    const std::string& clause = tokens[i];
+    const std::string clause(tokens[i]);
     if (clause == "ATTR" || clause == "INTER") {
       const size_t arity = clause == "ATTR" ? 4 : 3;
       if (i + arity + 1 > tokens.size()) {
@@ -280,7 +346,7 @@ std::string HandleSelect(ContextManager* manager,
           return Err("bad-request",
                      "ATTR attribute index must be a non-negative integer, "
                      "got '" +
-                         tokens[j - 1] + "'");
+                         std::string(tokens[j - 1]) + "'");
         }
         spec.attribute = *a;
       } else {
@@ -306,7 +372,7 @@ std::string HandleSelect(ContextManager* manager,
       // `> 0` also rejects NaN.
       if (!seconds || !(*seconds > 0)) {
         return Err("bad-request", "LIMIT needs a positive number, got '" +
-                                      tokens[i + 1] + "'");
+                                      std::string(tokens[i + 1]) + "'");
       }
       query.time_limit_seconds = *seconds;
       i += 2;
@@ -315,7 +381,8 @@ std::string HandleSelect(ContextManager* manager,
                                     kUsage);
     }
   }
-  const SelectOutcome outcome = manager->Select(tokens[1], query);
+  const std::string table(tokens[1]);
+  const SelectOutcome outcome = manager->Select(table, query);
   if (!outcome.feasible) {
     // A well-formed query whose constraints admit no size-k slate: a
     // distinct code (the computation succeeded — only the answer is
@@ -325,8 +392,8 @@ std::string HandleSelect(ContextManager* manager,
                                  std::to_string(query.k) +
                                  " under the given constraints");
   }
-  std::ostringstream os;
-  os << "OK SELECT " << tokens[1] << " gen=" << outcome.generation
+  ResponseLine os;
+  os << "OK SELECT " << table << " gen=" << outcome.generation
      << " k=" << query.k << " method=" << outcome.method
      << " algo=" << (outcome.used_ilp ? "ilp" : "greedy")
      << " optimal=" << (outcome.optimal ? 1 : 0) << " cost=" << outcome.cost
@@ -336,15 +403,11 @@ std::string HandleSelect(ContextManager* manager,
     os << outcome.air[g];
   }
   os << " four_fifths=" << (outcome.four_fifths ? 1 : 0) << " selected=";
-  for (size_t c = 0; c < outcome.selected.size(); ++c) {
-    if (c != 0) os << ',';
-    os << outcome.selected[c];
-  }
-  return os.str();
+  os.AppendIds(outcome.selected);
+  return std::move(os).str();
 }
 
-std::string HandleRun(ContextManager* manager,
-                      const std::vector<std::string>& tokens) {
+std::string HandleRun(ContextManager* manager, const Tokens& tokens) {
   if (tokens.size() < 3) {
     return Err("bad-request", "RUN <table> <method|all> [DELTA <d>] [LIMIT <s>]");
   }
@@ -352,7 +415,8 @@ std::string HandleRun(ContextManager* manager,
   options.time_limit_seconds = 30.0;
   for (size_t i = 3; i < tokens.size(); i += 2) {
     if (i + 1 >= tokens.size()) {
-      return Err("bad-request", "RUN option " + tokens[i] + " needs a value");
+      return Err("bad-request",
+                 "RUN option " + std::string(tokens[i]) + " needs a value");
     }
     const auto value = ParseDouble(tokens[i + 1]);
     // `>= 0` also rejects NaN for both options.
@@ -361,13 +425,13 @@ std::string HandleRun(ContextManager* manager,
     } else if (tokens[i] == "LIMIT" && value && *value >= 0) {
       options.time_limit_seconds = *value;
     } else {
-      return Err("bad-request",
-                 "bad RUN option: " + tokens[i] + " " + tokens[i + 1]);
+      return Err("bad-request", "bad RUN option: " + std::string(tokens[i]) +
+                                    " " + std::string(tokens[i + 1]));
     }
   }
-  const std::string& table = tokens[1];
-  const std::string& method = tokens[2];
-  std::ostringstream os;
+  const std::string table(tokens[1]);
+  const std::string_view method = tokens[2];
+  ResponseLine os;
   uint64_t generation = 0;
   if (method == "all") {
     // One shared-gate hold for the whole sweep (retained tables serve all
@@ -385,44 +449,44 @@ std::string HandleRun(ContextManager* manager,
     os << "OK RUN " << table << " gen=" << generation;
     AppendMethodResult(&os, FindMethod(method)->id, output);
   }
-  return os.str();
+  return std::move(os).str();
 }
 
-std::string HandleSnapshot(ContextManager* manager,
-                           const std::vector<std::string>& tokens) {
+std::string HandleSnapshot(ContextManager* manager, const Tokens& tokens) {
   if (tokens.size() != 3 && !(tokens.size() == 4 && tokens[3] == "EXACT")) {
     return Err("bad-request", "SNAPSHOT <table> <path> [EXACT]");
   }
   const bool exact = tokens.size() == 4;
+  const std::string table(tokens[1]);
+  const std::string path(tokens[2]);
   // Probe the write target BEFORE draining: the common failure — an
   // unwritable path — must reject with zero state change, keeping the
   // ERR-implies-untouched contract. Only a failure of the stream itself
   // (e.g. disk full mid-write) can still follow the drain; the completed
   // drain then stands, exactly as a FLUSH would.
-  if (!ProbeSnapshotWritable(tokens[2])) {
-    return Err("io", "cannot open snapshot for writing: " + tokens[2]);
+  if (!ProbeSnapshotWritable(path)) {
+    return Err("io", "cannot open snapshot for writing: " + path);
   }
   const TableSnapshot snapshot = manager->SnapshotTable(
-      tokens[1],
-      exact ? SnapshotMode::kExact : SnapshotMode::kSummarized);
+      table, exact ? SnapshotMode::kExact : SnapshotMode::kSummarized);
   try {
-    WriteTableSnapshotFile(tokens[2], snapshot);
+    WriteTableSnapshotFile(path, snapshot);
   } catch (const std::runtime_error& e) {
     return Err("io", e.what());
   }
-  std::ostringstream os;
-  os << "OK SNAPSHOT " << tokens[1]
+  ResponseLine os;
+  os << "OK SNAPSHOT " << table
      << " rankings=" << snapshot.summary.num_rankings
      << " generation=" << snapshot.summary.generation
      << " precedence=" << (snapshot.summary.precedence != nullptr ? 1 : 0);
   if (exact) os << " exact=1";
-  os << " path=" << tokens[2];
-  return os.str();
+  os << " path=" << path;
+  return std::move(os).str();
 }
 
 std::string HandleSnapshotPolicy(ContextManager* manager,
                                  DurabilityManager* durability,
-                                 const std::vector<std::string>& tokens) {
+                                 const Tokens& tokens) {
   static constexpr char kUsage[] =
       "SNAPSHOT-POLICY <table> GENERATIONS <n> | SECONDS <s> | OFF";
   if (tokens.size() < 3) return Err("bad-request", kUsage);
@@ -430,8 +494,8 @@ std::string HandleSnapshotPolicy(ContextManager* manager,
     return Err("unavailable",
                "SNAPSHOT-POLICY requires the --log-dir durability layer");
   }
-  const std::string& table = tokens[1];
-  const std::string& mode = tokens[2];
+  const std::string table(tokens[1]);
+  const std::string_view mode = tokens[2];
   DurabilityManager::Policy policy;
   if (mode == "OFF") {
     if (tokens.size() != 3) {
@@ -443,9 +507,8 @@ std::string HandleSnapshotPolicy(ContextManager* manager,
     }
     const auto n = ParseLong(tokens[3]);
     if (!n || *n < 1) {
-      return Err("bad-request",
-                 "GENERATIONS needs a positive integer, got '" + tokens[3] +
-                     "'");
+      return Err("bad-request", "GENERATIONS needs a positive integer, got '" +
+                                    std::string(tokens[3]) + "'");
     }
     policy.kind = DurabilityManager::Policy::Kind::kGenerations;
     policy.every_generations = static_cast<uint64_t>(*n);
@@ -456,8 +519,8 @@ std::string HandleSnapshotPolicy(ContextManager* manager,
     const auto s = ParseDouble(tokens[3]);
     // `> 0` also rejects NaN.
     if (!s || !(*s > 0)) {
-      return Err("bad-request",
-                 "SECONDS needs a positive number, got '" + tokens[3] + "'");
+      return Err("bad-request", "SECONDS needs a positive number, got '" +
+                                    std::string(tokens[3]) + "'");
     }
     policy.kind = DurabilityManager::Policy::Kind::kSeconds;
     policy.every_seconds = *s;
@@ -468,20 +531,19 @@ std::string HandleSnapshotPolicy(ContextManager* manager,
     return Err("no-such-table", "no such table: " + table);
   }
   durability->SetPolicy(table, policy);
-  std::ostringstream os;
+  ResponseLine os;
   os << "OK SNAPSHOT-POLICY " << table << ' ' << mode;
   if (tokens.size() == 4) os << ' ' << tokens[3];
-  return os.str();
+  return std::move(os).str();
 }
 
-std::string HandleRestore(ContextManager* manager,
-                          const std::vector<std::string>& tokens) {
+std::string HandleRestore(ContextManager* manager, const Tokens& tokens) {
   if (tokens.size() != 3) {
     return Err("bad-request", "RESTORE <table> <path>");
   }
   std::optional<TableSnapshot> snapshot;
   try {
-    snapshot.emplace(ReadTableSnapshotFile(tokens[2]));
+    snapshot.emplace(ReadTableSnapshotFile(std::string(tokens[2])));
   } catch (const SnapshotFormatError& e) {
     // Corrupt / truncated / version-mismatched file: distinct code, and
     // nothing was registered — the manager state is untouched.
@@ -489,13 +551,13 @@ std::string HandleRestore(ContextManager* manager,
   } catch (const std::runtime_error& e) {
     return Err("io", e.what());
   }
-  const TableStats stats =
-      manager->RestoreTable(tokens[1], std::move(*snapshot));
-  std::ostringstream os;
-  os << "OK RESTORE " << tokens[1] << " candidates=" << stats.num_candidates
+  const std::string table(tokens[1]);
+  const TableStats stats = manager->RestoreTable(table, std::move(*snapshot));
+  ResponseLine os;
+  os << "OK RESTORE " << table << " candidates=" << stats.num_candidates
      << " rankings=" << stats.num_rankings
      << " generation=" << stats.generation;
-  return os.str();
+  return std::move(os).str();
 }
 
 }  // namespace
@@ -514,23 +576,36 @@ std::string Dispatcher::Handle(const std::string& line) {
 }
 
 std::string Dispatcher::HandleRequest(const std::string& line) {
-  const std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.empty() || tokens[0][0] == '#') return "";
-  const std::string& verb = tokens[0];
+  RequestTokenizer tokenizer(line);
+  const std::string_view verb = tokenizer.Next();
+  if (verb.empty() || verb[0] == '#') return "";
   try {
+    // The payload verbs read their ids straight off the tokenizer.
+    if (verb == "APPEND") return HandleAppend(manager_, &tokenizer);
+    if (verb == "EVAL") return HandleEval(manager_, &tokenizer);
+    Tokens tokens = {verb};
+    for (std::string_view t = tokenizer.Next(); !t.empty();
+         t = tokenizer.Next()) {
+      tokens.push_back(t);
+    }
     if (verb == "CREATE") return HandleCreate(manager_, tokens);
-    if (verb == "APPEND") return HandleAppend(manager_, tokens);
     if (verb == "RUN") return HandleRun(manager_, tokens);
-    if (verb == "EVAL") return HandleEval(manager_, tokens);
     if (verb == "SELECT") return HandleSelect(manager_, tokens);
+    if (verb == "SNAPSHOT") return HandleSnapshot(manager_, tokens);
+    if (verb == "SNAPSHOT-POLICY") {
+      return HandleSnapshotPolicy(manager_, durability_, tokens);
+    }
+    if (verb == "RESTORE") return HandleRestore(manager_, tokens);
+    const std::string table =
+        tokens.size() > 1 ? std::string(tokens[1]) : std::string();
     if (verb == "REPLICATE") {
       // The executor intercepts REPLICATE before dispatch; reaching this
       // handler means the front end cannot switch the connection into a
       // binary stream (stdin, script replay). Validate anyway so every
       // front end agrees on the failure modes.
       if (tokens.size() != 2) return Err("bad-request", "REPLICATE <table>");
-      if (!manager_->Has(tokens[1])) {
-        return Err("no-such-table", "no such table: " + tokens[1]);
+      if (!manager_->Has(table)) {
+        return Err("no-such-table", "no such table: " + table);
       }
       if (durability_ == nullptr) {
         return Err("unavailable",
@@ -539,11 +614,6 @@ std::string Dispatcher::HandleRequest(const std::string& line) {
       return Err("unavailable",
                  "REPLICATE requires a streaming socket front end");
     }
-    if (verb == "SNAPSHOT") return HandleSnapshot(manager_, tokens);
-    if (verb == "SNAPSHOT-POLICY") {
-      return HandleSnapshotPolicy(manager_, durability_, tokens);
-    }
-    if (verb == "RESTORE") return HandleRestore(manager_, tokens);
     if (verb == "REMOVE") {
       if (tokens.size() != 3) {
         return Err("bad-request", "REMOVE <table> <index>");
@@ -552,20 +622,20 @@ std::string Dispatcher::HandleRequest(const std::string& line) {
       if (!index || *index < 0) {
         return Err("bad-index",
                    "REMOVE index must be a non-negative integer, got '" +
-                       tokens[2] + "'");
+                       std::string(tokens[2]) + "'");
       }
       const TableStats stats =
-          manager_->Remove(tokens[1], static_cast<size_t>(*index));
-      std::ostringstream os;
-      os << "OK REMOVE " << tokens[1] << " index=" << *index
+          manager_->Remove(table, static_cast<size_t>(*index));
+      ResponseLine os;
+      os << "OK REMOVE " << table << " index=" << *index
          << " pending_ops=" << stats.pending_ops;
-      return os.str();
+      return std::move(os).str();
     }
     if (verb == "STATS") {
       if (tokens.size() != 2) return Err("bad-request", "STATS <table>");
-      const TableStats stats = manager_->Stats(tokens[1]);
-      std::ostringstream os;
-      os << "OK STATS " << tokens[1] << " candidates=" << stats.num_candidates
+      const TableStats stats = manager_->Stats(table);
+      ResponseLine os;
+      os << "OK STATS " << table << " candidates=" << stats.num_candidates
          << " rankings=" << stats.num_rankings
          << " generation=" << stats.generation
          << " pending_ops=" << stats.pending_ops
@@ -588,7 +658,7 @@ std::string Dispatcher::HandleRequest(const std::string& line) {
            << " replica_connected=" << (stats.replica_connected ? 1 : 0);
       }
       if (durability_ != nullptr) {
-        const auto d = durability_->StatsFor(tokens[1]);
+        const auto d = durability_->StatsFor(table);
         if (d.has_value()) {
           os << " oplog_records=" << d->log_records
              << " oplog_bytes=" << d->log_bytes
@@ -598,27 +668,27 @@ std::string Dispatcher::HandleRequest(const std::string& line) {
              << " oplog_healthy=" << (d->healthy ? 1 : 0);
         }
       }
-      return os.str();
+      return std::move(os).str();
     }
     if (verb == "FLUSH") {
       if (tokens.size() != 2) return Err("bad-request", "FLUSH <table>");
-      const size_t applied = manager_->Flush(tokens[1]);
-      std::ostringstream os;
-      os << "OK FLUSH " << tokens[1] << " applied=" << applied;
-      return os.str();
+      const size_t applied = manager_->Flush(table);
+      ResponseLine os;
+      os << "OK FLUSH " << table << " applied=" << applied;
+      return std::move(os).str();
     }
     if (verb == "DROP") {
       if (tokens.size() != 2) return Err("bad-request", "DROP <table>");
-      manager_->Drop(tokens[1]);
-      return "OK DROP " + tokens[1];
+      manager_->Drop(table);
+      return "OK DROP " + table;
     }
     if (verb == "TABLES") {
       if (tokens.size() != 1) return Err("bad-request", "TABLES");
-      std::ostringstream os;
+      ResponseLine os;
       const std::vector<std::string> names = manager_->TableNames();
       os << "OK TABLES " << names.size();
       for (const std::string& name : names) os << ' ' << name;
-      return os.str();
+      return std::move(os).str();
     }
     if (verb == "METRICS") {
       if (tokens.size() != 1) return Err("bad-request", "METRICS");
@@ -628,7 +698,7 @@ std::string Dispatcher::HandleRequest(const std::string& line) {
       }
       return metrics_provider_();
     }
-    return Err("unknown-verb", verb);
+    return Err("unknown-verb", std::string(verb));
   } catch (const std::out_of_range& e) {
     return Err("bad-index", e.what());
   } catch (const ReadOnlyTableError& e) {
@@ -692,27 +762,9 @@ int Dispatcher::ServeStream(std::istream& in, std::ostream& out, bool echo) {
 
 RequestClass ClassifyRequest(const std::string& line) {
   // Only the first two tokens matter, and an APPEND payload can be
-  // megabytes — scan just the prefix instead of tokenizing the line
-  // (Handle re-tokenizes anyway). The scan mirrors Tokenize exactly:
-  // space/tab/CR separate, ';' is always its own token.
-  const auto is_space = [](char c) {
-    return c == ' ' || c == '\t' || c == '\r';
-  };
-  const auto next_token = [&](size_t* pos) {
-    while (*pos < line.size() && is_space(line[*pos])) ++*pos;
-    const size_t begin = *pos;
-    if (begin == line.size()) return std::string();
-    if (line[begin] == ';') {
-      ++*pos;
-      return std::string(";");
-    }
-    while (*pos < line.size() && !is_space(line[*pos]) && line[*pos] != ';') {
-      ++*pos;
-    }
-    return line.substr(begin, *pos - begin);
-  };
-  size_t pos = 0;
-  const std::string verb = next_token(&pos);
+  // megabytes — read just the prefix (Handle tokenizes the rest).
+  RequestTokenizer tokenizer(line);
+  const std::string_view verb = tokenizer.Next();
   RequestClass cls;
   if (verb.empty() || verb[0] == '#') {
     cls.no_response = true;
@@ -723,10 +775,9 @@ RequestClass ClassifyRequest(const std::string& line) {
                          verb == "RUN" || verb == "STATS" ||
                          verb == "FLUSH" || verb == "EVAL" ||
                          verb == "SELECT";
-  std::string table;
-  if (per_table) table = next_token(&pos);
-  if (per_table && !table.empty()) {
-    cls.table = std::move(table);
+  const std::string_view table = per_table ? tokenizer.Next() : std::string_view();
+  if (!table.empty()) {
+    cls.table = std::string(table);
     cls.draining = verb == "RUN" || verb == "FLUSH";
     cls.compute = verb == "EVAL" || verb == "SELECT";
   } else {

@@ -1,9 +1,11 @@
 #ifndef MANIRANK_SERVE_PROTOCOL_H_
 #define MANIRANK_SERVE_PROTOCOL_H_
 
+#include <cstddef>
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "core/candidate_table.h"
 #include "serve/context_manager.h"
@@ -16,8 +18,8 @@ namespace manirank::serve {
 /// (no response). The same grammar is served by the manirank_serve binary
 /// (stdin, --script, or socket) and bench_serving.
 ///
-/// Grammar (tokens are whitespace-separated; ';' separates rankings in an
-/// APPEND payload and may be glued to a number):
+/// Grammar (tokens as split by RequestTokenizer below; ';' separates
+/// rankings in an APPEND payload and may be glued to a number):
 ///
 ///   CREATE   <table> FILE <table.csv> [RANKINGS <rankings.csv>]
 ///   CREATE   <table> CYCLIC <n> <d0> <d1>
@@ -163,6 +165,59 @@ namespace manirank::serve {
 /// last heard minus local), replica_bytes_streamed, and
 /// replica_connected — trailing fields, so leader output is unchanged.
 class DurabilityManager;
+
+/// The one request tokenizer, shared by Dispatcher, ClassifyRequest and
+/// the executor's REPLICATE interception, so every front end splits a
+/// line the same way. Request grammar:
+///
+///  - Tokens are separated by runs of ' ', '\t' and '\r'. No other byte
+///    separates: '\v', '\f' and '\n' are token bytes ("t\v" names the
+///    table "t\v").
+///  - ';' is always a token of its own, glued or not: "0 1;2" is the four
+///    tokens "0" "1" ";" "2".
+///  - An integer field (candidate id, REMOVE index, SELECT k and clause
+///    fields, CYCLIC sizes, GENERATIONS) accepts exactly the tokens that
+///    strtol(token, 10) consumes whole: leading '\v' / '\f' / '\n', an
+///    optional '+' or '-', then decimal digits, leading zeros allowed.
+///    Hex, exponents, trailing bytes and values outside `long` are
+///    rejected. Candidate ids must then lie in [0, INT32_MAX] (the
+///    CandidateId range); each field applies its own bounds the same way.
+///
+/// Responses format integers with std::to_chars and doubles as printf's
+/// "%g" (precision 6, an ostream's default), so the bytes match what an
+/// std::ostringstream would write.
+///
+/// Tokens are views into the line: nothing is allocated, and the line
+/// must outlive them.
+class RequestTokenizer {
+ public:
+  explicit RequestTokenizer(std::string_view line) : line_(line) {}
+
+  /// The next token, or an empty view once the line is exhausted.
+  std::string_view Next() {
+    while (pos_ < line_.size() && IsSeparator(line_[pos_])) ++pos_;
+    const size_t begin = pos_;
+    if (begin == line_.size()) return {};
+    if (line_[pos_++] != ';') {
+      while (pos_ < line_.size() && !IsSeparator(line_[pos_]) &&
+             line_[pos_] != ';') {
+        ++pos_;
+      }
+    }
+    return line_.substr(begin, pos_ - begin);
+  }
+
+  /// Bytes not yet consumed (an upper bound on what Next can return).
+  size_t remaining() const { return line_.size() - pos_; }
+
+ private:
+  static bool IsSeparator(char c) {
+    return c == ' ' || c == '\t' || c == '\r';
+  }
+
+  std::string_view line_;
+  size_t pos_ = 0;
+};
 
 class Dispatcher {
  public:

@@ -239,6 +239,135 @@ TEST_F(ProtocolTest, EvalRejectsBadInputsAndLeavesStateUnchanged) {
             0u);
 }
 
+TEST_F(ProtocolTest, IntegerTokenGrammarIsPinnedInEveryPlace) {
+  // One integer grammar for every numeric field: what strtol(..., 10)
+  // accepts — a leading \v or \f, an optional sign, leading zeros — and
+  // nothing else (no hex, no exponent, no trailing junk, nothing out of
+  // range). Each token goes into every place an integer is read, and the
+  // exact response bytes are pinned, ERR details included.
+  const std::string append_ok =
+      "OK APPEND t queued=1 pending_ops=1 pending_rankings=1";
+  const std::string append_not_perm =
+      "ERR bad-ranking: APPEND payload is not a permutation of 0..n-1";
+  const std::string eval_ok =
+      "OK EVAL t gen=2 method=A3 tau=7 ntau=0.466667 parity=0.333333,1,1 "
+      "max_parity=1 fpr=0.666667,0.333333;1,0.5,0;1,0.8,0.6,0.4,0.2,0 "
+      "ifpr_max=0:1 ifpr_min=5:0";
+  const std::string eval_not_perm =
+      "ERR bad-ranking: EVAL payload is not a permutation of 0..n-1";
+  const std::string select_k2 =
+      "OK SELECT t gen=2 k=2 method=A3 algo=greedy optimal=1 cost=1 "
+      "air=0;0;0 four_fifths=0 selected=4,0";
+  const std::string select_k3 =
+      "OK SELECT t gen=2 k=3 method=A3 algo=greedy optimal=1 cost=3 "
+      "air=0.5;1;0 four_fifths=0 selected=4,0,3";
+  const std::string attr3_out_of_range =
+      "ERR bad-request: SELECT attribute index 3 out of range for table "
+      "with 2 attributes";
+  const std::string cyclic_not_positive =
+      "ERR bad-request: CYCLIC arguments must be positive integers";
+  const std::string cyclic_too_big =
+      "ERR bad-request: CYCLIC size out of range (n <= 5000, domains <= 64)";
+  const std::string remove0 = "OK REMOVE t index=0 pending_ops=1";
+  const std::string remove3 =
+      "ERR bad-index: REMOVE index 3 out of range for profile of 3";
+  const auto bad_id = [](const std::string& token) {
+    return "ERR bad-ranking: candidate id must be a non-negative integer, "
+           "got '" + token + "'";
+  };
+  const auto bad_k = [](const std::string& token) {
+    return "ERR bad-request: SELECT k must be a positive integer, got '" +
+           token + "'";
+  };
+  const auto bad_attr = [](const std::string& token) {
+    return "ERR bad-request: ATTR attribute index must be a non-negative "
+           "integer, got '" + token + "'";
+  };
+  const auto bad_index = [](const std::string& token) {
+    return "ERR bad-index: REMOVE index must be a non-negative integer, "
+           "got '" + token + "'";
+  };
+  const auto rejected = [&](const std::string& token) {
+    return std::vector<std::string>{bad_id(token),   bad_id(token),
+                                    bad_k(token),    bad_attr(token),
+                                    cyclic_not_positive, bad_index(token)};
+  };
+  const std::string max_int = "2147483647";
+  const std::string max_int_plus_1 = "2147483648";
+  const std::string huge = "99999999999999999999";
+  // token -> responses to: APPEND id, EVAL id, SELECT k, SELECT ATTR's
+  // attribute index, CREATE CYCLIC's n, REMOVE's index.
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases =
+      {
+          {"0",
+           {append_not_perm, eval_not_perm, bad_k("0"), select_k2,
+            cyclic_not_positive, remove0}},
+          {"007",
+           {append_not_perm, eval_not_perm,
+            "ERR bad-request: SELECT k must be in [1, 6], got 7",
+            "ERR bad-request: SELECT attribute index 7 out of range for "
+            "table with 2 attributes",
+            "OK CREATE c candidates=7 rankings=0",
+            "ERR bad-index: REMOVE index 7 out of range for profile of 2"}},
+          {"+3",
+           {append_ok, eval_ok, select_k3, attr3_out_of_range,
+            "OK CREATE c candidates=3 rankings=0", remove3}},
+          {"-0",
+           {append_not_perm, eval_not_perm, bad_k("-0"), select_k2,
+            cyclic_not_positive, remove0}},
+          {"\v3",
+           {append_ok, eval_ok, select_k3, attr3_out_of_range,
+            "OK CREATE c candidates=3 rankings=0", remove3}},
+          {"\f3",
+           {append_ok, eval_ok, select_k3, attr3_out_of_range,
+            "OK CREATE c candidates=3 rankings=0", remove3}},
+          {"-1", rejected("-1")},
+          {"3x", rejected("3x")},
+          {"0x3", rejected("0x3")},
+          {"1e3", rejected("1e3")},
+          {max_int,
+           {append_not_perm, eval_not_perm,
+            "ERR bad-request: SELECT k must be in [1, 6], got " + max_int,
+            "ERR bad-request: SELECT attribute index " + max_int +
+                " out of range for table with 2 attributes",
+            cyclic_too_big,
+            "ERR bad-index: REMOVE index " + max_int +
+                " out of range for profile of 2"}},
+          {max_int_plus_1,
+           {bad_id(max_int_plus_1), bad_id(max_int_plus_1),
+            bad_k(max_int_plus_1), bad_attr(max_int_plus_1), cyclic_too_big,
+            "ERR bad-index: REMOVE index " + max_int_plus_1 +
+                " out of range for profile of 2"}},
+          {huge, rejected(huge)},
+          // ';' is its own token wherever it appears; in APPEND it splits
+          // the payload into "0 1 2" (a valid 3-permutation) and "4 5".
+          {";",
+           {append_not_perm, bad_id(";"), bad_k(";"), bad_attr(";"),
+            cyclic_not_positive, bad_index(";")}},
+      };
+  for (const auto& [token, expected] : cases) {
+    // Every token starts from the fixture's table state.
+    Handle("DROP t");
+    ASSERT_TRUE(IsOk(Handle("CREATE t CYCLIC 6 2 3")));
+    ASSERT_TRUE(IsOk(Handle("APPEND t 0 1 2 3 4 5 ; 5 4 3 2 1 0")));
+    ASSERT_TRUE(IsOk(Handle("FLUSH t")));
+    const std::vector<std::string> requests = {
+        "APPEND t 0 1 2 " + token + " 4 5",
+        "EVAL t 0 1 2 " + token + " 4 5",
+        "SELECT t " + token,
+        "SELECT t 2 ATTR " + token + " 0 0 2",
+        "CREATE c CYCLIC " + token + " 2 2",
+        "REMOVE t " + token,
+    };
+    ASSERT_EQ(requests.size(), expected.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(Handle(requests[i]), expected[i])
+          << "request '" << requests[i] << "'";
+      if (i == 4) Handle("DROP c");
+    }
+  }
+}
+
 TEST_F(ProtocolTest, ReplicateIsUnavailableWithoutAStreamingFrontEnd) {
   // The plain dispatcher (stdin / --script replay) has no
   // durability layer and no binary stream to switch into: every arity

@@ -267,14 +267,20 @@ TEST_F(ReplicationTest, LeaderRejectsMalformedReplicateAndKeepsServing) {
                           "REPLICATE ghost\n"
                           "REPLICATE\n"
                           "REPLICATE t extra\n"
+                          // \v and \f are not separators: these name
+                          // tables "t\v" and "t\f", which do not exist.
+                          "REPLICATE t\v\n"
+                          "REPLICATE t\f\n"
                           "STATS t\n"));
-  const std::vector<std::string> lines = client.ReadLines(5);
-  ASSERT_EQ(lines.size(), 5u);
+  const std::vector<std::string> lines = client.ReadLines(7);
+  ASSERT_EQ(lines.size(), 7u);
   EXPECT_EQ(lines[0].rfind("OK CREATE t", 0), 0u) << lines[0];
   EXPECT_EQ(lines[1].rfind("ERR no-such-table", 0), 0u) << lines[1];
   EXPECT_EQ(lines[2].rfind("ERR bad-request", 0), 0u) << lines[2];
   EXPECT_EQ(lines[3].rfind("ERR bad-request", 0), 0u) << lines[3];
-  EXPECT_EQ(lines[4].rfind("OK STATS t ", 0), 0u) << lines[4];
+  EXPECT_EQ(lines[4], "ERR no-such-table: no such table: t\v");
+  EXPECT_EQ(lines[5], "ERR no-such-table: no such table: t\f");
+  EXPECT_EQ(lines[6].rfind("OK STATS t ", 0), 0u) << lines[6];
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/context.h"
+#include "core/fair_select.h"
 #include "core/method_registry.h"
 #include "mallows/mallows.h"
 #include "serve/protocol.h"
@@ -191,13 +192,16 @@ std::string FormatAppend(const std::string& table,
   return os.str();
 }
 
-std::vector<CandidateId> ParseConsensusField(const std::string& response,
-                                             size_t from) {
-  const size_t at = response.find("consensus=", from);
+/// Parses the comma-separated id list of the first `key` field at or after
+/// `from` (RUN's consensus=, or SELECT's selected=).
+std::vector<CandidateId> ParseConsensusField(
+    const std::string& response, size_t from,
+    const std::string& key = "consensus=") {
+  const size_t at = response.find(key, from);
   std::vector<CandidateId> order;
   EXPECT_NE(at, std::string::npos) << response;
   if (at == std::string::npos) return order;
-  std::istringstream is(response.substr(at + 10));
+  std::istringstream is(response.substr(at + key.size()));
   std::string cell;
   while (std::getline(is, cell, ',')) {
     // The consensus field ends at the next space (RUN-all responses pack
@@ -305,6 +309,46 @@ TEST(ServingEquivalenceTest, ScriptedMultiTableWorkloadMatchesFreshContexts) {
           << name << " " << AllMethods()[i].id;
     }
   }
+}
+
+TEST(ServingEquivalenceTest, WireIdListsMatchFreshContextAcrossDigitWidths) {
+  // RUN's consensus= and SELECT's selected= id lists at n = 1001 cover
+  // every decimal width boundary up to four digits (ids 0, 9, 10, 99, 100,
+  // 999, 1000); parsed back, they must equal a fresh context's results.
+  constexpr int n = 1001;
+  ContextManager manager;
+  Dispatcher dispatcher(&manager);
+  ASSERT_EQ(dispatcher.Handle("CREATE wide CYCLIC 1001 2 2").rfind("OK", 0),
+            0u);
+  std::vector<Ranking> profile;
+  for (uint64_t i = 0; i < 3; ++i) profile.push_back(SampleFor(91, i, n));
+  ASSERT_EQ(dispatcher.Handle(FormatAppend("wide", profile))
+                .rfind("OK APPEND", 0),
+            0u);
+
+  CandidateTable fresh_table = MakeCyclicTable(n, 2, 2);
+  ConsensusContext fresh(profile, fresh_table);
+  ConsensusOptions options;
+  options.time_limit_seconds = 30.0;
+  for (const std::string method : {"A3", "A4"}) {
+    const std::string response = dispatcher.Handle("RUN wide " + method);
+    ASSERT_EQ(response.rfind("OK RUN", 0), 0u) << response;
+    const std::vector<CandidateId> served = ParseConsensusField(response, 0);
+    ASSERT_TRUE(Ranking::IsValidOrder(served)) << method;
+    ASSERT_EQ(served.size(), static_cast<size_t>(n)) << method;
+    EXPECT_EQ(served, fresh.RunMethod(method, options).consensus.order())
+        << method;
+  }
+
+  const std::string response = dispatcher.Handle("SELECT wide 1001");
+  ASSERT_EQ(response.rfind("OK SELECT", 0), 0u) << response;
+  const std::vector<CandidateId> selected =
+      ParseConsensusField(response, 0, "selected=");
+  ASSERT_TRUE(Ranking::IsValidOrder(selected));
+  EXPECT_EQ(selected,
+            FairTopKSelect(fresh.RunMethod("A3", ConsensusOptions()).consensus,
+                           n, {})
+                .selected);
 }
 
 }  // namespace
