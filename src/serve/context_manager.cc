@@ -508,30 +508,6 @@ ConsensusOutput ContextManager::RunCachedOn(Shard& shard,
   return out;
 }
 
-std::vector<ConsensusOutput> ContextManager::RunAll(
-    const std::string& name, const ConsensusOptions& options,
-    uint64_t* generation_after) {
-  // One lookup for both the guard and the sweep: a concurrent
-  // DROP + RESTORE of the same name cannot swap a summarized shard in
-  // between them and hand back a subset misaligned with AllMethods().
-  std::shared_ptr<Shard> shard = Find(name);
-  // Callers rely on the outputs aligning with AllMethods(), which a
-  // summarized (restored) table cannot provide — fail before running
-  // anything instead of throwing mid-sweep out of B2's RequireBase.
-  if (!shard->ctx->has_base_rankings()) {
-    throw std::logic_error("RunAll needs the retained profile, but table '" +
-                           name +
-                           "' was restored from a summarized snapshot; use "
-                           "RunSupported");
-  }
-  std::vector<std::pair<const MethodSpec*, ConsensusOutput>> results =
-      RunSupportedOn(*shard, options, generation_after);
-  std::vector<ConsensusOutput> out;
-  out.reserve(results.size());
-  for (auto& [spec, output] : results) out.push_back(std::move(output));
-  return out;
-}
-
 TableStats ContextManager::StatsFor(const Shard& shard) {
   TableStats stats;
   stats.num_candidates = shard.table->num_candidates();
@@ -706,12 +682,8 @@ std::vector<std::pair<const MethodSpec*, ConsensusOutput>>
 ContextManager::RunSupported(const std::string& name,
                              const ConsensusOptions& options,
                              uint64_t* generation_after) {
-  return RunSupportedOn(*Find(name), options, generation_after);
-}
-
-std::vector<std::pair<const MethodSpec*, ConsensusOutput>>
-ContextManager::RunSupportedOn(Shard& shard, const ConsensusOptions& options,
-                               uint64_t* generation_after) {
+  std::shared_ptr<Shard> shard_ptr = Find(name);
+  Shard& shard = *shard_ptr;
   Drain(shard, /*try_only=*/false, nullptr);
   const std::vector<const MethodSpec*> supported = SupportedFor(*shard.ctx);
   // All-or-nothing cache probe at one generation: the sweep contract is

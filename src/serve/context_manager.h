@@ -57,7 +57,7 @@ struct TableStats {
   uint64_t applied_batches = 0;
   /// Rankings folded via the queue so far.
   uint64_t applied_rankings = 0;
-  /// Method runs served (RunMethod calls; RunAll counts one per method).
+  /// Method runs served (Run calls; RunSupported counts one per method).
   uint64_t runs = 0;
   /// Queued REMOVEs discarded because a failed batch apply dropped the
   /// profile state their index referenced (see Drain's failure resync).
@@ -194,7 +194,7 @@ class DurabilityHook {
 /// directly: they are validated against the shard's *virtual* profile
 /// (applied size plus queued deltas), enqueued, and coalesced — adjacent
 /// append batches merge into one pending AddRankings call. The queue is
-/// drained at the next query wave (Run / RunAll / Flush): the drainer
+/// drained at the next query wave (Run / RunSupported / Flush): the drainer
 /// applies the whole backlog under the shard's exclusive gate, then runs
 /// under the shared gate. Queries therefore always observe a batch
 /// boundary, mutations admitted mid-wave simply ride the next wave, and a
@@ -263,14 +263,6 @@ class ContextManager {
                       const ConsensusOptions& options = {},
                       uint64_t* generation_after = nullptr);
 
-  /// Drains the queue, then sweeps every registry method in paper order
-  /// against the shard's shared caches. The outputs align with
-  /// AllMethods(), so summarized (restored) tables are rejected up front
-  /// (std::logic_error) — use RunSupported for a table-agnostic sweep.
-  std::vector<ConsensusOutput> RunAll(const std::string& name,
-                                      const ConsensusOptions& options = {},
-                                      uint64_t* generation_after = nullptr);
-
   /// Stats snapshot; does NOT drain the queue.
   TableStats Stats(const std::string& name) const;
 
@@ -295,10 +287,10 @@ class ContextManager {
   /// untouched.
   SelectOutcome Select(const std::string& name, const SelectQuery& query);
 
-  /// Manager-wide result cache switch (serve_main --no-result-cache and
-  /// the cache-disabled twins in tests/bench). Applies to every existing
-  /// and future table; disabling drops current entries. Responses are
-  /// bit-identical either way — only the recompute cost changes.
+  /// Manager-wide result cache switch (the cache-disabled twins in
+  /// tests/bench). Applies to every existing and future table; disabling
+  /// drops current entries. Responses are bit-identical either way — only
+  /// the recompute cost changes.
   void SetResultCacheEnabled(bool enabled);
 
   /// Aggregated result-cache counters across all tables (METRICS).
@@ -368,16 +360,16 @@ class ContextManager {
       const std::string& name) const;
 
   /// Drains the queue, then sweeps every method the table supports as ONE
-  /// shared-gate hold — atomic with respect to mutation waves exactly
-  /// like RunAll, but servable on summarized (restored) tables too.
-  /// Returns {method, output} pairs in paper order.
+  /// shared-gate hold, atomic with respect to mutation waves: all eight
+  /// for retained profiles, the precedence/Borda subset for summarized
+  /// (restored) tables. Returns {method, output} pairs in paper order.
   std::vector<std::pair<const MethodSpec*, ConsensusOutput>> RunSupported(
       const std::string& name, const ConsensusOptions& options = {},
       uint64_t* generation_after = nullptr);
 
   // --- non-blocking drain scheduling hooks (async front ends) ---------
   //
-  // A draining verb (Run / RunAll / RunSupported / Flush / SnapshotTable)
+  // A draining verb (Run / RunSupported / Flush / SnapshotTable)
   // can block for the length of a whole exclusive backlog fold. A
   // synchronous stream front end just blocks; an async front end
   // dispatching requests onto a bounded worker pool must not let one
@@ -478,12 +470,6 @@ class ContextManager {
   /// public verb adds the follower readonly check on top).
   TableStats EnqueueAppend(Shard& shard, std::vector<Ranking> rankings);
   TableStats EnqueueRemove(Shard& shard, size_t index);
-  /// RunSupported on an already-resolved shard (RunAll shares it so its
-  /// retained-profile guard and the sweep use one lookup — no window for
-  /// a concurrent DROP + RESTORE to swap the shard between them).
-  std::vector<std::pair<const MethodSpec*, ConsensusOutput>> RunSupportedOn(
-      Shard& shard, const ConsensusOptions& options,
-      uint64_t* generation_after);
   /// Stats snapshot straight off a shard (no name lookup).
   static TableStats StatsFor(const Shard& shard);
   /// One method run through the shard's result cache, keyed by the

@@ -715,7 +715,7 @@ void ServeExecutor::ServiceConn(const std::shared_ptr<Conn>& conn) {
     return conn->next_seq - conn->next_send <
                options_.max_inflight_per_connection &&
            conn->unsent_bytes <= options_.max_buffered_response_bytes &&
-           conn->queued_line_bytes <= options_.max_buffered_request_bytes;
+           conn->queued_line_bytes <= kMaxBufferedRequestBytes;
   };
   bool dead;
   bool can_read;
@@ -934,7 +934,7 @@ ServeExecutor::ReadStatus ServeExecutor::HandleReadable(
         over = conn->next_seq - conn->next_send >=
                    options_.max_inflight_per_connection ||
                conn->unsent_bytes > options_.max_buffered_response_bytes ||
-               conn->queued_line_bytes > options_.max_buffered_request_bytes;
+               conn->queued_line_bytes > kMaxBufferedRequestBytes;
       }
       if (over) return ReadStatus::kBackpressured;
     } else if (got == 0) {

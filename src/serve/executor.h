@@ -149,6 +149,13 @@ class DurabilityManager;
 /// without bound.
 inline constexpr size_t kMaxRequestBytes = 16u << 20;
 
+/// Bytes of parsed-but-unexecuted request lines per connection before the
+/// reader stops polling that socket — without this a client could
+/// pipeline 64 nearly-16 MiB APPENDs and pin ~1 GiB per connection. Two
+/// maximum-size lines fit; one over-cap line is always admitted (soft
+/// cap), so a single kMaxRequestBytes request still works.
+inline constexpr size_t kMaxBufferedRequestBytes = 2 * kMaxRequestBytes;
+
 /// Knobs for the ServeExecutor.
 struct ServerOptions {
   /// Loopback port to bind; 0 asks the kernel for an ephemeral port
@@ -161,12 +168,6 @@ struct ServerOptions {
   size_t max_inflight_per_connection = 64;
   /// Unflushed response bytes per connection before the same.
   size_t max_buffered_response_bytes = 4u << 20;
-  /// Bytes of parsed-but-unexecuted request lines per connection before
-  /// the same — without this a client could pipeline 64 nearly-16 MiB
-  /// APPENDs and pin ~1 GiB per connection. The default admits two
-  /// maximum-size lines; one over-cap line is always admitted (soft
-  /// cap), so a single kMaxRequestBytes request still works.
-  size_t max_buffered_request_bytes = 32u << 20;
   /// Announce "listening on 127.0.0.1:<port>" to this stream (nullptr =
   /// quiet; serve_main passes stderr).
   std::ostream* log = nullptr;

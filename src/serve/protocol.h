@@ -112,8 +112,7 @@ namespace manirank::serve {
 /// Responses are byte-identical hit or miss — only nondeterministic
 /// results (budget-limited inexact solves) bypass the cache. STATS
 /// reports per-table cache_hits= / cache_misses= / cache_entries=;
-/// METRICS aggregates result_cache_* across tables; --no-result-cache
-/// disables the cache process-wide (for baselines and twins).
+/// METRICS aggregates result_cache_* across tables.
 ///
 /// REPLICATE switches the connection into a replication stream (leader
 /// side): the response line "OK REPLICATE <table> snapshot_bytes=<N>

@@ -91,9 +91,9 @@ class ResultCache {
   static constexpr size_t kMaxRunEntries = 32;
   static constexpr size_t kMaxSelectEntries = 128;
 
-  /// Disabling (serve_main --no-result-cache, or a cache-off twin in
-  /// tests/bench) turns Lookup* into unconditional misses and Insert*
-  /// into no-ops, with no counter movement.
+  /// Disabling (a cache-off twin in tests/bench) turns Lookup* into
+  /// unconditional misses and Insert* into no-ops, with no counter
+  /// movement.
   void set_enabled(bool enabled);
 
   bool LookupRun(const std::string& method, const ConsensusOptions& options,

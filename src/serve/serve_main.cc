@@ -104,16 +104,13 @@ int Usage() {
                "                      [--workers N]\n"
                "                      [--restore-dir DIR] [--log-dir DIR]\n"
                "                      [--echo]\n"
-               "                      [--no-result-cache]\n"
                "  (no mode flag: serve requests from stdin; --restore-dir\n"
                "   cold-starts every DIR/<table>.snap before serving;\n"
                "   --log-dir adds exact-profile durability: op-log replay\n"
                "   at cold start, fold logging and SNAPSHOT-POLICY while\n"
                "   serving; --port serves the async executor pipeline\n"
                "   (0 = ephemeral); --follow replicates every table of the\n"
-               "   leader at HOST:PORT and serves them read-only;\n"
-               "   --no-result-cache disables the generation-keyed\n"
-               "   consensus result cache shared by RUN/EVAL/SELECT)\n";
+               "   leader at HOST:PORT and serves them read-only)\n";
   return 2;
 }
 
@@ -319,13 +316,10 @@ int main(int argc, char** argv) {
   std::optional<int> port;
   size_t workers = 0;
   bool echo = false;
-  bool no_result_cache = false;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--echo") {
       echo = true;
-    } else if (flag == "--no-result-cache") {
-      no_result_cache = true;
     } else if (flag == "--script" && i + 1 < argc) {
       script = argv[++i];
     } else if (flag == "--restore-dir" && i + 1 < argc) {
@@ -406,9 +400,6 @@ int main(int argc, char** argv) {
 #endif
 
   ContextManager manager;
-  // Before any restore: restored tables inherit the manager-wide setting
-  // at creation time, so the flag must land first.
-  if (no_result_cache) manager.SetResultCacheEnabled(false);
   if (restore_dir.has_value() && !RestoreFromDir(*restore_dir, &manager)) {
     return 2;
   }

@@ -4,7 +4,8 @@
 // one response line per request, in request order, bit-identical to
 // replaying the same request stream through a synchronous Dispatcher —
 // no matter how the executor overlaps the work across its pool. Also
-// covered: the final request arriving without a trailing newline, the
+// covered: a RUN parked behind another connection's long backlog fold,
+// the final request arriving without a trailing newline, the
 // 16 MiB oversize-line rejection (the client must actually RECEIVE the
 // ERR — half-close + drain, not an immediate close/RST), read
 // backpressure under a huge pipelined burst, and graceful shutdown.
@@ -22,6 +23,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -31,6 +33,7 @@
 #include "serve/context_manager.h"
 #include "serve/protocol.h"
 #include "serve_test_util.h"
+#include "util/rng.h"
 
 namespace manirank {
 namespace {
@@ -121,8 +124,8 @@ TEST(ServeSocketTest, ExecutorMultiClientPipelinedInOrder) {
 
 /// Two clients hammering the SAME table: responses are timing-dependent
 /// (generation counters move under each other), so assert protocol shape
-/// and per-connection ordering only. This is the scenario that exercises
-/// the IsDraining park path across connections.
+/// and per-connection ordering only. Whether a RUN parks here depends on
+/// timing; ExecutorParksRunBehindLongFold forces the park path.
 TEST(ServeSocketTest, ExecutorSharedTableConcurrentRuns) {
   ContextManager manager;
   ServerOptions options;
@@ -172,6 +175,69 @@ TEST(ServeSocketTest, ExecutorSharedTableConcurrentRuns) {
   for (int c = 0; c < kClients; ++c) {
     EXPECT_EQ(ok_counts[c], kRounds) << "client " << c;
   }
+  server.Shutdown();
+}
+
+/// A RUN arriving while another connection's RUN is folding a long backlog
+/// must park on the IsDraining hook (not block a pool worker on the
+/// exclusive gate), be released by the drain observer, and answer exactly
+/// what a synchronous Dispatcher replay answers.
+TEST(ServeSocketTest, ExecutorParksRunBehindLongFold) {
+  // The precedence fold of 12000 rankings at n = 300 takes a few hundred
+  // ms, far longer than the second connection needs to land its RUN.
+  constexpr int kCandidates = 300;
+  constexpr int kBacklog = 12000;
+  std::vector<Ranking> backlog;
+  backlog.reserve(kBacklog);
+  Rng rng(31);
+  std::vector<CandidateId> order(kCandidates);
+  for (int i = 0; i < kCandidates; ++i) order[i] = i;
+  for (int r = 0; r < kBacklog; ++r) {
+    rng.Shuffle(&order);
+    backlog.emplace_back(order);
+  }
+  // Same state on both managers: a warm precedence matrix (RUN A4), so
+  // the backlog fold pays the O(n^2)-per-ranking delta, then the backlog
+  // queued but not folded.
+  const auto seed = [&](ContextManager* manager) {
+    Dispatcher dispatcher(manager);
+    EXPECT_EQ(dispatcher.Handle("CREATE t CYCLIC 300 2 2").rfind("OK", 0), 0u);
+    manager->Append("t", {backlog.front()});
+    EXPECT_EQ(dispatcher.Handle("RUN t A4").rfind("OK", 0), 0u);
+    manager->Append("t", backlog);
+  };
+  ContextManager reference_manager;
+  seed(&reference_manager);
+  const std::vector<std::string> expected =
+      SyncReference({"RUN t A3", "RUN t A3"}, &reference_manager);
+  ASSERT_EQ(expected.size(), 2u);
+
+  ContextManager manager;
+  seed(&manager);
+  ServerOptions options;
+  options.workers = 2;
+  ServeExecutor server(&manager, options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  Client a(server.port());
+  Client b(server.port());
+  ASSERT_TRUE(a.Send("RUN t A3\n"));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!manager.IsDraining("t")) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the backlog fold never started";
+    std::this_thread::yield();
+  }
+  ASSERT_TRUE(b.Send("RUN t A3\n"));
+  a.HalfClose();
+  b.HalfClose();
+  EXPECT_EQ(a.ReadLinesUntilEof(),
+            std::vector<std::string>{expected[0]});
+  EXPECT_EQ(b.ReadLinesUntilEof(),
+            std::vector<std::string>{expected[1]});
+  EXPECT_GE(server.requests_parked(), 1u);
   server.Shutdown();
 }
 
