@@ -30,6 +30,7 @@
 #include <iterator>
 #include <string>
 
+#include "bench_util.h"
 #include "manirank.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -37,6 +38,7 @@
 namespace {
 
 using namespace manirank;
+using bench::QuickMode;
 
 // --- shared-context vs per-method-rebuild comparison ------------------------
 
@@ -80,12 +82,6 @@ SweepResult RunRebuilding(const std::vector<Ranking>& base,
   }
   r.seconds = timer.Seconds();
   return r;
-}
-
-/// True for the CI smoke configuration (small profile, single rep).
-bool QuickMode() {
-  const char* env = std::getenv("MANIRANK_BENCH_QUICK");
-  return env != nullptr && std::string(env) != "0";
 }
 
 // --- incremental append vs full rebuild -------------------------------------

@@ -65,6 +65,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/fair_select.h"
 #include "manirank.h"
 #include "serve/durability.h"
@@ -75,11 +76,7 @@
 namespace {
 
 using namespace manirank;
-
-bool QuickMode() {
-  const char* env = std::getenv("MANIRANK_BENCH_QUICK");
-  return env != nullptr && std::string(env) != "0";
-}
+using bench::QuickMode;
 
 struct Workload {
   int tables = 4;

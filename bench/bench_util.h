@@ -25,6 +25,13 @@ inline bool FullScale() {
   return env != nullptr && std::string(env) != "0";
 }
 
+/// True for the CI smoke configuration (MANIRANK_BENCH_QUICK=1): each
+/// harness that honours it drops its slowest rows or repetitions.
+inline bool QuickMode() {
+  const char* env = std::getenv("MANIRANK_BENCH_QUICK");
+  return env != nullptr && std::string(env) != "0";
+}
+
 /// Standard banner so the tee'd bench log is self-describing.
 inline void Banner(const std::string& experiment, const std::string& what) {
   std::cout << "\n=== " << experiment << " — " << what << " ===\n";

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
-#include <functional>
+#include <cstddef>
 #include <limits>
 #include <numeric>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -15,12 +13,70 @@
 namespace manirank {
 namespace {
 
+/// Index of the highest set bit of a nonzero word.
+int TopBit(uint64_t w) { return 63 - __builtin_clzll(w); }
+/// Bits 0..bit set (bit in [0, 63]; 2 << 63 wraps to 0 for unsigned).
+uint64_t UpToMask(int bit) { return (2ULL << bit) - 1; }
+
+/// Position set as n-bit occupancy words: bit p of word p / 64.
+struct PositionBits {
+  const uint64_t* words;
+  int num_words;
+
+  /// Lowest set position, -1 when empty.
+  int First() const {
+    for (int w = 0; w < num_words; ++w) {
+      if (words[w] != 0) return w * 64 + __builtin_ctzll(words[w]);
+    }
+    return -1;
+  }
+  /// Highest set position, -1 when empty.
+  int Last() const {
+    for (int w = num_words - 1; w >= 0; --w) {
+      if (words[w] != 0) return w * 64 + TopBit(words[w]);
+    }
+    return -1;
+  }
+  /// Number of set positions <= pos.
+  int RankUpTo(int pos) const {
+    const int w = pos >> 6;
+    int rank = 0;
+    for (int i = 0; i < w; ++i) rank += __builtin_popcountll(words[i]);
+    return rank + __builtin_popcountll(words[w] & UpToMask(pos & 63));
+  }
+  /// Position of the k-th (0-based) set bit; k must be < the bit count.
+  int Select(uint64_t k) const {
+    for (int w = 0;; ++w) {
+      uint64_t word = words[w];
+      const uint64_t c = static_cast<uint64_t>(__builtin_popcountll(word));
+      if (k >= c) {
+        k -= c;
+        continue;
+      }
+      for (; k > 0; --k) word &= word - 1;
+      return w * 64 + __builtin_ctzll(word);
+    }
+  }
+};
+
 struct GroupingState {
   const Grouping* grouping;
   double threshold;
-  std::vector<int64_t> favored;       // FPR numerators
-  std::vector<int64_t> denom;         // mixed-pair counts
-  std::vector<std::set<int>> positions;  // occupied positions per group
+  std::vector<int64_t> favored;  // FPR numerators
+  std::vector<int64_t> denom;    // mixed-pair counts
+  int num_words = 0;             // ceil(n / 64)
+  /// Occupied positions per group: group g's words start at g * num_words.
+  std::vector<uint64_t> occupied;
+
+  PositionBits Positions(int g) const {
+    return {occupied.data() + static_cast<size_t>(g) * num_words, num_words};
+  }
+  /// Moves group g's member from position `from` to position `to`.
+  void Move(int g, int from, int to) {
+    uint64_t* words = occupied.data() + static_cast<size_t>(g) * num_words;
+    words[from >> 6] ^= 1ULL << (from & 63);
+    words[to >> 6] ^= 1ULL << (to & 63);
+  }
 
   double Fpr(int g) const {
     if (denom[g] == 0) return 0.5;
@@ -47,8 +103,75 @@ struct GroupingState {
   }
 };
 
-/// Predicate blocking recently swapped candidate pairs (anti-cycling).
-using TabuFn = std::function<bool(CandidateId, CandidateId)>;
+/// Anti-cycling tabu list over the last kTenure swapped candidate pairs,
+/// with std::set semantics over a FIFO: a pair is tabu from its push until
+/// the *oldest* queued copy of it expires, even if a newer copy is still
+/// queued (expiry erases the pair outright). Lookups are filtered by a
+/// per-candidate count of live pairs, so most cost one array read.
+class TabuList {
+ public:
+  explicit TabuList(int n) : marks_(static_cast<size_t>(n), 0) {}
+
+  bool Contains(CandidateId a, CandidateId b) const {
+    if (marks_[a] == 0 || marks_[b] == 0) return false;
+    const Pair key = Key(a, b);
+    for (int i = 0; i < num_live_; ++i) {
+      if (live_[i] == key) return true;
+    }
+    return false;
+  }
+
+  void Push(CandidateId a, CandidateId b) {
+    const Pair key = Key(a, b);
+    Insert(key);
+    if (queued_ < kTenure) {
+      fifo_[(head_ + queued_++) % kTenure] = key;
+    } else {
+      // After the insert: re-pushing the expiring pair leaves it not tabu.
+      Erase(fifo_[head_]);
+      fifo_[head_] = key;
+      head_ = (head_ + 1) % kTenure;
+    }
+  }
+
+  void Clear() {
+    for (int i = 0; i < num_live_; ++i) Unmark(live_[i]);
+    num_live_ = queued_ = head_ = 0;
+  }
+
+ private:
+  static constexpr int kTenure = 16;
+  using Pair = std::pair<CandidateId, CandidateId>;
+
+  static Pair Key(CandidateId a, CandidateId b) {
+    return a < b ? Pair(a, b) : Pair(b, a);
+  }
+  void Unmark(const Pair& key) {
+    --marks_[key.first];
+    --marks_[key.second];
+  }
+  void Insert(const Pair& key) {
+    if (Contains(key.first, key.second)) return;
+    live_[num_live_++] = key;
+    ++marks_[key.first];
+    ++marks_[key.second];
+  }
+  void Erase(const Pair& key) {
+    for (int i = 0; i < num_live_; ++i) {
+      if (live_[i] == key) {
+        Unmark(key);
+        live_[i] = live_[--num_live_];
+        return;
+      }
+    }
+  }
+
+  std::vector<uint8_t> marks_;  // live pairs containing each candidate
+  Pair fifo_[kTenure];          // ring of the last kTenure pushes
+  int head_ = 0, queued_ = 0;
+  Pair live_[kTenure + 1];  // the set; one over tenure between insert/erase
+  int num_live_ = 0;
+};
 
 /// The paper's swap-pair selection: q is the position of the highest
 /// member of G_lowest that has at least one G_highest member above it;
@@ -66,21 +189,20 @@ using TabuFn = std::function<bool(CandidateId, CandidateId)>;
 ///  2. Pairs on the caller's tabu list (recent swaps) are skipped unless
 ///     nothing else is available, which breaks deterministic two-cycles
 ///     between coupled groupings.
+///
+/// Cost: O(n / 64) to find G_highest's top-ranked member plus one merge
+/// pass over both groups' words that visits at most kScanCap G_lowest
+/// members.
 bool FindPaperSwap(const GroupingState& state, int gh, int gl,
-                   double threshold, const Ranking& r, const TabuFn& is_tabu,
+                   double threshold, const Ranking& r, const TabuList& tabu,
                    int* p, int* q) {
-  const std::set<int>& high_pos = state.positions[gh];
-  const std::set<int>& low_pos = state.positions[gl];
-  if (high_pos.empty() || low_pos.empty()) return false;
-  const int hmin = *high_pos.begin();
-  auto begin_it = low_pos.upper_bound(hmin);
-  if (begin_it == low_pos.end()) return false;
-  auto prev_high = [&](int below) {
-    auto jt = high_pos.lower_bound(below);
-    assert(jt != high_pos.begin());
-    --jt;
-    return *jt;
-  };
+  const PositionBits high = state.Positions(gh);
+  const PositionBits low = state.Positions(gl);
+  const int hmin = high.First();
+  if (hmin < 0) return false;
+  const int first_word = hmin >> 6;
+  // Keeps the first word's G_lowest members strictly below hmin.
+  const uint64_t first_mask = ~UpToMask(hmin & 63);
   const double gap = state.Fpr(gh) - state.Fpr(gl);
   const double alpha = 1.0 / static_cast<double>(state.denom[gh]) +
                        1.0 / static_cast<double>(state.denom[gl]);
@@ -94,34 +216,42 @@ bool FindPaperSwap(const GroupingState& state, int gh, int gl,
     int min_p = -1, min_q = -1;          // smallest d overall
     // Cap the alternatives examined per swap so huge groups (10^5-candidate
     // inputs) keep O(1)-ish swap selection; the nearest crossings carry the
-    // most useful distances anyway.
+    // most useful distances anyway. Tabu-skipped members count too.
     constexpr int kScanCap = 512;
     int scanned = 0;
-    for (auto it = begin_it; it != low_pos.end() && scanned < kScanCap;
-         ++it, ++scanned) {
-      const int qq = *it;
-      const int pp = prev_high(qq);
-      if (respect_tabu && is_tabu && is_tabu(r.At(pp), r.At(qq))) continue;
-      const int d = qq - pp;
-      if (paper_p < 0) {
-        paper_p = pp;
-        paper_q = qq;
-      }
-      if (min_p < 0 || d < min_q - min_p) {
-        min_p = pp;
-        min_q = qq;
-      }
-      if (static_cast<double>(d) <= d_max) {
-        if (static_cast<double>(d) >= d_min) {
-          if (in_band_p < 0 || d < in_band_q - in_band_p) {
-            in_band_p = pp;
-            in_band_q = qq;
+    int last_high = -1;  // highest G_highest position in earlier words
+    for (int w = first_word; w < low.num_words && scanned < kScanCap; ++w) {
+      const uint64_t hi = high.words[w];
+      uint64_t lo = low.words[w] & (w == first_word ? first_mask : ~0ULL);
+      for (; lo != 0 && scanned < kScanCap; lo &= lo - 1, ++scanned) {
+        const int bit = __builtin_ctzll(lo);
+        const uint64_t above = hi & ((1ULL << bit) - 1);
+        const int qq = w * 64 + bit;
+        const int pp = above != 0 ? w * 64 + TopBit(above) : last_high;
+        assert(pp >= 0);
+        if (respect_tabu && tabu.Contains(r.At(pp), r.At(qq))) continue;
+        const int d = qq - pp;
+        if (paper_p < 0) {
+          paper_p = pp;
+          paper_q = qq;
+        }
+        if (min_p < 0 || d < min_q - min_p) {
+          min_p = pp;
+          min_q = qq;
+        }
+        if (static_cast<double>(d) <= d_max) {
+          if (static_cast<double>(d) >= d_min) {
+            if (in_band_p < 0 || d < in_band_q - in_band_p) {
+              in_band_p = pp;
+              in_band_q = qq;
+            }
+          } else if (under_p < 0 || d > under_q - under_p) {
+            under_p = pp;
+            under_q = qq;
           }
-        } else if (under_p < 0 || d > under_q - under_p) {
-          under_p = pp;
-          under_q = qq;
         }
       }
+      if (hi != 0) last_high = w * 64 + TopBit(hi);
     }
     if (paper_p < 0) return false;  // everything tabu (or unreachable)
     if (static_cast<double>(paper_q - paper_p) <= d_max) {
@@ -145,26 +275,27 @@ bool FindPaperSwap(const GroupingState& state, int gh, int gl,
 
 /// Ablation policy: a uniformly random (G_highest above G_lowest) pair.
 bool FindRandomSwap(const GroupingState& state, int gh, int gl,
-                    const Ranking& r, const TabuFn& is_tabu, Rng* rng, int* p,
+                    const Ranking& r, const TabuList& tabu, Rng* rng, int* p,
                     int* q) {
-  const std::set<int>& high_pos = state.positions[gh];
-  const std::set<int>& low_pos = state.positions[gl];
-  if (high_pos.empty() || low_pos.empty()) return false;
-  if (*high_pos.begin() >= *low_pos.rbegin()) return false;  // no crossing
+  const PositionBits high = state.Positions(gh);
+  const PositionBits low = state.Positions(gl);
+  const int hmin = high.First();
+  const int lmax = low.Last();
+  if (hmin < 0 || lmax < 0 || hmin >= lmax) return false;  // no crossing
+  const uint64_t high_count =
+      static_cast<uint64_t>(state.grouping->group_size(gh));
+  const int low_count = state.grouping->group_size(gl);
   for (int attempt = 0; attempt < 64; ++attempt) {
     // Random G_highest member, then a random lower G_lowest member.
-    auto hit = high_pos.begin();
-    std::advance(hit, rng->NextUint64(high_pos.size()));
-    auto lit = low_pos.upper_bound(*hit);
-    if (lit == low_pos.end()) continue;
-    const size_t below = static_cast<size_t>(
-        std::distance(lit, low_pos.end()));
-    std::advance(lit, rng->NextUint64(below));
-    *p = *hit;
-    *q = *lit;
+    const int h = high.Select(rng->NextUint64(high_count));
+    const int above = low.RankUpTo(h);
+    if (above == low_count) continue;
+    const uint64_t below = static_cast<uint64_t>(low_count - above);
+    *p = h;
+    *q = low.Select(static_cast<uint64_t>(above) + rng->NextUint64(below));
     return true;
   }
-  return FindPaperSwap(state, gh, gl, state.threshold, r, is_tabu, p, q);
+  return FindPaperSwap(state, gh, gl, state.threshold, r, tabu, p, q);
 }
 
 }  // namespace
@@ -200,12 +331,15 @@ MakeMrFairResult MakeMrFair(const Ranking& consensus,
     s.threshold = criterion.threshold;
     s.favored = GroupFavoredPairs(r, *s.grouping);
     s.denom.resize(s.grouping->num_groups());
-    s.positions.resize(s.grouping->num_groups());
     for (int g = 0; g < s.grouping->num_groups(); ++g) {
       s.denom[g] = MixedPairs(s.grouping->group_size(g), n);
     }
+    s.num_words = (n + 63) / 64;
+    s.occupied.assign(
+        static_cast<size_t>(s.grouping->num_groups()) * s.num_words, 0);
     for (int pos = 0; pos < n; ++pos) {
-      s.positions[s.grouping->group_of[r.At(pos)]].insert(pos);
+      const size_t g = static_cast<size_t>(s.grouping->group_of[r.At(pos)]);
+      s.occupied[g * s.num_words + (pos >> 6)] |= 1ULL << (pos & 63);
     }
     states.push_back(std::move(s));
   }
@@ -226,7 +360,7 @@ MakeMrFairResult MakeMrFair(const Ranking& consensus,
   int restarts_left = 6;
 
   // Applies a position swap to the ranking AND every grouping's
-  // incremental state (favored counts + position sets). Also used to
+  // incremental state (favored counts + position bits). Also used to
   // *undo* history entries — a swap is its own inverse.
   auto apply_swap = [&](int p, int q) {
     const CandidateId u = r.At(p);
@@ -241,11 +375,9 @@ MakeMrFairResult MakeMrFair(const Ranking& consensus,
         // other groups' gains against u cancel their losses against v).
         s.favored[a] -= dist;
         s.favored[b] += dist;
+        s.Move(a, p, q);
+        s.Move(b, q, p);
       }
-      s.positions[a].erase(p);
-      s.positions[b].erase(q);
-      s.positions[a].insert(q);
-      s.positions[b].insert(p);
     }
     r.SwapPositions(p, q);
   };
@@ -258,15 +390,7 @@ MakeMrFairResult MakeMrFair(const Ranking& consensus,
   };
 
   // Anti-cycling tabu list over recently swapped candidate pairs.
-  constexpr size_t kTabuTenure = 16;
-  std::deque<std::pair<CandidateId, CandidateId>> tabu_fifo;
-  std::set<std::pair<CandidateId, CandidateId>> tabu_set;
-  auto tabu_key = [](CandidateId a, CandidateId b) {
-    return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
-  };
-  const TabuFn is_tabu = [&](CandidateId a, CandidateId b) {
-    return tabu_set.count(tabu_key(a, b)) > 0;
-  };
+  TabuList tabu(n);
 
   constexpr double kTol = 1e-12;
   while (result.swaps < max_swaps) {
@@ -312,8 +436,7 @@ MakeMrFairResult MakeMrFair(const Ranking& consensus,
       }
       // Kick: a handful of random crossing swaps on the worst grouping to
       // escape the plateau, then resume the greedy from there.
-      tabu_fifo.clear();
-      tabu_set.clear();
+      tabu.Clear();
       for (int kick = 0; kick < 8; ++kick) {
         double parity;
         int worst = -1, gh = 0, gl = 0;
@@ -330,7 +453,7 @@ MakeMrFairResult MakeMrFair(const Ranking& consensus,
         }
         if (worst < 0) break;
         int kp, kq;
-        if (!FindRandomSwap(states[worst], gh, gl, r, is_tabu, &rng, &kp,
+        if (!FindRandomSwap(states[worst], gh, gl, r, tabu, &rng, &kp,
                             &kq)) {
           break;
         }
@@ -355,7 +478,7 @@ MakeMrFairResult MakeMrFair(const Ranking& consensus,
     for (const Candidate& c : violating) {
       const GroupingState& s = states[c.state_index];
       if (options.swap_policy != MakeMrFairOptions::SwapPolicy::kPaper) {
-        found = FindRandomSwap(s, c.gh, c.gl, r, is_tabu, &rng, &p, &q);
+        found = FindRandomSwap(s, c.gh, c.gl, r, tabu, &rng, &p, &q);
         if (found) break;
         continue;
       }
@@ -377,7 +500,7 @@ MakeMrFairResult MakeMrFair(const Ranking& consensus,
            ++i) {
         const auto [hi, lo] = pairs[i];
         if (hi == lo || s.Fpr(hi) <= s.Fpr(lo)) continue;
-        found = FindPaperSwap(s, hi, lo, s.threshold, r, is_tabu, &p, &q);
+        found = FindPaperSwap(s, hi, lo, s.threshold, r, tabu, &p, &q);
       }
       if (found) break;
     }
@@ -392,12 +515,7 @@ MakeMrFairResult MakeMrFair(const Ranking& consensus,
     apply_swap(p, q);
     swap_history.emplace_back(p, q);
     ++result.swaps;
-    tabu_fifo.push_back(tabu_key(u, v));
-    tabu_set.insert(tabu_fifo.back());
-    if (tabu_fifo.size() > kTabuTenure) {
-      tabu_set.erase(tabu_fifo.front());
-      tabu_fifo.pop_front();
-    }
+    tabu.Push(u, v);
   }
   // Swap budget exhausted; keep whichever configuration (current vs best
   // seen) has the smaller maximum violation, then report honestly.

@@ -32,11 +32,15 @@ struct MakeMrFairOptions {
     /// Paper-faithful: recompute all FPR/ARP/IRP scores from scratch
     /// before every swap — O(n * #groupings) per swap.
     kReference,
-    /// Incremental: O(#groupings + log n) per swap using the identity
-    /// that a swap across distance d changes only the two touched groups'
-    /// favored-pair counts, by exactly -d and +d.
+    /// Incremental: an O(#groupings) score update per swap, using the
+    /// identity that a swap across distance d changes only the two
+    /// touched groups' favored-pair counts, by exactly -d and +d.
     kIndexed,
   };
+  /// Both engines share the swap search: O(n / 64) words of per-group
+  /// position bitsets plus at most min(|G_lowest|, 512) scanned members per
+  /// swap. Per-swap cost is therefore not flat: it grows with group size
+  /// up to 512 members, and by n / 64 after that.
   Engine engine = Engine::kIndexed;
 
   enum class SwapPolicy {

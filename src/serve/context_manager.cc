@@ -570,8 +570,12 @@ EvalResult ContextManager::Eval(const std::string& name,
   // counter moves.
   const ConsensusOutput consensus =
       RunCachedOn(*shard, *spec, {}, &result.generation);
+  // One Fenwick pass; normalized exactly as NormalizedKendallTau does.
   result.tau = KendallTau(ranking, consensus.consensus);
-  result.normalized_tau = NormalizedKendallTau(ranking, consensus.consensus);
+  const int64_t pairs = TotalPairs(ranking.size());
+  result.normalized_tau =
+      pairs == 0 ? 0.0
+                 : static_cast<double>(result.tau) / static_cast<double>(pairs);
   result.fairness = shard->ctx->EvaluateFairness(ranking);
   return result;
 }
