@@ -9,13 +9,11 @@ void ContextGate::LockShared() {
     // The exclusive holder already excludes every other thread; its own
     // nested reads are trivially isolated.
     ++readers_;
-    ++shared_acquires_;
     return;
   }
   cv_.wait(lock,
            [this] { return exclusive_depth_ == 0 && writers_waiting_ == 0; });
   ++readers_;
-  ++shared_acquires_;
 }
 
 void ContextGate::UnlockShared() {
@@ -28,7 +26,6 @@ void ContextGate::LockExclusive() {
   const std::thread::id self = std::this_thread::get_id();
   if (exclusive_depth_ > 0 && exclusive_owner_ == self) {
     ++exclusive_depth_;
-    ++exclusive_acquires_;
     return;
   }
   ++writers_waiting_;
@@ -36,7 +33,6 @@ void ContextGate::LockExclusive() {
   --writers_waiting_;
   exclusive_owner_ = self;
   exclusive_depth_ = 1;
-  ++exclusive_acquires_;
 }
 
 bool ContextGate::TryLockExclusive() {
@@ -44,13 +40,11 @@ bool ContextGate::TryLockExclusive() {
   const std::thread::id self = std::this_thread::get_id();
   if (exclusive_depth_ > 0 && exclusive_owner_ == self) {
     ++exclusive_depth_;
-    ++exclusive_acquires_;
     return true;
   }
   if (exclusive_depth_ > 0 || readers_ > 0) return false;
   exclusive_owner_ = self;
   exclusive_depth_ = 1;
-  ++exclusive_acquires_;
   return true;
 }
 
@@ -71,16 +65,6 @@ bool ContextGate::ThisThreadHoldsExclusive() const {
 int ContextGate::readers_in_flight() const {
   std::lock_guard<std::mutex> lock(mu_);
   return readers_;
-}
-
-uint64_t ContextGate::shared_acquires() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return shared_acquires_;
-}
-
-uint64_t ContextGate::exclusive_acquires() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return exclusive_acquires_;
 }
 
 }  // namespace manirank

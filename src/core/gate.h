@@ -2,7 +2,6 @@
 #define MANIRANK_CORE_GATE_H_
 
 #include <condition_variable>
-#include <cstdint>
 #include <mutex>
 #include <thread>
 
@@ -52,10 +51,8 @@ class ContextGate {
   /// True iff the calling thread currently holds the exclusive side.
   bool ThisThreadHoldsExclusive() const;
 
-  /// Diagnostics (racy snapshots; exact only when externally quiesced).
+  /// Diagnostics (racy snapshot; exact only when externally quiesced).
   int readers_in_flight() const;
-  uint64_t shared_acquires() const;
-  uint64_t exclusive_acquires() const;
 
  private:
   mutable std::mutex mu_;
@@ -64,8 +61,6 @@ class ContextGate {
   int writers_waiting_ = 0;
   int exclusive_depth_ = 0;
   std::thread::id exclusive_owner_;
-  uint64_t shared_acquires_ = 0;
-  uint64_t exclusive_acquires_ = 0;
 };
 
 }  // namespace manirank

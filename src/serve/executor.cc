@@ -14,13 +14,13 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <functional>
 #include <map>
 #include <ostream>
 #include <sstream>
 #include <utility>
 
 #include "serve/durability.h"
+#include "util/threading.h"
 
 namespace manirank::serve {
 namespace {
@@ -35,7 +35,7 @@ constexpr int kSendFlags = 0;
 
 /// Longest request line eligible for the loop-thread inline fast path.
 /// Small enough that parsing + a non-blocking table op cannot stall the
-/// loop's other connections; anything bigger goes through the pool.
+/// loop's other connections; anything bigger goes to the workers.
 constexpr size_t kInlineMaxLineBytes = 4096;
 
 /// WFQ billing: one draining verb (RUN/FLUSH — seconds of gate-holding
@@ -50,6 +50,11 @@ constexpr uint64_t kDrainWeight = 8;
 /// (or an ILP fallback) on a cold result cache, so they are billed
 /// heavier than STATS/APPEND yet lighter than a drain.
 constexpr uint64_t kComputeWeight = 4;
+
+/// Heap order of the WFQ ready queue: a min-heap on (vstart, arrival).
+constexpr auto kLaterEntry = [](const auto& a, const auto& b) {
+  return a.vstart > b.vstart || (a.vstart == b.vstart && a.arrival > b.arrival);
+};
 
 /// Nagle off for accepted connections: with it on, a pipelining client's
 /// final sub-MSS segment can stall ~40 ms behind the peer's delayed ACK
@@ -144,14 +149,11 @@ struct ServeExecutor::Request {
 };
 
 struct ServeExecutor::Conn {
-  Conn(int fd, ContextManager* manager) : fd(fd), dispatcher(manager) {}
+  explicit Conn(int fd) : fd(fd) {}
 
   /// Mutated only by the loop thread, and only under write_mu
   /// (FlushConn reads it under write_mu from any thread).
   int fd;
-  /// Stateless over the shared manager, so concurrent requests of one
-  /// connection may execute on different workers simultaneously.
-  Dispatcher dispatcher;
 
   // --- touched only by the loop thread ---
   std::string in_buffer;
@@ -256,10 +258,6 @@ struct ServeExecutor::IoLoop {
   std::map<int, std::shared_ptr<Conn>> conns;
   /// Connections queued for a service pass (deduped via Conn::in_service).
   std::vector<std::shared_ptr<Conn>> pending;
-  /// Live replication streams. Each iteration queues them
-  /// for service (bounded 200 ms poll tick: catches chain rotations and
-  /// missed pushes) and prunes closed entries.
-  std::vector<std::shared_ptr<Conn>> repl_streams;
   bool accept_ready = false;
   std::chrono::steady_clock::time_point accept_backoff_until{};
 
@@ -267,81 +265,10 @@ struct ServeExecutor::IoLoop {
   /// Connections with completion-side news for the loop; ground truth
   /// for cross-thread wakeups (the wake pipe is only the doorbell).
   std::vector<std::shared_ptr<Conn>> notify;
-  struct Shadow {
-    uint64_t accepted = 0;
-    uint64_t served = 0;
-    uint64_t inline_served = 0;
-    uint64_t bytes_in = 0;
-    uint64_t bytes_out = 0;
-    uint64_t backpressure_stalls = 0;
-    uint64_t parked_drains = 0;
-    uint64_t emfile_rejected = 0;
-    uint64_t repl_sessions = 0;  ///< REPLICATE streams accepted
-    uint64_t repl_bytes = 0;     ///< handshake + streamed log bytes
-  };
-  /// Write-side counter state; every mutation happens under sched_mu_
-  /// and is followed by PublishLocked().
-  Shadow shadow;
-
-  // --- seqlock-published mirror (lock-free readers) ---
-  std::atomic<uint64_t> counter_seq{0};
-  std::atomic<uint64_t> pub_accepted{0};
-  std::atomic<uint64_t> pub_served{0};
-  std::atomic<uint64_t> pub_inline{0};
-  std::atomic<uint64_t> pub_bytes_in{0};
-  std::atomic<uint64_t> pub_bytes_out{0};
-  std::atomic<uint64_t> pub_stalls{0};
-  std::atomic<uint64_t> pub_parked{0};
-  std::atomic<uint64_t> pub_emfile{0};
-  std::atomic<uint64_t> pub_repl_sessions{0};
-  std::atomic<uint64_t> pub_repl_bytes{0};
-
-  /// sched_mu_ held (serializes writers — the seqlock protects readers
-  /// only). Same idiom as the engine's ProfileCounters: odd seq marks
-  /// the write window, fences order the field stores against it.
-  void PublishLocked() {
-    counter_seq.store(counter_seq.load(std::memory_order_relaxed) + 1,
-                      std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    pub_accepted.store(shadow.accepted, std::memory_order_relaxed);
-    pub_served.store(shadow.served, std::memory_order_relaxed);
-    pub_inline.store(shadow.inline_served, std::memory_order_relaxed);
-    pub_bytes_in.store(shadow.bytes_in, std::memory_order_relaxed);
-    pub_bytes_out.store(shadow.bytes_out, std::memory_order_relaxed);
-    pub_stalls.store(shadow.backpressure_stalls, std::memory_order_relaxed);
-    pub_parked.store(shadow.parked_drains, std::memory_order_relaxed);
-    pub_emfile.store(shadow.emfile_rejected, std::memory_order_relaxed);
-    pub_repl_sessions.store(shadow.repl_sessions, std::memory_order_relaxed);
-    pub_repl_bytes.store(shadow.repl_bytes, std::memory_order_relaxed);
-    counter_seq.store(counter_seq.load(std::memory_order_relaxed) + 1,
-                      std::memory_order_release);
-  }
-
-  /// Any thread, lock-free: retries until it observes a quiescent
-  /// (even, unchanged) sequence around the field reads.
-  Shadow ReadCounters() const {
-    for (;;) {
-      const uint64_t begin = counter_seq.load(std::memory_order_acquire);
-      if ((begin & 1) != 0) continue;
-      Shadow snap;
-      snap.accepted = pub_accepted.load(std::memory_order_relaxed);
-      snap.served = pub_served.load(std::memory_order_relaxed);
-      snap.inline_served = pub_inline.load(std::memory_order_relaxed);
-      snap.bytes_in = pub_bytes_in.load(std::memory_order_relaxed);
-      snap.bytes_out = pub_bytes_out.load(std::memory_order_relaxed);
-      snap.backpressure_stalls = pub_stalls.load(std::memory_order_relaxed);
-      snap.parked_drains = pub_parked.load(std::memory_order_relaxed);
-      snap.emfile_rejected = pub_emfile.load(std::memory_order_relaxed);
-      snap.repl_sessions = pub_repl_sessions.load(std::memory_order_relaxed);
-      snap.repl_bytes = pub_repl_bytes.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (counter_seq.load(std::memory_order_relaxed) == begin) return snap;
-    }
-  }
 };
 
 ServeExecutor::ServeExecutor(ContextManager* manager, ServerOptions options)
-    : manager_(manager), options_(options) {
+    : manager_(manager), options_(options), dispatcher_(manager) {
   if (options_.workers == 0) options_.workers = DefaultThreadCount();
   options_.workers = std::min(std::max<size_t>(1, options_.workers),
                               kMaxThreads);
@@ -349,6 +276,11 @@ ServeExecutor::ServeExecutor(ContextManager* manager, ServerOptions options)
       std::max<size_t>(1, options_.max_inflight_per_connection);
   options_.max_buffered_response_bytes =
       std::max<size_t>(4096, options_.max_buffered_response_bytes);
+  dispatcher_.set_metrics_provider([this] { return MetricsResponse(); });
+  // The executor drives RunDuePolicies from the loop's epoll timeout and
+  // the drain observer — never inline on the loop thread.
+  dispatcher_.set_durability(options_.durability,
+                             /*inline_policy_eval=*/false);
 }
 
 ServeExecutor::~ServeExecutor() { Shutdown(); }
@@ -356,11 +288,13 @@ ServeExecutor::~ServeExecutor() { Shutdown(); }
 size_t ServeExecutor::workers() const { return options_.workers; }
 
 uint64_t ServeExecutor::requests_served() const {
-  return requests_served_.load();
+  std::lock_guard<std::mutex> lock(sched_mu_);
+  return counters_.served;
 }
 
 uint64_t ServeExecutor::requests_parked() const {
-  return requests_parked_.load();
+  std::lock_guard<std::mutex> lock(sched_mu_);
+  return counters_.parked_drains;
 }
 
 bool ServeExecutor::Start(std::string* error) {
@@ -396,7 +330,19 @@ bool ServeExecutor::Start(std::string* error) {
   // racing Start).
   loop->accept_ready = true;
   loop_ = std::move(loop);
-  pool_ = std::make_unique<TaskPool>(options_.workers);
+  {
+    std::lock_guard<std::mutex> lock(sched_mu_);
+    workers_stop_ = false;
+    // A drain observed after the previous life's workers stopped may have
+    // left the flag set with no pass queued to clear it.
+    policy_eval_scheduled_ = false;
+    policy_eval_queued_ = false;
+    counters_ = Counters{};
+  }
+  workers_.reserve(options_.workers);
+  for (size_t i = 0; i < options_.workers; ++i) {
+    workers_.emplace_back([this] { WorkerMain(); });
+  }
   // Park-instead-of-block for draining verbs (see DispatchLocked); the
   // observer releases parked requests the moment the fold ends.
   manager_->SetDrainObserver(
@@ -419,10 +365,16 @@ void ServeExecutor::Shutdown() {
   // The loop exits only once every connection is closed, i.e. every
   // accepted request has executed and flushed.
   if (loop_->thread.joinable()) loop_->thread.join();
-  // Stop() then drains whatever stragglers belong to already-aborted
+  // The workers then drain whatever stragglers belong to already-aborted
   // connections; those completions may still ring the loop doorbell, so
-  // the wake pipe stays open until after the pool is down.
-  pool_->Stop();
+  // the wake pipe stays open until after the workers are down.
+  {
+    std::lock_guard<std::mutex> lock(sched_mu_);
+    workers_stop_ = true;
+  }
+  work_cv_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
+  workers_.clear();
   manager_->SetDrainObserver(nullptr);
   {
     std::lock_guard<std::mutex> lock(sched_mu_);
@@ -431,7 +383,8 @@ void ServeExecutor::Shutdown() {
     live_nodes_.clear();
     table_vfinish_.clear();
     virtual_time_ = 0;
-    repl_conns_.clear();
+    repl_streams_.clear();
+    handshakes_.clear();
   }
   loop_.reset();  // closes the wake pipe, reserve fd and epoll set
   started_ = false;
@@ -452,6 +405,7 @@ void ServeExecutor::LoopMain() {
   std::vector<std::shared_ptr<Conn>> work;
   for (;;) {
     const bool stopping = stopping_.load();
+    bool have_repl_streams;
     if (stopping && loop_->listener >= 0) {
       ::epoll_ctl(loop_->epfd, EPOLL_CTL_DEL, loop_->listener, nullptr);
       ::close(loop_->listener);
@@ -479,28 +433,20 @@ void ServeExecutor::LoopMain() {
         }
       }
       loop_->notify.clear();
-    }
-    if (stopping) {
-      // Tick every connection so shutdown transitions and linger
-      // deadlines advance even without fd events.
-      for (auto& [fd, conn] : loop_->conns) {
+      // Pump every live replication stream this pass; the 200 ms poll
+      // tick below caps the latency between passes.
+      for (const std::shared_ptr<Conn>& conn : repl_streams_) {
         if (!conn->in_service) {
           conn->in_service = true;
           loop_->pending.push_back(conn);
         }
       }
+      have_repl_streams = !repl_streams_.empty();
     }
-    if (!loop_->repl_streams.empty()) {
-      // Pump every live replication stream this pass (the 200 ms poll
-      // tick below caps the latency between passes); prune closed ones.
-      loop_->repl_streams.erase(
-          std::remove_if(loop_->repl_streams.begin(),
-                         loop_->repl_streams.end(),
-                         [](const std::shared_ptr<Conn>& conn) {
-                           return conn->fd < 0;
-                         }),
-          loop_->repl_streams.end());
-      for (const std::shared_ptr<Conn>& conn : loop_->repl_streams) {
+    if (stopping) {
+      // Tick every connection so shutdown transitions and linger
+      // deadlines advance even without fd events.
+      for (auto& [fd, conn] : loop_->conns) {
         if (!conn->in_service) {
           conn->in_service = true;
           loop_->pending.push_back(conn);
@@ -525,7 +471,7 @@ void ServeExecutor::LoopMain() {
       timeout_ms = 100;  // tick linger deadlines
     } else if (loop_->accept_ready) {
       timeout_ms = 50;  // resume accepting after the backoff expires
-    } else if (!loop_->repl_streams.empty()) {
+    } else if (have_repl_streams) {
       // Replication poll tick: bounds the latency of rotation detection
       // and of any pump notification lost to a race. The drain observer
       // is the fast path; this is the backstop.
@@ -535,7 +481,7 @@ void ServeExecutor::LoopMain() {
     }
     if (options_.durability != nullptr && !stopping) {
       // The loop doubles as the snapshot-policy timer: bound its wait by
-      // the earliest SECONDS deadline and hand due work to the pool —
+      // the earliest SECONDS deadline and hand due work to the workers —
       // the loop thread itself never snapshots (a truncation drains a
       // whole table under its exclusive gate).
       const int64_t due_ms = options_.durability->NextDeadlineMs();
@@ -639,12 +585,7 @@ void ServeExecutor::AcceptReady() {
       return;  // listener closed or fatal
     }
     SetNoDelay(fd);
-    auto conn = std::make_shared<Conn>(fd, manager_);
-    conn->dispatcher.set_metrics_provider([this] { return MetricsResponse(); });
-    // The executor drives RunDuePolicies from the loop's epoll timeout
-    // and the drain observer — never inline on the loop thread.
-    conn->dispatcher.set_durability(options_.durability,
-                                    /*inline_policy_eval=*/false);
+    auto conn = std::make_shared<Conn>(fd);
     // Both directions, edge-triggered, registered once for life.
     if (!EpollAdd(loop_->epfd, fd, true, conn.get())) {
       ::close(fd);
@@ -656,8 +597,7 @@ void ServeExecutor::AcceptReady() {
     loop_->conns.emplace(fd, conn);
     loop_->pending.push_back(std::move(conn));
     std::lock_guard<std::mutex> lock(sched_mu_);
-    ++loop_->shadow.accepted;
-    loop_->PublishLocked();
+    ++counters_.accepted;
   }
 }
 
@@ -687,8 +627,7 @@ bool ServeExecutor::RejectOverloadedAccept() {
     }
     ::close(fd);
     std::lock_guard<std::mutex> lock(sched_mu_);
-    ++loop_->shadow.emfile_rejected;
-    loop_->PublishLocked();
+    ++counters_.emfile_rejected;
   } else if (!backlog_empty) {
     // Even the emergency slot did not cover it (another thread won the
     // fd); fall back to a timed retry.
@@ -760,8 +699,7 @@ void ServeExecutor::ServiceConn(const std::shared_ptr<Conn>& conn) {
       if (!conn->stalled) {
         conn->stalled = true;
         std::lock_guard<std::mutex> lock(sched_mu_);
-        ++loop_->shadow.backpressure_stalls;
-        loop_->PublishLocked();
+        ++counters_.backpressure_stalls;
       }
     } else {
       conn->stalled = false;
@@ -779,8 +717,7 @@ void ServeExecutor::ServiceConn(const std::shared_ptr<Conn>& conn) {
           if (!conn->stalled) {
             conn->stalled = true;
             std::lock_guard<std::mutex> lock(sched_mu_);
-            ++loop_->shadow.backpressure_stalls;
-            loop_->PublishLocked();
+            ++counters_.backpressure_stalls;
           }
           break;
         case ReadStatus::kEof:
@@ -918,8 +855,7 @@ ServeExecutor::ReadStatus ServeExecutor::HandleReadable(
           // verb, so any residual bytes are protocol garbage — drop them.
           conn->in_buffer.clear();
           std::lock_guard<std::mutex> lock(sched_mu_);
-          loop_->shadow.bytes_in += static_cast<uint64_t>(got);
-          loop_->PublishLocked();
+          counters_.bytes_in += static_cast<uint64_t>(got);
           return ReadStatus::kEof;
         }
       }
@@ -929,8 +865,7 @@ ServeExecutor::ReadStatus ServeExecutor::HandleReadable(
         // Soft backpressure check between chunks: everything already
         // read is scheduled, but stop pulling more once over budget.
         std::lock_guard<std::mutex> lock(sched_mu_);
-        loop_->shadow.bytes_in += static_cast<uint64_t>(got);
-        loop_->PublishLocked();
+        counters_.bytes_in += static_cast<uint64_t>(got);
         over = conn->next_seq - conn->next_send >=
                    options_.max_inflight_per_connection ||
                conn->unsent_bytes > options_.max_buffered_response_bytes ||
@@ -986,22 +921,13 @@ ServeExecutor::Request* ServeExecutor::ScheduleLine(
         conn->scheduling_reads = false;
         conn->repl = std::make_unique<Conn::Repl>();
         conn->repl->table = table;
-        repl_conns_.emplace(conn.get(), conn);
-        loop_->repl_streams.push_back(conn);
-        const std::shared_ptr<Conn> stream = conn;
-        // The worker cannot observe a half-built stream: StartReplication
-        // takes sched_mu_ (held here) before reading the Repl state.
-        if (pool_->Submit([this, stream] { StartReplication(stream); })) {
-          ++loop_->shadow.repl_sessions;
-          loop_->PublishLocked();
-          return nullptr;
-        }
-        // Pool already stopping (shutdown race): revert and let the
-        // normal path answer whatever the dispatcher says.
-        conn->repl.reset();
-        repl_conns_.erase(conn.get());
-        loop_->repl_streams.pop_back();
-        conn->scheduling_reads = true;
+        repl_streams_.push_back(conn);
+        // The worker cannot observe a half-built stream: it pops the
+        // handshake under sched_mu_ (held here).
+        handshakes_.push_back(conn);
+        work_cv_.notify_one();
+        ++counters_.repl_sessions;
+        return nullptr;
       } else {
         // Pipelined predecessors would interleave their responses into
         // the binary stream; refuse (ordered after them, as a barrier).
@@ -1051,7 +977,7 @@ ServeExecutor::Request* ServeExecutor::ScheduleLine(
         !stopping_.load() && node->line.size() <= kInlineMaxLineBytes) {
       // Loop-thread fast path: a small dependency-free non-draining
       // per-table verb (STATS, small APPEND, REMOVE — all non-blocking
-      // on the gate) executes where it was parsed, skipping the pool
+      // on the gate) executes where it was parsed, skipping the worker
       // handoff and its wakeups. The caller executes the returned node.
       return node;
     }
@@ -1094,15 +1020,13 @@ void ServeExecutor::DispatchLocked(Request* node) {
   if (!stopping_.load() && node->draining && !node->table.empty() &&
       manager_->IsDraining(node->table)) {
     // The table's backlog is mid-fold: executing now would just block a
-    // pool worker on the exclusive gate. Park; OnDrainFinished (the
+    // worker on the exclusive gate. Park; OnDrainFinished (the
     // manager's drain observer) re-dispatches the moment the fold ends.
     // No lost wakeup: the manager clears its draining flag before the
     // observer fires, and the observer takes sched_mu_, so it cannot
     // run between our check and this insertion.
     parked_[node->table].push_back(node);
-    requests_parked_.fetch_add(1);
-    ++loop_->shadow.parked_drains;
-    loop_->PublishLocked();
+    ++counters_.parked_drains;
     return;
   }
   EnqueueReadyLocked(node);
@@ -1126,41 +1050,47 @@ void ServeExecutor::EnqueueReadyLocked(Request* node) {
   entry.arrival = node->arrival;
   entry.node = node;
   ready_.push_back(entry);
-  const auto later = [](const ReadyEntry& a, const ReadyEntry& b) {
-    return a.vstart > b.vstart ||
-           (a.vstart == b.vstart && a.arrival > b.arrival);
-  };
-  std::push_heap(ready_.begin(), ready_.end(), later);
-  // Generic pop-the-fairest jobs: exactly one per ready node, so the
-  // pool never idles while work is ready.
-  pool_->Submit([this] { RunNextReady(); });
+  std::push_heap(ready_.begin(), ready_.end(), kLaterEntry);
+  work_cv_.notify_one();
 }
 
-void ServeExecutor::RunNextReady() {
-  Request* node = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(sched_mu_);
-    if (ready_.empty()) return;
-    const auto later = [](const ReadyEntry& a, const ReadyEntry& b) {
-      return a.vstart > b.vstart ||
-             (a.vstart == b.vstart && a.arrival > b.arrival);
-    };
-    std::pop_heap(ready_.begin(), ready_.end(), later);
-    const ReadyEntry entry = ready_.back();
-    ready_.pop_back();
-    node = entry.node;
-    // Advance the WFQ clock to the dispatched start time; lanes that
-    // idled past it snap forward on their next enqueue.
-    virtual_time_ = std::max(virtual_time_, entry.vstart);
+void ServeExecutor::WorkerMain() {
+  std::unique_lock<std::mutex> lock(sched_mu_);
+  for (;;) {
+    work_cv_.wait(lock, [this] {
+      return workers_stop_ || !handshakes_.empty() || policy_eval_queued_ ||
+             !ready_.empty();
+    });
+    if (!handshakes_.empty()) {
+      const std::shared_ptr<Conn> conn = std::move(handshakes_.front());
+      handshakes_.pop_front();
+      lock.unlock();
+      StartReplication(conn);
+    } else if (policy_eval_queued_) {
+      policy_eval_queued_ = false;
+      lock.unlock();
+      RunPolicyPass();
+    } else if (!ready_.empty()) {
+      std::pop_heap(ready_.begin(), ready_.end(), kLaterEntry);
+      const ReadyEntry entry = ready_.back();
+      ready_.pop_back();
+      // Advance the WFQ clock to the dispatched start time; lanes that
+      // idled past it snap forward on their next enqueue.
+      virtual_time_ = std::max(virtual_time_, entry.vstart);
+      lock.unlock();
+      ExecuteNode(entry.node, /*inline_on_loop=*/false);
+    } else {
+      return;  // workers_stop_ and every queued job has run
+    }
+    lock.lock();
   }
-  ExecuteNode(node, /*inline_on_loop=*/false);
 }
 
 void ServeExecutor::ExecuteNode(Request* node, bool inline_on_loop) {
   const std::shared_ptr<Conn> conn = node->conn;
   std::string response;
   try {
-    response = conn->dispatcher.Handle(node->line);
+    response = dispatcher_.Handle(node->line);
   } catch (...) {
     // Handle() maps every failure to an ERR response; this is a belt for
     // the contract so one rogue exception cannot kill a worker (or the
@@ -1169,10 +1099,7 @@ void ServeExecutor::ExecuteNode(Request* node, bool inline_on_loop) {
   }
   {
     std::lock_guard<std::mutex> lock(sched_mu_);
-    if (inline_on_loop) {
-      ++loop_->shadow.inline_served;
-      loop_->PublishLocked();
-    }
+    if (inline_on_loop) ++counters_.inline_served;
     CompleteLocked(node, std::move(response), !inline_on_loop);
   }
   // Flush from the worker instead of waiting for the loop: on an
@@ -1206,9 +1133,7 @@ void ServeExecutor::CompleteLocked(Request* node, std::string response,
     conn->finished_out_of_order.emplace(node->seq, std::move(response));
     SequenceLocked(*conn);
   }
-  ++loop_->shadow.served;
-  loop_->PublishLocked();
-  requests_served_.fetch_add(1);
+  ++counters_.served;
   // Output may be flushable, reads resumable, or the connection
   // finishable — let the loop re-evaluate (skipped on the inline
   // path: the loop is the caller and re-evaluates at the end of this
@@ -1218,7 +1143,7 @@ void ServeExecutor::CompleteLocked(Request* node, std::string response,
 }
 
 void ServeExecutor::SequenceLocked(Conn& conn) {
-  // Completion order is whatever the pool produced; the wire order is
+  // Completion order is whatever the workers produced; the wire order is
   // the request order. Append every response whose turn has come.
   for (auto it = conn.finished_out_of_order.find(conn.next_send);
        it != conn.finished_out_of_order.end();
@@ -1251,7 +1176,7 @@ void ServeExecutor::OnDrainFinished(const std::string& table) {
     // A finished fold is exactly when this table's replication streams
     // have new committed bytes: push a pump pass to the loop so
     // replication latency tracks fold latency, not the 200 ms backstop.
-    for (const auto& [raw, conn] : repl_conns_) {
+    for (const std::shared_ptr<Conn>& conn : repl_streams_) {
       if (conn->repl != nullptr && conn->repl->handshake_done &&
           conn->repl->table == table) {
         NotifyLoopLocked(conn);
@@ -1259,32 +1184,38 @@ void ServeExecutor::OnDrainFinished(const std::string& table) {
     }
   }
   // A finished drain is exactly when a GENERATIONS policy can newly come
-  // due — the generation only moves at fold boundaries. Outside
-  // sched_mu_: SchedulePolicyEval touches the pool, not the scheduler.
+  // due — the generation only moves at fold boundaries.
   if (options_.durability != nullptr && !stopping_.load()) {
     SchedulePolicyEval();
   }
 }
 
 void ServeExecutor::SchedulePolicyEval() {
-  if (options_.durability == nullptr || pool_ == nullptr) return;
-  if (policy_eval_scheduled_.exchange(true)) return;
-  const bool submitted = pool_->Submit([this] {
-    try {
-      options_.durability->RunDuePolicies();
-    } catch (...) {
-      // Per-table failures are already swallowed inside; nothing else
-      // may escape onto a pool worker.
-    }
-    policy_eval_scheduled_.store(false);
-    // Re-check after the clear: a deadline that came due during the pass
-    // (or a drain that raced the flag) must not wait for the next loop
-    // wakeup.
-    if (!stopping_.load() && options_.durability->NextDeadlineMs() == 0) {
-      SchedulePolicyEval();
-    }
-  });
-  if (!submitted) policy_eval_scheduled_.store(false);  // pool stopping
+  if (options_.durability == nullptr) return;
+  std::lock_guard<std::mutex> lock(sched_mu_);
+  if (policy_eval_scheduled_) return;
+  policy_eval_scheduled_ = true;
+  policy_eval_queued_ = true;
+  work_cv_.notify_one();
+}
+
+void ServeExecutor::RunPolicyPass() {
+  try {
+    options_.durability->RunDuePolicies();
+  } catch (...) {
+    // Per-table failures are already swallowed inside; nothing else may
+    // escape onto a worker.
+  }
+  {
+    std::lock_guard<std::mutex> lock(sched_mu_);
+    policy_eval_scheduled_ = false;
+  }
+  // Re-check after the clear: a deadline that came due during the pass
+  // (or a drain that raced the flag) must not wait for the next loop
+  // wakeup.
+  if (!stopping_.load() && options_.durability->NextDeadlineMs() == 0) {
+    SchedulePolicyEval();
+  }
 }
 
 void ServeExecutor::StartReplication(const std::shared_ptr<Conn>& conn) {
@@ -1314,7 +1245,9 @@ void ServeExecutor::StartReplication(const std::shared_ptr<Conn>& conn) {
     conn->pending_out += '\n';
     conn->unsent_bytes += err.size() + 1;
     conn->repl.reset();
-    repl_conns_.erase(conn.get());
+    repl_streams_.erase(
+        std::remove(repl_streams_.begin(), repl_streams_.end(), conn),
+        repl_streams_.end());
     NotifyLoopLocked(conn);
     return;
   }
@@ -1332,8 +1265,7 @@ void ServeExecutor::StartReplication(const std::shared_ptr<Conn>& conn) {
   conn->repl->chain = handshake.chain;
   conn->repl->offset = handshake.committed_bytes;
   conn->repl->handshake_done = true;
-  loop_->shadow.repl_bytes += added;
-  loop_->PublishLocked();
+  counters_.repl_bytes += added;
   NotifyLoopLocked(conn);
 }
 
@@ -1373,8 +1305,7 @@ bool ServeExecutor::PumpReplication(const std::shared_ptr<Conn>& conn) {
   conn->repl->offset = offset;
   conn->pending_out += chunk;
   conn->unsent_bytes += chunk.size();
-  loop_->shadow.repl_bytes += chunk.size();
-  loop_->PublishLocked();
+  counters_.repl_bytes += chunk.size();
   return false;
 }
 
@@ -1413,10 +1344,7 @@ void ServeExecutor::FlushConn(const std::shared_ptr<Conn>& conn) {
   if (sent_total == 0 && !peer_gone) return;
   std::lock_guard<std::mutex> lock(sched_mu_);
   conn->unsent_bytes -= std::min(conn->unsent_bytes, sent_total);
-  if (sent_total > 0) {
-    loop_->shadow.bytes_out += sent_total;
-    loop_->PublishLocked();
-  }
+  counters_.bytes_out += sent_total;
   if (peer_gone && !conn->dead) {
     conn->dead = true;
     conn->pending_out.clear();
@@ -1440,19 +1368,26 @@ void ServeExecutor::CloseConn(const std::shared_ptr<Conn>& conn) {
     conn->dead = true;
     conn->pending_out.clear();
     conn->unsent_bytes = 0;
-    conn->repl.reset();
-    repl_conns_.erase(conn.get());
+    if (conn->repl != nullptr) {
+      conn->repl.reset();
+      repl_streams_.erase(
+          std::remove(repl_streams_.begin(), repl_streams_.end(), conn),
+          repl_streams_.end());
+    }
   }
   conn->scheduling_reads = false;
   conn->discarding = false;
 }
 
 std::string ServeExecutor::MetricsResponse() const {
-  // Safe from any worker while the executor runs: loop_ is replaced only
-  // in Start/Shutdown, when no requests execute; the counter snapshot is
-  // a seqlock read. The poller=, io_loops= and loop0= tokens predate the
-  // single epoll loop and stay so the wire format is unchanged.
-  const IoLoop::Shadow s = loop_->ReadCounters();
+  // METRICS is a barrier verb, so it runs on a worker holding no executor
+  // lock. The poller=, io_loops= and loop0= tokens predate the single
+  // epoll loop and stay so the wire format is unchanged.
+  Counters s;
+  {
+    std::lock_guard<std::mutex> lock(sched_mu_);
+    s = counters_;
+  }
   std::ostringstream out;
   out << "OK METRICS poller=epoll io_loops=1 workers=" << options_.workers
       << " accepted=" << s.accepted << " served=" << s.served

@@ -25,12 +25,16 @@
 ///    stay live during the heaviest fold, and one loop keeps up with the
 ///    handful of pipelining analyst connections the server is built
 ///    for; and
-///  - a bounded shared worker pool (util/threading.h TaskPool) that
-///    executes parsed requests through the per-connection Dispatcher.
-///    Small non-draining per-table requests with no in-flight
-///    predecessor (STATS, APPEND, REMOVE) skip the pool handoff and
-///    execute inline on the loop, skipping the pool queue and its
-///    wakeups.
+///  - options.workers worker threads owned by the executor. They sleep
+///    on one condition variable paired with the scheduler lock and pop
+///    the weighted-fair ready queue directly, so a request crosses one
+///    queue and one lock between the loop and its worker. The same
+///    workers pick up the two non-request jobs (replication handshakes
+///    and the deduplicated snapshot-policy pass). They are plain threads,
+///    not ParallelFor pool workers, so an engine kernel a request enters
+///    still fans out. Small non-draining per-table requests with no
+///    in-flight predecessor (STATS, APPEND, REMOVE) skip the handoff and
+///    execute inline on the loop.
 ///
 /// Scheduling preserves the observable semantics of serial execution:
 /// requests addressing the same table execute in arrival order, requests
@@ -43,7 +47,7 @@
 /// response stream is bit-identical to the synchronous dispatcher's,
 /// while the server-side work overlaps.
 ///
-/// Worker shares are dealt per TABLE, not per request: the pool-bound
+/// Worker shares are dealt per TABLE, not per request: the worker-bound
 /// ready queue is a weighted-fair-queuing heap keyed by per-table
 /// virtual start times (a draining verb bills kDrainWeight slots, a
 /// compute verb — EVAL/SELECT, which may run a consensus method on a
@@ -54,13 +58,13 @@
 /// arrival-order FIFO would queue it behind every one of them. Compute
 /// verbs are also excluded from the loop-thread inline fast path: a
 /// cold-cache consensus run (or SELECT's ILP fallback) always executes
-/// on the worker pool, never on the event loop.
+/// on a worker, never on the event loop.
 ///
 /// Draining verbs additionally consult the ContextManager's non-blocking
 /// scheduling hooks: a RUN or FLUSH aimed at a table whose backlog is
 /// mid-fold is parked and re-dispatched by the drain observer instead
-/// of blocking a pool worker, so one table's exclusive mutation wave
-/// cannot absorb the whole pool. (SNAPSHOT drains too, but runs as a
+/// of blocking a worker, so one table's exclusive mutation wave
+/// cannot absorb every worker. (SNAPSHOT drains too, but runs as a
 /// barrier — alone on its connection — so it never stacks workers.)
 ///
 /// ## Backpressure
@@ -82,11 +86,11 @@
 ///
 /// ## Observability
 ///
-/// The loop publishes counters (connections accepted, requests served
-/// and served-inline, bytes in/out, backpressure stalls, parked drains,
-/// EMFILE rejections) through the same seqlock idiom as the engine's
-/// ProfileCounters: writers are serialized by the scheduler lock, the
-/// METRICS verb reads a consistent snapshot lock-free.
+/// The executor counts connections accepted, requests served and
+/// served-inline, bytes in/out, backpressure stalls, parked drains and
+/// EMFILE rejections. Every counter is bumped under the scheduler lock,
+/// and the METRICS verb copies them under that lock, so one response is
+/// one consistent snapshot.
 ///
 /// ## Shutdown
 ///
@@ -106,7 +110,7 @@
 /// connection into a leader-side replication stream (serve/protocol.h
 /// documents the wire format). The handshake (snapshot floor + committed
 /// log prefix, read from the durable files by DurabilityManager::
-/// TakeHandshake) is built on a pool worker; from then on the event loop
+/// TakeHandshake) is built on a worker; from then on the event loop
 /// pumps newly committed log bytes into the ordinary response
 /// buffer, so replication rides the same edge-triggered write path and
 /// response-byte backpressure as every other connection. Pump triggers:
@@ -126,9 +130,10 @@
 #ifdef MANIRANK_SERVE_HAVE_SOCKETS
 
 #include <atomic>
-#include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -138,7 +143,6 @@
 
 #include "serve/context_manager.h"
 #include "serve/protocol.h"
-#include "util/threading.h"
 
 namespace manirank::serve {
 
@@ -179,7 +183,7 @@ struct ServerOptions {
   DurabilityManager* durability = nullptr;
 };
 
-/// Async request pipeline: one epoll event loop + shared worker pool +
+/// Async request pipeline: one epoll event loop + executor-owned workers +
 /// per-connection in-order response queues. See the file comment for the
 /// model. All public methods are safe to call from one controlling
 /// thread (the usual Start / wait / Shutdown lifecycle); the accessors
@@ -193,7 +197,7 @@ class ServeExecutor {
 
   /// Binds the listener on 127.0.0.1:<port>, opens the loop's wake pipe,
   /// epoll set and emergency fd, registers the drain observer, and starts
-  /// the event loop and worker pool. On failure (including fd exhaustion:
+  /// the event loop and the workers. On failure (including fd exhaustion:
   /// socket, pipe2, epoll_create1, ...) reports into `*error`, closes
   /// every fd it opened, and returns false.
   bool Start(std::string* error = nullptr);
@@ -206,17 +210,31 @@ class ServeExecutor {
   void Shutdown();
 
   size_t workers() const;
-  /// Requests whose responses were completed (diagnostics).
+  /// Requests whose responses were completed since the last Start
+  /// (diagnostics).
   uint64_t requests_served() const;
   /// Requests parked on the IsDraining hook instead of blocking a
-  /// worker (diagnostics).
+  /// worker, since the last Start (diagnostics).
   uint64_t requests_parked() const;
 
  private:
   struct Conn;
   struct IoLoop;
   struct Request;
-  /// Pool-bound ready-queue entry: a min-heap on (vstart, arrival).
+  /// The METRICS counters; every field is guarded by sched_mu_.
+  struct Counters {
+    uint64_t accepted = 0;
+    uint64_t served = 0;
+    uint64_t inline_served = 0;
+    uint64_t bytes_in = 0;
+    uint64_t bytes_out = 0;
+    uint64_t backpressure_stalls = 0;
+    uint64_t parked_drains = 0;
+    uint64_t emfile_rejected = 0;
+    uint64_t repl_sessions = 0;  ///< REPLICATE streams accepted
+    uint64_t repl_bytes = 0;     ///< handshake + streamed log bytes
+  };
+  /// Worker-bound ready-queue entry: a min-heap on (vstart, arrival).
   /// vstart is the request's weighted-fair-queuing virtual start time —
   /// see EnqueueReadyLocked; arrival breaks ties back to strict FIFO.
   struct ReadyEntry {
@@ -238,17 +256,20 @@ class ServeExecutor {
   ReadStatus HandleReadable(const std::shared_ptr<Conn>& conn);
   /// Classifies and registers one request line. Returns a node the
   /// CALLER must execute inline (loop-thread fast path), or nullptr when
-  /// the request was dispatched to the pool / parked / answered.
+  /// the request was queued for the workers / parked / answered.
   Request* ScheduleLine(const std::shared_ptr<Conn>& conn, std::string&& line);
   void ScheduleOversize(const std::shared_ptr<Conn>& conn);
   /// sched_mu_ held: dispatch a dependency-free request (park, answer a
-  /// synthetic, or enqueue for the pool).
+  /// synthetic, or enqueue for the workers).
   void DispatchLocked(Request* node);
   /// sched_mu_ held: stamp the WFQ virtual start time, push onto the
-  /// ready heap, and wake one pool worker.
+  /// ready heap, and wake one worker.
   void EnqueueReadyLocked(Request* node);
-  /// Worker-thread entry: pop the fairest ready request and execute it.
-  void RunNextReady();
+  /// Worker thread body: sleeps on work_cv_ until a handshake, a policy
+  /// pass or a ready request is queued, and runs it with no executor
+  /// lock held. Returns once Shutdown asks the workers to stop and no
+  /// work is left.
+  void WorkerMain();
   /// Executes one node's request (no executor lock held), completes it,
   /// and — on the worker path — flushes the response.
   void ExecuteNode(Request* node, bool inline_on_loop);
@@ -261,13 +282,15 @@ class ServeExecutor {
   /// (deduplicated) and wake the loop.
   void NotifyLoopLocked(const std::shared_ptr<Conn>& conn);
   void OnDrainFinished(const std::string& table);
-  /// Dispatches one DurabilityManager::RunDuePolicies pass to the worker
-  /// pool, deduplicated: at most one pass is queued/running at a time
-  /// (policy snapshots drain whole tables — stacking them would absorb
-  /// the pool). The runner re-checks for newly due work after clearing
+  /// Queues one DurabilityManager::RunDuePolicies pass for the workers,
+  /// deduplicated: at most one pass is queued/running at a time (policy
+  /// snapshots drain whole tables — stacking them would absorb the
+  /// workers). RunPolicyPass re-checks for newly due work after clearing
   /// the flag, so a deadline arriving mid-pass is never lost.
   void SchedulePolicyEval();
-  /// Pool-worker entry for a replication handshake: reads the snapshot
+  /// Worker entry for the queued policy pass.
+  void RunPolicyPass();
+  /// Worker entry for a replication handshake: reads the snapshot
   /// floor + committed log prefix (TakeHandshake) and appends the header
   /// line plus both raw payloads to the connection's response buffer —
   /// the stream then continues via PumpReplication on the loop.
@@ -283,31 +306,41 @@ class ServeExecutor {
   void FlushConn(const std::shared_ptr<Conn>& conn);
   /// Loop-thread only: deregister, close, and forget a connection.
   void CloseConn(const std::shared_ptr<Conn>& conn);
-  /// One-line counter snapshot for the METRICS verb (lock-free reads).
+  /// One-line counter snapshot for the METRICS verb: copies the counters
+  /// under sched_mu_, so the caller must not hold it.
   std::string MetricsResponse() const;
 
   ContextManager* manager_;
   ServerOptions options_;
+  /// Stateless over the shared manager, so every connection's requests
+  /// may execute through it on different workers simultaneously.
+  Dispatcher dispatcher_;
   int port_ = 0;
   bool started_ = false;
   std::atomic<bool> stopping_{false};
   /// The event loop's fds, thread, and loop-thread state; created by
   /// Start, destroyed by Shutdown.
   std::unique_ptr<IoLoop> loop_;
-  std::unique_ptr<TaskPool> pool_;
 
   /// One scheduling lock for parse-side (event loop) and completion-side
-  /// (workers) bookkeeping. Scheduling operations are micro-sized
-  /// compared to request execution, which never holds it — and response
-  /// flushing happens under per-connection write locks, not this one.
-  std::mutex sched_mu_;
+  /// (workers) bookkeeping, the workers' job queues and the counters.
+  /// Scheduling operations are micro-sized compared to request execution,
+  /// which never holds it — and response flushing happens under
+  /// per-connection write locks, not this one.
+  mutable std::mutex sched_mu_;
+  /// Workers sleep here (paired with sched_mu_) until work is queued or
+  /// workers_stop_ is set.
+  std::condition_variable work_cv_;
+  /// Set by Shutdown once the loop has joined: workers finish every
+  /// queued job, then exit.
+  bool workers_stop_ = false;
   /// Owns every unfinished request; executing workers hold raw pointers,
-  /// so nodes die only in CompleteLocked (or teardown after the pool has
-  /// drained).
+  /// so nodes die only in CompleteLocked (or teardown after the workers
+  /// have drained).
   std::unordered_map<Request*, std::unique_ptr<Request>> live_nodes_;
   /// Dependency-free requests awaiting a worker: WFQ min-heap (see
-  /// ReadyEntry). On a saturated pool the pop order is the per-table
-  /// weighted fair order; an idle pool still takes everything
+  /// ReadyEntry). With every worker busy the pop order is the per-table
+  /// weighted fair order; idle workers still take everything
   /// immediately.
   std::vector<ReadyEntry> ready_;
   uint64_t next_arrival_ = 0;
@@ -324,15 +357,22 @@ class ServeExecutor {
   std::unordered_map<std::string, std::vector<Request*>> parked_;
   /// One global parked-queue flush when shutdown begins.
   bool parked_flushed_ = false;
-  /// Live replication streams (handshake pending or done), keyed by raw
-  /// Conn pointer: the drain observer pushes a pump notification to each
-  /// stream of the folded table. Entries leave in CloseConn.
-  std::unordered_map<Conn*, std::shared_ptr<Conn>> repl_conns_;
-
-  std::atomic<uint64_t> requests_served_{0};
-  std::atomic<uint64_t> requests_parked_{0};
-  /// SchedulePolicyEval dedup flag (see its comment).
-  std::atomic<bool> policy_eval_scheduled_{false};
+  /// Live replication streams (handshake pending or done). The loop
+  /// queues each for a pump pass every iteration (the 200 ms tick keeps
+  /// iterations coming while one is live), and the drain observer
+  /// notifies the streams of the folded table. Entries leave in
+  /// CloseConn or on a refused handshake.
+  std::vector<std::shared_ptr<Conn>> repl_streams_;
+  /// Replication streams whose handshake no worker has picked up yet.
+  std::deque<std::shared_ptr<Conn>> handshakes_;
+  /// SchedulePolicyEval dedup flag: a pass is queued or running (see its
+  /// comment). Reset by Start.
+  bool policy_eval_scheduled_ = false;
+  /// A pass is queued and no worker has picked it up yet.
+  bool policy_eval_queued_ = false;
+  Counters counters_;
+  /// Declared after everything the workers touch; Shutdown joins them.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace manirank::serve

@@ -236,8 +236,8 @@ class Dispatcher {
   /// caller must check `out` afterwards and report the I/O failure.
   int ServeStream(std::istream& in, std::ostream& out, bool echo = false);
 
-  /// Installs the METRICS data source. The serving executor points every
-  /// connection's dispatcher at its counter snapshot; front ends that
+  /// Installs the METRICS data source. The serving executor points its
+  /// dispatcher at its counter snapshot; front ends that
   /// leave it unset answer METRICS with "ERR unavailable:". Must be set
   /// before the dispatcher handles requests (not thread-safe against a
   /// concurrent Handle).

@@ -150,14 +150,6 @@ void FollowerClient::Shutdown() {
   started_ = false;
 }
 
-std::vector<std::string> FollowerClient::ReplicatedTables() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(sessions_.size());
-  for (const auto& [name, session] : sessions_) names.push_back(name);
-  return names;
-}
-
 int FollowerClient::ConnectToLeader() {
   addrinfo hints{};
   hints.ai_family = AF_UNSPEC;

@@ -44,7 +44,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "serve/context_manager.h"
 
@@ -83,9 +82,6 @@ class FollowerClient {
   /// replicated tables REMAIN in the manager, serving their last folded
   /// state (still marked followers).
   void Shutdown();
-
-  /// Names with an active replication session thread (diagnostics).
-  std::vector<std::string> ReplicatedTables() const;
 
  private:
   struct Session {

@@ -5,7 +5,7 @@
 //   manirank_serve --script FILE        replay a request script (offline mode)
 //   manirank_serve --port P             TCP server: async executor pipeline —
 //                                       one edge-triggered epoll event loop
-//                                       plus a shared worker pool
+//                                       plus the executor's worker threads
 //                                       (serve/executor.h; Linux only); P=0
 //                                       picks an ephemeral port (the bound
 //                                       port is printed as "listening on

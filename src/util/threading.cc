@@ -254,56 +254,6 @@ void ParallelFor(size_t count,
   }
 }
 
-TaskPool::TaskPool(size_t threads) {
-  threads = std::min(std::max<size_t>(1, threads), kMaxThreads);
-  threads_.reserve(threads);
-  for (size_t i = 0; i < threads; ++i) {
-    threads_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-TaskPool::~TaskPool() { Stop(); }
-
-bool TaskPool::Submit(std::function<void()> job) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return false;
-    jobs_.push_back(std::move(job));
-  }
-  cv_.notify_one();
-  return true;
-}
-
-void TaskPool::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_ && threads_.empty()) return;
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
-  threads_.clear();
-}
-
-size_t TaskPool::queued_jobs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return jobs_.size();
-}
-
-void TaskPool::WorkerLoop() {
-  for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stopping_ || !jobs_.empty(); });
-      if (jobs_.empty()) return;  // stopping_ and nothing left to drain
-      job = std::move(jobs_.front());
-      jobs_.pop_front();
-    }
-    job();
-  }
-}
-
 size_t PooledWorkerCount() { return WorkerPool::Instance().worker_count(); }
 
 uint64_t PooledThreadsCreated() {

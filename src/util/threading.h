@@ -1,14 +1,9 @@
 #ifndef MANIRANK_UTIL_THREADING_H_
 #define MANIRANK_UTIL_THREADING_H_
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace manirank {
 
@@ -32,7 +27,9 @@ inline constexpr size_t kMaxThreads = 256;
 /// after warmup no call constructs a std::thread. One partition always
 /// runs inline on the calling thread. Nested ParallelFor calls (a body
 /// that itself calls ParallelFor) run serially on the worker to avoid
-/// pool starvation.
+/// pool starvation. Only the pool's own workers are flagged as nested:
+/// a thread the caller created itself (such as a serving executor
+/// worker, which may block for seconds on a table gate) still fans out.
 ///
 /// The body must be safe to run concurrently on disjoint ranges. If any
 /// partition throws, the fan-out first quiesces and the first captured
@@ -41,49 +38,6 @@ void ParallelFor(size_t count,
                  const std::function<void(size_t begin, size_t end,
                                           size_t worker)>& body,
                  size_t threads = 0);
-
-/// Fixed-size pool of dedicated worker threads for long-running,
-/// possibly-blocking jobs — the serving executor's request workers. The
-/// same parked-on-a-condition-variable job-queue machinery as the
-/// ParallelFor pool, but deliberately a separate set of threads: a
-/// TaskPool job may block for seconds on a table gate or run a whole
-/// consensus method, and its threads are NOT flagged as ParallelFor
-/// workers, so a job that enters a parallel kernel still fans out across
-/// the shared ParallelFor pool instead of serializing.
-///
-/// Thread safety: Submit may be called concurrently from any thread.
-/// Jobs run in submission order across the pool (FIFO queue, no
-/// per-thread affinity). Stop() (and the destructor) stop accepting new
-/// jobs, run everything already queued to completion, and join the
-/// threads; Submit after Stop is a no-op returning false.
-class TaskPool {
- public:
-  /// Spawns exactly `threads` workers (clamped to [1, kMaxThreads]).
-  explicit TaskPool(size_t threads);
-  ~TaskPool();
-  TaskPool(const TaskPool&) = delete;
-  TaskPool& operator=(const TaskPool&) = delete;
-
-  /// Enqueues one job. Returns false (dropping the job) after Stop.
-  bool Submit(std::function<void()> job);
-
-  /// Drains the queue, joins every worker, and rejects further Submits.
-  /// Safe to call more than once; the destructor calls it.
-  void Stop();
-
-  size_t thread_count() const { return threads_.size(); }
-  /// Jobs currently queued but not yet picked up (diagnostics).
-  size_t queued_jobs() const;
-
- private:
-  void WorkerLoop();
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> jobs_;
-  std::vector<std::thread> threads_;
-  bool stopping_ = false;
-};
 
 /// Number of persistent pool workers currently alive (diagnostics).
 size_t PooledWorkerCount();

@@ -283,6 +283,49 @@ TEST_F(ReplicationTest, LeaderRejectsMalformedReplicateAndKeepsServing) {
   EXPECT_EQ(lines[6].rfind("OK STATS t ", 0), 0u) << lines[6];
 }
 
+/// A SECONDS snapshot policy is driven only by the executor: the loop's
+/// epoll timeout notices the deadline and a worker runs the pass (STATS
+/// executes inline and never evaluates policies). The log must keep
+/// truncating with no further writes, in both lives of a restarted
+/// executor — a dedup flag left set by the first life would silence the
+/// second, and one never cleared after a pass would stop the second
+/// truncation of each life.
+TEST_F(ReplicationTest, SecondsPolicyFiresFromTheExecutorTimerAcrossRestart) {
+  const auto truncations = [](const std::string& stats) {
+    const size_t at = stats.find(" oplog_truncations=");
+    if (at == std::string::npos) return ~0ull;
+    return std::strtoull(stats.c_str() + at + 19, nullptr, 10);
+  };
+  for (int life = 0; life < 2; ++life) {
+    SCOPED_TRACE("life " + std::to_string(life));
+    if (life == 1) {
+      leader_->Shutdown();
+      std::string error;
+      ASSERT_TRUE(leader_->Start(&error)) << error;
+    }
+    testing::Client client(leader_->port());
+    std::vector<std::string> setup = {"APPEND t 0 1 2 3 4 5",
+                                      "SNAPSHOT-POLICY t SECONDS 0.2",
+                                      "STATS t"};
+    if (life == 0) setup.insert(setup.begin(), "CREATE t CYCLIC 6 2 3");
+    ASSERT_TRUE(client.Send(testing::JoinRequests(setup)));
+    const std::vector<std::string> lines = client.ReadLines(setup.size());
+    ASSERT_EQ(lines.size(), setup.size());
+    for (const std::string& line : lines) {
+      ASSERT_EQ(line.rfind("OK", 0), 0u) << line;
+    }
+    const uint64_t before = truncations(lines.back());
+    ASSERT_NE(before, ~0ull) << lines.back();
+    std::string stats;
+    ASSERT_TRUE(WaitUntil([&] {
+      if (!client.Send("STATS t\n")) return false;
+      stats = client.ReadLines(1).at(0);
+      const uint64_t now = truncations(stats);
+      return now != ~0ull && now >= before + 2;
+    })) << stats;
+  }
+}
+
 }  // namespace
 }  // namespace manirank
 
