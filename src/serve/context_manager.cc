@@ -484,17 +484,8 @@ ConsensusOutput ContextManager::RunCachedOn(Shard& shard,
                                             const MethodSpec& method,
                                             const ConsensusOptions& options,
                                             uint64_t* generation_out) {
-  // Lookup at the seqlock generation. A mid-fold value can never hit —
-  // entries are only inserted at fold boundaries — so the worst case is
-  // a miss whose keyed run blocks on the gate and observes the settled
-  // post-fold state; a stale hit is impossible.
-  const uint64_t lookup_generation = shard.ctx->generation();
   ConsensusOutput out;
-  if (shard.cache.LookupRun(method.id, options, lookup_generation, &out)) {
-    shard.runs.fetch_add(1, std::memory_order_relaxed);
-    if (generation_out != nullptr) *generation_out = lookup_generation;
-    return out;
-  }
+  if (LookupRunOn(shard, method, options, &out, generation_out)) return out;
   uint64_t observed = 0;
   out = shard.ctx->RunMethod(method, options, &observed);
   shard.runs.fetch_add(1, std::memory_order_relaxed);
@@ -506,6 +497,75 @@ ConsensusOutput ContextManager::RunCachedOn(Shard& shard,
   }
   if (generation_out != nullptr) *generation_out = observed;
   return out;
+}
+
+bool ContextManager::LookupRunOn(Shard& shard, const MethodSpec& method,
+                                 const ConsensusOptions& options,
+                                 ConsensusOutput* out,
+                                 uint64_t* generation_out) {
+  // Lookup at the seqlock generation. A mid-fold value can never hit —
+  // entries are only inserted at fold boundaries — so the worst case is
+  // a miss whose keyed run blocks on the gate and observes the settled
+  // post-fold state; a stale hit is impossible.
+  const uint64_t lookup_generation = shard.ctx->generation();
+  if (!shard.cache.LookupRun(method.id, options, lookup_generation, out)) {
+    return false;
+  }
+  shard.runs.fetch_add(1, std::memory_order_relaxed);
+  if (generation_out != nullptr) *generation_out = lookup_generation;
+  return true;
+}
+
+bool ContextManager::LookupSweepOn(
+    Shard& shard, const std::vector<const MethodSpec*>& supported,
+    const ConsensusOptions& options, MethodResults* results,
+    uint64_t* generation_out) {
+  // All-or-nothing at one generation: the sweep contract is that every
+  // output comes from the same profile state, so a partial hit cannot mix
+  // cached results with a keyed re-run (which may observe a newer
+  // generation) — and counts no hit for the results it would discard.
+  const uint64_t lookup_generation = shard.ctx->generation();
+  std::vector<ConsensusOutput> outputs;
+  if (!shard.cache.LookupSweep(supported, options, lookup_generation,
+                               &outputs)) {
+    return false;
+  }
+  shard.runs.fetch_add(outputs.size(), std::memory_order_relaxed);
+  if (generation_out != nullptr) *generation_out = lookup_generation;
+  results->clear();
+  results->reserve(outputs.size());
+  for (size_t i = 0; i < outputs.size(); ++i) {
+    results->emplace_back(supported[i], std::move(outputs[i]));
+  }
+  return true;
+}
+
+bool ContextManager::TryRunCached(const std::string& name,
+                                  const MethodSpec* method,
+                                  const ConsensusOptions& options,
+                                  MethodResults* results,
+                                  uint64_t* generation) {
+  const std::shared_ptr<Shard> shard = TryFind(name);
+  if (shard == nullptr) return false;
+  // Run drains first. Holding apply_mu with an empty queue is exactly the
+  // state in which that drain is a no-op — and while we hold it no fold
+  // can start, so the generation cannot move under the lookup. A held
+  // lock means a fold is queued or running: not served.
+  std::unique_lock<std::mutex> apply_lock(shard->apply_mu, std::try_to_lock);
+  if (!apply_lock.owns_lock()) return false;
+  {
+    std::lock_guard<std::mutex> qlock(shard->queue_mu);
+    if (!shard->queue.empty()) return false;
+  }
+  if (method == nullptr) {
+    return LookupSweepOn(*shard, SupportedFor(*shard->ctx), options, results,
+                         generation);
+  }
+  ConsensusOutput out;
+  if (!LookupRunOn(*shard, *method, options, &out, generation)) return false;
+  results->clear();
+  results->emplace_back(method, std::move(out));
+  return true;
 }
 
 TableStats ContextManager::StatsFor(const Shard& shard) {
@@ -682,49 +742,32 @@ std::vector<const MethodSpec*> ContextManager::SupportedMethods(
   return SupportedFor(*Find(name)->ctx);
 }
 
-std::vector<std::pair<const MethodSpec*, ConsensusOutput>>
-ContextManager::RunSupported(const std::string& name,
-                             const ConsensusOptions& options,
-                             uint64_t* generation_after) {
+ContextManager::MethodResults ContextManager::RunSupported(
+    const std::string& name, const ConsensusOptions& options,
+    uint64_t* generation_after) {
   std::shared_ptr<Shard> shard_ptr = Find(name);
   Shard& shard = *shard_ptr;
   Drain(shard, /*try_only=*/false, nullptr);
   const std::vector<const MethodSpec*> supported = SupportedFor(*shard.ctx);
-  // All-or-nothing cache probe at one generation: the sweep contract is
-  // that every output comes from the same profile state, so a partial
-  // hit cannot mix cached results with a keyed re-run (which may observe
-  // a newer generation) — any miss falls back to one full sweep.
-  const uint64_t lookup_generation = shard.ctx->generation();
-  std::vector<ConsensusOutput> outputs;
-  outputs.reserve(supported.size());
-  bool all_hit = !supported.empty();
-  for (const MethodSpec* method : supported) {
-    ConsensusOutput out;
-    if (!shard.cache.LookupRun(method->id, options, lookup_generation,
-                               &out)) {
-      all_hit = false;
-      break;
-    }
-    outputs.push_back(std::move(out));
+  MethodResults results;
+  if (LookupSweepOn(shard, supported, options, &results, generation_after)) {
+    return results;
   }
-  uint64_t observed = lookup_generation;
-  if (!all_hit) {
-    // One RunMethods call = one reader registration: a concurrent drain
-    // waits for the whole sweep, so every output (and the reported
-    // generation) comes from the same profile state.
-    outputs = shard.ctx->RunMethods(supported, options, &observed);
-    for (size_t i = 0; i < outputs.size(); ++i) {
-      if (outputs[i].exact) {
-        shard.cache.InsertRun(supported[i]->id, options, observed,
-                              outputs[i]);
-      }
+  // One RunMethods call = one reader registration: a concurrent drain
+  // waits for the whole sweep, so every output (and the reported
+  // generation) comes from the same profile state.
+  uint64_t observed = 0;
+  std::vector<ConsensusOutput> outputs =
+      shard.ctx->RunMethods(supported, options, &observed);
+  for (size_t i = 0; i < outputs.size(); ++i) {
+    if (outputs[i].exact) {
+      shard.cache.InsertRun(supported[i]->id, options, observed, outputs[i]);
     }
   }
   shard.runs.fetch_add(outputs.size(), std::memory_order_relaxed);
   if (generation_after != nullptr) {
     *generation_after = observed;
   }
-  std::vector<std::pair<const MethodSpec*, ConsensusOutput>> results;
   results.reserve(outputs.size());
   for (size_t i = 0; i < outputs.size(); ++i) {
     results.emplace_back(supported[i], std::move(outputs[i]));
@@ -776,28 +819,11 @@ SelectOutcome ContextManager::Select(const std::string& name,
                          spec.max_count});
   }
 
-  const MethodSpec* spec = FindMethod("A3");
   SelectOutcome outcome;
+  if (LookupSelectOn(*shard, query, &outcome)) return outcome;
+
+  const MethodSpec* spec = FindMethod("A3");
   outcome.method = spec->id;
-
-  // The parsed query is the whole key: the consensus method and its
-  // (default) options are fixed per verb.
-  const uint64_t lookup_generation = shard->ctx->generation();
-  CachedSelect cached;
-  if (shard->cache.LookupSelect(query, lookup_generation, &cached)) {
-    // Every served SELECT bumps `runs` exactly once, hit or cold (the
-    // cold path's bump comes from its consensus leg).
-    shard->runs.fetch_add(1, std::memory_order_relaxed);
-    outcome.generation = lookup_generation;
-    outcome.selected = std::move(cached.selected);
-    outcome.cost = cached.cost;
-    outcome.feasible = cached.feasible;
-    outcome.used_ilp = cached.used_ilp;
-    outcome.optimal = cached.optimal;
-    AuditSlate(table, outcome.selected, &outcome);
-    return outcome;
-  }
-
   const ConsensusOutput consensus =
       RunCachedOn(*shard, *spec, {}, &outcome.generation);
   FairSelectOptions select_options;
@@ -828,6 +854,37 @@ SelectOutcome ContextManager::Select(const std::string& name,
   }
   AuditSlate(table, outcome.selected, &outcome);
   return outcome;
+}
+
+bool ContextManager::LookupSelectOn(Shard& shard, const SelectQuery& query,
+                                    SelectOutcome* outcome) {
+  // The parsed query is the whole key: the consensus method and its
+  // (default) options are fixed per verb. Only validated queries are ever
+  // inserted, so a hit needs no validation of its own.
+  const uint64_t lookup_generation = shard.ctx->generation();
+  CachedSelect cached;
+  if (!shard.cache.LookupSelect(query, lookup_generation, &cached)) {
+    return false;
+  }
+  // Every served SELECT bumps `runs` exactly once, hit or cold (the
+  // cold path's bump comes from its consensus leg).
+  shard.runs.fetch_add(1, std::memory_order_relaxed);
+  outcome->generation = lookup_generation;
+  outcome->method = FindMethod("A3")->id;
+  outcome->selected = std::move(cached.selected);
+  outcome->cost = cached.cost;
+  outcome->feasible = cached.feasible;
+  outcome->used_ilp = cached.used_ilp;
+  outcome->optimal = cached.optimal;
+  AuditSlate(*shard.table, outcome->selected, outcome);
+  return true;
+}
+
+bool ContextManager::TrySelectCached(const std::string& name,
+                                     const SelectQuery& query,
+                                     SelectOutcome* outcome) {
+  const std::shared_ptr<Shard> shard = TryFind(name);
+  return shard != nullptr && LookupSelectOn(*shard, query, outcome);
 }
 
 void ContextManager::SetResultCacheEnabled(bool enabled) {

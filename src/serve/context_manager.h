@@ -359,13 +359,45 @@ class ContextManager {
   std::vector<const MethodSpec*> SupportedMethods(
       const std::string& name) const;
 
+  /// {method, output} pairs in paper order (RunSupported, TryRunCached).
+  using MethodResults =
+      std::vector<std::pair<const MethodSpec*, ConsensusOutput>>;
+
   /// Drains the queue, then sweeps every method the table supports as ONE
   /// shared-gate hold, atomic with respect to mutation waves: all eight
   /// for retained profiles, the precedence/Borda subset for summarized
   /// (restored) tables. Returns {method, output} pairs in paper order.
-  std::vector<std::pair<const MethodSpec*, ConsensusOutput>> RunSupported(
-      const std::string& name, const ConsensusOptions& options = {},
-      uint64_t* generation_after = nullptr);
+  MethodResults RunSupported(const std::string& name,
+                             const ConsensusOptions& options = {},
+                             uint64_t* generation_after = nullptr);
+
+  // --- cache-only, non-blocking reads (async front ends) --------------
+  //
+  // An event loop may answer a RUN or SELECT itself when the result
+  // cache already holds the answer, skipping the worker handoff. These
+  // entries never block, drain or compute: each either serves exactly
+  // what the blocking verb would serve at this instant — same output,
+  // same generation, same counter movement (`runs`, `cache_hits`) — or
+  // returns false ("not served") with no counter moved, and the caller
+  // falls back to the blocking verb. Unknown tables, unknown or
+  // unsupported methods, malformed queries, empty profiles and cache
+  // misses are all "not served": none of them can have a cache entry.
+
+  /// Run (`method` non-null) or RunSupported (`method` == nullptr, the
+  /// `all` sweep, served only when every supported method hits) from the
+  /// cache. Serves only when the table's apply lock can be taken without
+  /// waiting and the mutation queue is empty: holding the lock, no fold
+  /// is queued, running or able to start, so the lookup's generation is
+  /// the one the draining verb would serve at.
+  bool TryRunCached(const std::string& name, const MethodSpec* method,
+                    const ConsensusOptions& options, MethodResults* results,
+                    uint64_t* generation);
+
+  /// Select from the cache: the same lookup Select makes, at the applied
+  /// generation (SELECT never drains, so queued mutations do not block
+  /// it).
+  bool TrySelectCached(const std::string& name, const SelectQuery& query,
+                       SelectOutcome* outcome);
 
   // --- non-blocking drain scheduling hooks (async front ends) ---------
   //
@@ -482,6 +514,20 @@ class ContextManager {
   static ConsensusOutput RunCachedOn(Shard& shard, const MethodSpec& method,
                                      const ConsensusOptions& options,
                                      uint64_t* generation_out);
+  /// RunCachedOn's cache hit alone: false (nothing moved) on a miss.
+  static bool LookupRunOn(Shard& shard, const MethodSpec& method,
+                          const ConsensusOptions& options, ConsensusOutput* out,
+                          uint64_t* generation_out);
+  /// RunSupported's all-or-nothing cache hit over `supported`: false
+  /// (nothing moved) unless every method hits at one generation.
+  static bool LookupSweepOn(Shard& shard,
+                            const std::vector<const MethodSpec*>& supported,
+                            const ConsensusOptions& options,
+                            MethodResults* results, uint64_t* generation_out);
+  /// Select's cache hit for an already validated (or cached, hence
+  /// valid) query: false (nothing moved) on a miss.
+  static bool LookupSelectOn(Shard& shard, const SelectQuery& query,
+                             SelectOutcome* outcome);
   /// Steals and applies the queued backlog. With `try_only`, gives up
   /// without side effects when the gate is contended. Returns rankings
   /// applied via *applied; returns false only in try_only mode. When

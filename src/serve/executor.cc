@@ -137,10 +137,13 @@ struct ServeExecutor::Request {
   std::string table;
   bool barrier = false;
   bool draining = false;
-  /// Compute verb (EVAL / SELECT): excluded from the inline fast path
-  /// (a cold-cache consensus run on the loop thread would stall every
-  /// connection of the loop) and billed kComputeWeight in the WFQ.
+  /// Compute verb (EVAL / SELECT): never executed on the loop (a
+  /// cold-cache consensus run there would stall every connection) and
+  /// billed kComputeWeight in the WFQ.
   bool compute = false;
+  /// RUN / SELECT: returned to the loop for a result-cache probe when
+  /// dependency-free (see ExecuteNode); a miss takes the worker path.
+  bool cacheable = false;
   /// Non-empty: respond with this without executing (oversize ERR).
   std::string synthetic_response;
   /// Unfinished predecessors; dispatched when this reaches zero.
@@ -948,6 +951,7 @@ ServeExecutor::Request* ServeExecutor::ScheduleLine(
   node->barrier = cls.barrier;
   node->draining = cls.draining;
   node->compute = cls.compute;
+  node->cacheable = cls.cacheable;
   node->synthetic_response = std::move(synthetic);
   live_nodes_.emplace(node, std::move(owned));
   const auto depend_on = [node](Request* pred) {
@@ -973,12 +977,14 @@ ServeExecutor::Request* ServeExecutor::ScheduleLine(
   }
   conn->unfinished.push_back(node);
   if (node->deps == 0) {
-    if (!node->barrier && !node->draining && !node->compute &&
-        !stopping_.load() && node->line.size() <= kInlineMaxLineBytes) {
-      // Loop-thread fast path: a small dependency-free non-draining
-      // per-table verb (STATS, small APPEND, REMOVE — all non-blocking
-      // on the gate) executes where it was parsed, skipping the worker
-      // handoff and its wakeups. The caller executes the returned node.
+    const bool light = !node->draining && !node->compute;
+    if (!node->barrier && (light || node->cacheable) && !stopping_.load() &&
+        node->line.size() <= kInlineMaxLineBytes) {
+      // Loop-thread fast path for a small dependency-free per-table verb,
+      // skipping the worker handoff and its wakeups: a light verb (STATS,
+      // small APPEND, REMOVE — all non-blocking on the gate) executes
+      // where it was parsed, and a RUN / SELECT is answered there if it
+      // hits the result cache. The caller executes the returned node.
       return node;
     }
     DispatchLocked(node);
@@ -1089,8 +1095,15 @@ void ServeExecutor::WorkerMain() {
 void ServeExecutor::ExecuteNode(Request* node, bool inline_on_loop) {
   const std::shared_ptr<Conn> conn = node->conn;
   std::string response;
+  bool served = true;
   try {
-    response = dispatcher_.Handle(node->line);
+    if (inline_on_loop && node->cacheable) {
+      // Non-blocking: a RUN / SELECT is served here only on a clean
+      // result-cache hit, with the bytes Handle would write.
+      served = dispatcher_.TryHandleCached(node->line, &response);
+    } else {
+      response = dispatcher_.Handle(node->line);
+    }
   } catch (...) {
     // Handle() maps every failure to an ERR response; this is a belt for
     // the contract so one rogue exception cannot kill a worker (or the
@@ -1099,6 +1112,13 @@ void ServeExecutor::ExecuteNode(Request* node, bool inline_on_loop) {
   }
   {
     std::lock_guard<std::mutex> lock(sched_mu_);
+    if (!served) {
+      // Not served from the cache (and nothing moved): the worker path,
+      // exactly as if ScheduleLine had dispatched the node — park behind
+      // a fold, or the fair queue at the verb's weight.
+      DispatchLocked(node);
+      return;
+    }
     if (inline_on_loop) ++counters_.inline_served;
     CompleteLocked(node, std::move(response), !inline_on_loop);
   }

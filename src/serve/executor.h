@@ -20,9 +20,10 @@
 ///
 ///  - one edge-triggered epoll event loop that owns the listener and
 ///    every accepted connection, so all per-connection I/O state is
-///    single-writer (and TSan-clean). The loop never executes a
-///    consensus request — only moves bytes — so accepts and every socket
-///    stay live during the heaviest fold, and one loop keeps up with the
+///    single-writer (and TSan-clean). The loop never runs a consensus
+///    method or waits on a table lock — it moves bytes, plus the
+///    non-blocking fast path below — so accepts and every socket stay
+///    live during the heaviest fold, and one loop keeps up with the
 ///    handful of pipelining analyst connections the server is built
 ///    for; and
 ///  - options.workers worker threads owned by the executor. They sleep
@@ -32,9 +33,11 @@
 ///    workers pick up the two non-request jobs (replication handshakes
 ///    and the deduplicated snapshot-policy pass). They are plain threads,
 ///    not ParallelFor pool workers, so an engine kernel a request enters
-///    still fans out. Small non-draining per-table requests with no
-///    in-flight predecessor (STATS, APPEND, REMOVE) skip the handoff and
-///    execute inline on the loop.
+///    still fans out. Small per-table requests with no in-flight
+///    predecessor skip the handoff: STATS, APPEND and REMOVE execute
+///    inline on the loop, and a RUN or SELECT whose answer the result
+///    cache already holds is answered there too (a non-blocking probe;
+///    anything else takes the worker path unchanged).
 ///
 /// Scheduling preserves the observable semantics of serial execution:
 /// requests addressing the same table execute in arrival order, requests
@@ -55,10 +58,14 @@
 /// table's deep backlog cannot starve a light table's single request —
 /// the light request's virtual start snaps to the current virtual time
 /// and sorts ahead of the backlog's already-billed slots, where plain
-/// arrival-order FIFO would queue it behind every one of them. Compute
-/// verbs are also excluded from the loop-thread inline fast path: a
-/// cold-cache consensus run (or SELECT's ILP fallback) always executes
-/// on a worker, never on the event loop.
+/// arrival-order FIFO would queue it behind every one of them. Nothing
+/// that computes runs on the event loop: the loop answers a RUN or
+/// SELECT only from the result cache (ContextManager::TryRunCached /
+/// TrySelectCached — a RUN only when no fold is queued or running on
+/// its table), and a miss — a cold-cache consensus run, SELECT's ILP
+/// fallback — is dispatched to a worker exactly as before. EVAL always
+/// executes on a worker: its tau and fairness pass costs tens of
+/// microseconds even on a cache hit.
 ///
 /// Draining verbs additionally consult the ContextManager's non-blocking
 /// scheduling hooks: a RUN or FLUSH aimed at a table whose backlog is
@@ -255,8 +262,9 @@ class ServeExecutor {
   bool RejectOverloadedAccept();
   ReadStatus HandleReadable(const std::shared_ptr<Conn>& conn);
   /// Classifies and registers one request line. Returns a node the
-  /// CALLER must execute inline (loop-thread fast path), or nullptr when
-  /// the request was queued for the workers / parked / answered.
+  /// CALLER must pass to ExecuteNode inline (loop-thread fast path), or
+  /// nullptr when the request was queued for the workers / parked /
+  /// answered.
   Request* ScheduleLine(const std::shared_ptr<Conn>& conn, std::string&& line);
   void ScheduleOversize(const std::shared_ptr<Conn>& conn);
   /// sched_mu_ held: dispatch a dependency-free request (park, answer a
@@ -271,7 +279,9 @@ class ServeExecutor {
   /// work is left.
   void WorkerMain();
   /// Executes one node's request (no executor lock held), completes it,
-  /// and — on the worker path — flushes the response.
+  /// and — on the worker path — flushes the response. On the loop a
+  /// cacheable node (RUN / SELECT) is only probed against the result
+  /// cache; when not served it is dispatched to the workers instead.
   void ExecuteNode(Request* node, bool inline_on_loop);
   /// sched_mu_ held: record the response, resolve dependents, sequence,
   /// bump counters, and (unless the caller IS the loop) queue the

@@ -70,6 +70,16 @@ std::optional<double> ParseDouble(std::string_view token) {
   return v;
 }
 
+/// `verb` followed by every token the tokenizer has left.
+Tokens SplitTokens(std::string_view verb, RequestTokenizer* tokenizer) {
+  Tokens tokens = {verb};
+  for (std::string_view t = tokenizer->Next(); !t.empty();
+       t = tokenizer->Next()) {
+    tokens.push_back(t);
+  }
+  return tokens;
+}
+
 std::string Err(const char* code, const std::string& detail) {
   return std::string("ERR ") + code + ": " + detail;
 }
@@ -307,7 +317,10 @@ std::string HandleEval(ContextManager* manager, RequestTokenizer* tokens) {
   return std::move(os).str();
 }
 
-std::string HandleSelect(ContextManager* manager, const Tokens& tokens) {
+/// Parses a SELECT request into `table` and `query`. Returns the ERR
+/// response for a malformed request, or an empty string.
+std::string ParseSelect(const Tokens& tokens, std::string* table,
+                        SelectQuery* query) {
   static constexpr char kUsage[] =
       "SELECT <table> <k> [ATTR <a> <g> <min> <max>]* [INTER <g> <min> "
       "<max>]* [LIMIT <s>]";
@@ -326,8 +339,7 @@ std::string HandleSelect(ContextManager* manager, const Tokens& tokens) {
     return Err("bad-request", "SELECT k must be a positive integer, got '" +
                                   std::string(tokens[2]) + "'");
   }
-  SelectQuery query;
-  query.k = *k;
+  query->k = *k;
   size_t i = 3;
   while (i < tokens.size()) {
     const std::string clause(tokens[i]);
@@ -362,7 +374,7 @@ std::string HandleSelect(ContextManager* manager, const Tokens& tokens) {
       spec.group = *group;
       spec.min_count = *min_count;
       spec.max_count = *max_count;
-      query.constraints.push_back(spec);
+      query->constraints.push_back(spec);
       i = j;
     } else if (clause == "LIMIT") {
       if (i + 1 >= tokens.size()) {
@@ -374,15 +386,19 @@ std::string HandleSelect(ContextManager* manager, const Tokens& tokens) {
         return Err("bad-request", "LIMIT needs a positive number, got '" +
                                       std::string(tokens[i + 1]) + "'");
       }
-      query.time_limit_seconds = *seconds;
+      query->time_limit_seconds = *seconds;
       i += 2;
     } else {
       return Err("bad-request", "bad SELECT clause '" + clause + "'; " +
                                     kUsage);
     }
   }
-  const std::string table(tokens[1]);
-  const SelectOutcome outcome = manager->Select(table, query);
+  *table = std::string(tokens[1]);
+  return {};
+}
+
+std::string FormatSelect(const std::string& table, const SelectQuery& query,
+                         const SelectOutcome& outcome) {
   if (!outcome.feasible) {
     // A well-formed query whose constraints admit no size-k slate: a
     // distinct code (the computation succeeded — only the answer is
@@ -407,11 +423,30 @@ std::string HandleSelect(ContextManager* manager, const Tokens& tokens) {
   return std::move(os).str();
 }
 
-std::string HandleRun(ContextManager* manager, const Tokens& tokens) {
+std::string HandleSelect(ContextManager* manager, const Tokens& tokens) {
+  std::string table;
+  SelectQuery query;
+  const std::string error = ParseSelect(tokens, &table, &query);
+  if (!error.empty()) return error;
+  return FormatSelect(table, query, manager->Select(table, query));
+}
+
+/// RUN <table> <method|all> with its options, as parsed.
+struct RunRequest {
+  std::string table;
+  /// A registry id or "all"; resolved at execution, so an unknown id
+  /// answers ERR unknown-method exactly where the manager throws it.
+  std::string_view method;
+  ConsensusOptions options;
+};
+
+/// Parses a RUN request. Returns the ERR response for a malformed
+/// request, or an empty string.
+std::string ParseRun(const Tokens& tokens, RunRequest* request) {
   if (tokens.size() < 3) {
     return Err("bad-request", "RUN <table> <method|all> [DELTA <d>] [LIMIT <s>]");
   }
-  ConsensusOptions options;
+  ConsensusOptions& options = request->options;
   options.time_limit_seconds = 30.0;
   for (size_t i = 3; i < tokens.size(); i += 2) {
     if (i + 1 >= tokens.size()) {
@@ -429,27 +464,74 @@ std::string HandleRun(ContextManager* manager, const Tokens& tokens) {
                                     " " + std::string(tokens[i + 1]));
     }
   }
-  const std::string table(tokens[1]);
-  const std::string_view method = tokens[2];
+  request->table = std::string(tokens[1]);
+  request->method = tokens[2];
+  return {};
+}
+
+std::string FormatRun(const std::string& table, uint64_t generation,
+                      const ContextManager::MethodResults& results) {
   ResponseLine os;
+  os << "OK RUN " << table << " gen=" << generation;
+  for (const auto& [spec, output] : results) {
+    AppendMethodResult(&os, spec->id, output);
+  }
+  return std::move(os).str();
+}
+
+std::string HandleRun(ContextManager* manager, const Tokens& tokens) {
+  RunRequest request;
+  const std::string error = ParseRun(tokens, &request);
+  if (!error.empty()) return error;
   uint64_t generation = 0;
-  if (method == "all") {
+  ContextManager::MethodResults results;
+  if (request.method == "all") {
     // One shared-gate hold for the whole sweep (retained tables serve all
     // eight methods, restored ones the precedence/Borda subset), so the
     // reported gen= holds for every result on the line — a concurrent
     // mutation wave cannot land between two methods of one response.
-    std::vector<std::pair<const MethodSpec*, ConsensusOutput>> results =
-        manager->RunSupported(table, options, &generation);
-    os << "OK RUN " << table << " gen=" << generation;
-    for (const auto& [spec, output] : results) {
-      AppendMethodResult(&os, spec->id, output);
-    }
+    results = manager->RunSupported(request.table, request.options,
+                                    &generation);
   } else {
-    ConsensusOutput output = manager->Run(table, method, options, &generation);
-    os << "OK RUN " << table << " gen=" << generation;
-    AppendMethodResult(&os, FindMethod(method)->id, output);
+    ConsensusOutput output = manager->Run(request.table, request.method,
+                                          request.options, &generation);
+    results.emplace_back(FindMethod(request.method), std::move(output));
   }
-  return std::move(os).str();
+  return FormatRun(request.table, generation, results);
+}
+
+/// RUN answered from the result cache alone (ContextManager::
+/// TryRunCached): false when the request is malformed or not a hit.
+bool RunFromCache(ContextManager* manager, const Tokens& tokens,
+                  std::string* response) {
+  RunRequest request;
+  if (!ParseRun(tokens, &request).empty()) return false;
+  const MethodSpec* method = nullptr;
+  if (request.method != "all") {
+    method = FindMethod(request.method);
+    if (method == nullptr) return false;
+  }
+  uint64_t generation = 0;
+  ContextManager::MethodResults results;
+  if (!manager->TryRunCached(request.table, method, request.options, &results,
+                             &generation)) {
+    return false;
+  }
+  *response = FormatRun(request.table, generation, results);
+  return true;
+}
+
+/// SELECT answered from the result cache alone (ContextManager::
+/// TrySelectCached): false when the request is malformed or not a hit.
+bool SelectFromCache(ContextManager* manager, const Tokens& tokens,
+                     std::string* response) {
+  std::string table;
+  SelectQuery query;
+  if (!ParseSelect(tokens, &table, &query).empty()) return false;
+  SelectOutcome outcome;
+  if (!manager->TrySelectCached(table, query, &outcome)) return false;
+  *response = FormatSelect(table, query, outcome);
+  return true;
 }
 
 std::string HandleSnapshot(ContextManager* manager, const Tokens& tokens) {
@@ -575,6 +657,16 @@ std::string Dispatcher::Handle(const std::string& line) {
   return response;
 }
 
+bool Dispatcher::TryHandleCached(const std::string& line,
+                                 std::string* response) {
+  RequestTokenizer tokenizer(line);
+  const std::string_view verb = tokenizer.Next();
+  if (verb != "RUN" && verb != "SELECT") return false;
+  const Tokens tokens = SplitTokens(verb, &tokenizer);
+  return verb == "RUN" ? RunFromCache(manager_, tokens, response)
+                       : SelectFromCache(manager_, tokens, response);
+}
+
 std::string Dispatcher::HandleRequest(const std::string& line) {
   RequestTokenizer tokenizer(line);
   const std::string_view verb = tokenizer.Next();
@@ -583,11 +675,7 @@ std::string Dispatcher::HandleRequest(const std::string& line) {
     // The payload verbs read their ids straight off the tokenizer.
     if (verb == "APPEND") return HandleAppend(manager_, &tokenizer);
     if (verb == "EVAL") return HandleEval(manager_, &tokenizer);
-    Tokens tokens = {verb};
-    for (std::string_view t = tokenizer.Next(); !t.empty();
-         t = tokenizer.Next()) {
-      tokens.push_back(t);
-    }
+    const Tokens tokens = SplitTokens(verb, &tokenizer);
     if (verb == "CREATE") return HandleCreate(manager_, tokens);
     if (verb == "RUN") return HandleRun(manager_, tokens);
     if (verb == "SELECT") return HandleSelect(manager_, tokens);
@@ -780,6 +868,7 @@ RequestClass ClassifyRequest(const std::string& line) {
     cls.table = std::string(table);
     cls.draining = verb == "RUN" || verb == "FLUSH";
     cls.compute = verb == "EVAL" || verb == "SELECT";
+    cls.cacheable = verb == "RUN" || verb == "SELECT";
   } else {
     // Namespace verbs (CREATE / RESTORE / DROP / TABLES), unknown verbs,
     // and malformed per-table requests (no table token) all serialize

@@ -89,7 +89,8 @@ namespace manirank::serve {
 /// the exact fallback. Resolution is greedy repair first (optimal
 /// whenever all constraints target one grouping), with a branch & bound
 /// ILP fallback when greedy cannot certify a slate — run on the worker
-/// pool like every compute verb, never on an event loop. Response:
+/// pool like every compute verb, never on an event loop (only a result
+/// cache hit is answered there). Response:
 /// "OK SELECT <table> gen=<g> k=<k> method=A3 algo=<greedy|ilp>
 /// optimal=<0|1> cost=<c> air=<a0;a1;...> four_fifths=<0|1>
 /// selected=<c0,c1,...>" (selected in consensus order). air= is the
@@ -236,6 +237,17 @@ class Dispatcher {
   /// caller must check `out` afterwards and report the I/O failure.
   int ServeStream(std::istream& in, std::ostream& out, bool echo = false);
 
+  /// Answers a RUN or SELECT line from the result cache alone, without
+  /// blocking, draining or computing (ContextManager::TryRunCached /
+  /// TrySelectCached). Returns true with `*response` set to exactly the
+  /// bytes Handle would return now — the two share one parser and one
+  /// formatter — and the same counter movement. Returns false, with
+  /// nothing moved, for every other verb, a malformed request, or
+  /// anything that is not a cache hit; the caller then calls Handle. For
+  /// front ends that drive snapshot policies themselves (no inline
+  /// policy tick, see set_durability).
+  bool TryHandleCached(const std::string& line, std::string* response);
+
   /// Installs the METRICS data source. The serving executor points its
   /// dispatcher at its counter snapshot; front ends that
   /// leave it unset answer METRICS with "ERR unavailable:". Must be set
@@ -290,8 +302,11 @@ class Dispatcher {
 ///    ContextManager::IsDraining to park instead of blocking a worker.
 ///  - A `compute` verb (EVAL / SELECT) runs a consensus method (or an
 ///    ILP fallback) without draining: cheap on a warm result cache but
-///    unboundedly expensive cold, so schedulers keep it off event-loop
-///    threads and bill it a middle fair-queue weight.
+///    unboundedly expensive cold, so schedulers bill it a middle
+///    fair-queue weight and execute it off event-loop threads.
+///  - A `cacheable` verb (RUN / SELECT) may be answered on an event loop
+///    by Dispatcher::TryHandleCached when the result cache holds the
+///    answer; anything else it executes like its draining/compute class.
 struct RequestClass {
   /// Scheduling key; empty for barriers and no-response lines.
   std::string table;
@@ -299,9 +314,13 @@ struct RequestClass {
   bool barrier = false;
   /// May block on the table's exclusive gate (RUN / FLUSH).
   bool draining = false;
-  /// Method-running read-only verb (EVAL / SELECT): never inline on an
-  /// event loop, billed kComputeWeight in the fair queue.
+  /// Method-running read-only verb (EVAL / SELECT): executed off the
+  /// event loop (save a SELECT cache hit), billed kComputeWeight in the
+  /// fair queue.
   bool compute = false;
+  /// RUN / SELECT: Dispatcher::TryHandleCached may answer it from the
+  /// result cache without blocking.
+  bool cacheable = false;
   /// Blank or comment line: Dispatcher::Handle returns no response and
   /// the request needs no scheduling at all.
   bool no_response = false;

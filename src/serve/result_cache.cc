@@ -3,6 +3,8 @@
 #include <cstring>
 #include <utility>
 
+#include "core/method_registry.h"
+
 namespace manirank::serve {
 
 namespace {
@@ -52,6 +54,24 @@ bool ResultCache::LookupRun(const std::string& method,
   if (hit == nullptr) return false;
   ++hits_;
   *out = *hit;
+  return true;
+}
+
+bool ResultCache::LookupSweep(const std::vector<const MethodSpec*>& methods,
+                              const ConsensusOptions& options,
+                              uint64_t generation,
+                              std::vector<ConsensusOutput>* outs) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!enabled_ || methods.empty()) return false;
+  outs->clear();
+  outs->reserve(methods.size());
+  for (const MethodSpec* method : methods) {
+    const ConsensusOutput* hit =
+        runs_.Find(MakeRunKey(method->id, options, generation));
+    if (hit == nullptr) return false;
+    outs->push_back(*hit);
+  }
+  hits_ += methods.size();
   return true;
 }
 

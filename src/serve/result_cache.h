@@ -78,8 +78,9 @@ struct CachedSelect {
 /// no entries (inserts only happen at fold boundaries), so the worst case
 /// is a miss that recomputes, never a stale hit.
 ///
-/// Counter discipline: `hits` increments on a successful lookup, `misses`
-/// only when a completed run is inserted; `entries` counts both tiers.
+/// Counter discipline: `hits` increments on a successful lookup (a
+/// sweep's only when the whole sweep hits), `misses` only when a
+/// completed run is inserted; `entries` counts both tiers.
 /// Requests that fail validation or throw never move either counter,
 /// preserving the protocol invariant that an ERR response leaves STATS
 /// untouched.
@@ -98,6 +99,13 @@ class ResultCache {
 
   bool LookupRun(const std::string& method, const ConsensusOptions& options,
                  uint64_t generation, ConsensusOutput* out);
+  /// All-or-nothing LookupRun over a `RUN all` sweep, under one lock:
+  /// fills `outs` in `methods` order and counts one hit per method only
+  /// when every method hits. A partly cached sweep (its caller recomputes
+  /// the whole sweep) or an empty `methods` moves no counter.
+  bool LookupSweep(const std::vector<const MethodSpec*>& methods,
+                   const ConsensusOptions& options, uint64_t generation,
+                   std::vector<ConsensusOutput>* outs);
   void InsertRun(const std::string& method, const ConsensusOptions& options,
                  uint64_t generation, const ConsensusOutput& output);
 

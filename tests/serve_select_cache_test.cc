@@ -409,6 +409,100 @@ TEST_F(CacheTierTest, RunAllSweepHitsWholeAroundSelectFlood) {
   EXPECT_EQ(after.cache_misses, before.cache_misses);
 }
 
+TEST_F(CacheTierTest, PartlyCachedRunAllSweepCountsNoHits) {
+  // A1..A4 cached, the other four supported methods not: the sweep
+  // recomputes all eight, so the four cached lookups it throws away must
+  // not count as hits.
+  for (const char* method : {"A1", "A2", "A3", "A4"}) {
+    const std::string line = std::string("RUN t ") + method + " DELTA 1";
+    ASSERT_EQ(Handle(line).rfind("OK", 0), 0u) << line;
+  }
+  ASSERT_EQ(cached_manager_.SupportedMethods("t").size(), 8u);
+  const TableStats before = Stats();
+  ASSERT_EQ(Handle("RUN t all DELTA 1").rfind("OK", 0), 0u);
+  const TableStats after = Stats();
+  EXPECT_EQ(after.cache_hits, before.cache_hits);
+  EXPECT_EQ(after.cache_misses, before.cache_misses + 8);
+  EXPECT_EQ(after.runs, before.runs + 8);
+}
+
+/// Dispatcher::TryHandleCached, the cache-only entry an event loop
+/// answers RUN / SELECT hits with, against a twin that only ever calls
+/// Handle: a served probe must return the twin's exact bytes, and a probe
+/// that is not served must leave STATS byte-identical (no counter moved)
+/// before the fallback Handle catches up. Either way both STATS lines
+/// must then agree.
+class CacheOnlyProbeTest : public ::testing::Test {
+ protected:
+  std::string Both(const std::string& line) {
+    const std::string response = probed_.Handle(line);
+    EXPECT_EQ(response, reference_.Handle(line)) << "request '" << line << "'";
+    return response;
+  }
+
+  bool Probe(const std::string& line) {
+    const std::string stats_before = probed_.Handle("STATS t");
+    std::string response;
+    const bool served = probed_.TryHandleCached(line, &response);
+    if (served) {
+      EXPECT_EQ(response, reference_.Handle(line)) << "request '" << line << "'";
+    } else {
+      EXPECT_TRUE(response.empty()) << "request '" << line << "'";
+      EXPECT_EQ(probed_.Handle("STATS t"), stats_before)
+          << "unserved probe '" << line << "' moved a counter";
+      Both(line);
+    }
+    EXPECT_EQ(probed_.Handle("STATS t"), reference_.Handle("STATS t"))
+        << "after '" << line << "'";
+    return served;
+  }
+
+  ContextManager probed_manager_;
+  ContextManager reference_manager_;
+  Dispatcher probed_{&probed_manager_};
+  Dispatcher reference_{&reference_manager_};
+};
+
+TEST_F(CacheOnlyProbeTest, ServesOnlyCleanHitsWithHandlesBytes) {
+  ASSERT_EQ(Both("CREATE t CYCLIC 6 2 3").rfind("OK", 0), 0u);
+  Both("APPEND t 0 1 2 3 4 5 ; 5 4 3 2 1 0");
+  // Queued rankings: RUN must drain first, so it is never served.
+  EXPECT_FALSE(Probe("RUN t A3"));
+  EXPECT_TRUE(Probe("RUN t A3"));
+  // The cached A3 is still keyed by the applied generation, but an acked
+  // APPEND is queued: serving it would skip the fold RUN owes it.
+  Both("APPEND t 1 0 3 2 5 4");
+  EXPECT_FALSE(Probe("RUN t A3"));
+  EXPECT_TRUE(Probe("RUN t A3"));
+
+  // SELECT is non-draining: a queued APPEND does not block its hit, which
+  // answers the applied generation exactly like Handle.
+  EXPECT_FALSE(Probe("SELECT t 2 ATTR 0 0 1 2"));
+  EXPECT_TRUE(Probe("SELECT t 2 ATTR 0 0 1 2"));
+  Both("APPEND t 2 3 0 1 4 5");
+  EXPECT_TRUE(Probe("SELECT t 2 ATTR 0 0 1 2"));
+  // An infeasible outcome is cached too; its hit answers the same ERR.
+  EXPECT_FALSE(Probe("SELECT t 1 ATTR 0 0 1 1 ATTR 0 1 1 1"));
+  EXPECT_TRUE(Probe("SELECT t 1 ATTR 0 0 1 1 ATTR 0 1 1 1"));
+
+  // RUN all: served only when every supported method hits.
+  EXPECT_FALSE(Probe("RUN t all DELTA 1"));
+  EXPECT_TRUE(Probe("RUN t all DELTA 1"));
+  Both("APPEND t 3 2 1 0 5 4");
+  Both("FLUSH t");
+  Both("RUN t A3 DELTA 1");
+  EXPECT_FALSE(Probe("RUN t all DELTA 1"));  // one of eight cached
+
+  // Never served: errors, unknown names, and the other verbs.
+  for (const std::string line :
+       {"RUN t A9", "RUN nosuch A3", "RUN t A3 DELTA", "RUN t A3 DELTA -1",
+        "RUN t", "SELECT t 0", "SELECT t 9", "SELECT t 2 ATTR 7 0 0 1",
+        "SELECT nosuch 2", "SELECT t 2 BOGUS", "EVAL t 0 1 2 3 4 5",
+        "STATS t", "FLUSH t", "TABLES", "", "# RUN t A3"}) {
+    EXPECT_FALSE(Probe(line)) << "request '" << line << "'";
+  }
+}
+
 TEST(ResultCacheTest, KeysDifferingInOneFieldNeverShareAnEntry) {
   const ConsensusOptions base_options;
   std::vector<ConsensusOptions> option_variants(3, base_options);

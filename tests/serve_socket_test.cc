@@ -28,6 +28,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/context_manager.h"
@@ -208,9 +209,9 @@ TEST(ServeSocketTest, ExecutorParksRunBehindLongFold) {
   };
   ContextManager reference_manager;
   seed(&reference_manager);
-  const std::vector<std::string> expected =
-      SyncReference({"RUN t A3", "RUN t A3"}, &reference_manager);
-  ASSERT_EQ(expected.size(), 2u);
+  const std::vector<std::string> expected = SyncReference(
+      {"RUN t A3", "RUN t A3", "RUN t A4"}, &reference_manager);
+  ASSERT_EQ(expected.size(), 3u);
 
   ContextManager manager;
   seed(&manager);
@@ -231,13 +232,147 @@ TEST(ServeSocketTest, ExecutorParksRunBehindLongFold) {
     std::this_thread::yield();
   }
   ASSERT_TRUE(b.Send("RUN t A3\n"));
+  // A4 is still cached at the pre-fold generation: a RUN sent mid-fold
+  // must not be answered from that entry on the loop.
+  Client c(server.port());
+  ASSERT_TRUE(c.Send("RUN t A4\n"));
   a.HalfClose();
   b.HalfClose();
+  c.HalfClose();
   EXPECT_EQ(a.ReadLinesUntilEof(),
             std::vector<std::string>{expected[0]});
   EXPECT_EQ(b.ReadLinesUntilEof(),
             std::vector<std::string>{expected[1]});
+  EXPECT_EQ(c.ReadLinesUntilEof(),
+            std::vector<std::string>{expected[2]});
   EXPECT_GE(server.requests_parked(), 1u);
+  server.Shutdown();
+}
+
+/// Sends one request line and reads its response.
+std::string Ask(Client* client, const std::string& line) {
+  if (!client->Send(line + "\n")) return "<send failed>";
+  const std::vector<std::string> lines = client->ReadLines(1);
+  return lines.empty() ? "<no response>" : lines[0];
+}
+
+/// The inline= counter of a METRICS response.
+uint64_t InlineServed(const std::string& metrics) {
+  const size_t at = metrics.find(" inline=");
+  EXPECT_NE(at, std::string::npos) << metrics;
+  return at == std::string::npos ? 0 : std::stoull(metrics.substr(at + 8));
+}
+
+/// RUN and SELECT cache hits are answered on the event loop; none may be
+/// stale or reordered. Once connection B's APPEND is acked, A's next RUN
+/// owes the fold and must answer the next generation; a SELECT sent
+/// while B's APPEND is still queued answers the applied generation.
+/// Every response must equal a synchronous Dispatcher replay.
+TEST(ServeSocketTest, ExecutorLoopCacheHitsAreNeverStale) {
+  ContextManager manager;
+  ServeExecutor server(&manager, ServerOptions{});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  // {connection, request}; each request is answered before the next one
+  // is sent, so no request has an in-flight predecessor.
+  const std::vector<std::pair<char, std::string>> script = {
+      {'a', "CREATE t CYCLIC 8 2 2"},
+      {'a', "APPEND t 0 1 2 3 4 5 6 7 ; 7 6 5 4 3 2 1 0"},
+      {'a', "RUN t A3"},  // drains, misses
+      {'a', "RUN t A3"},  // hit
+      {'b', "APPEND t 1 0 3 2 5 4 7 6"},
+      {'a', "RUN t A3"},  // owes B's fold: the next generation
+      {'a', "SELECT t 3 ATTR 0 0 1 2"},
+      {'a', "SELECT t 3 ATTR 0 0 1 2"},  // hit
+      {'b', "APPEND t 2 3 0 1 6 7 4 5"},
+      {'a', "SELECT t 3 ATTR 0 0 1 2"},  // hit at the applied generation
+      {'a', "STATS t"},
+      {'a', "RUN t A3"},  // folds B's second APPEND
+  };
+  std::vector<std::string> requests;
+  for (const auto& [conn, line] : script) requests.push_back(line);
+  ContextManager reference_manager;
+  const std::vector<std::string> expected =
+      SyncReference(requests, &reference_manager);
+  ASSERT_EQ(expected.size(), script.size());
+
+  Client a(server.port());
+  Client b(server.port());
+  const uint64_t inline_before = InlineServed(Ask(&a, "METRICS"));
+  for (size_t i = 0; i < script.size(); ++i) {
+    EXPECT_EQ(Ask(script[i].first == 'a' ? &a : &b, script[i].second),
+              expected[i])
+        << "request " << i << ": " << script[i].second;
+  }
+  // The generation counts folded rankings: two, then B's one.
+  EXPECT_NE(expected[3].find(" gen=2 "), std::string::npos) << expected[3];
+  EXPECT_NE(expected[5].find(" gen=3 "), std::string::npos) << expected[5];
+  EXPECT_NE(expected[9].find(" gen=3 "), std::string::npos) << expected[9];
+  // Three cache hits, three APPENDs and one STATS ran on the loop.
+  EXPECT_EQ(InlineServed(Ask(&a, "METRICS")) - inline_before, 7u);
+  a.HalfClose();
+  b.HalfClose();
+  EXPECT_TRUE(a.ReadLinesUntilEof().empty());
+  EXPECT_TRUE(b.ReadLinesUntilEof().empty());
+  server.Shutdown();
+}
+
+/// METRICS inline= advances by exactly the RUN/SELECT cache hits of a
+/// mixed hit/miss/ERR script, and a probe that is not served moves no
+/// counter: the table's STATS line equals the synchronous replay's.
+TEST(ServeSocketTest, ExecutorInlineCountsExactlyTheCacheHits) {
+  ContextManager manager;
+  ServeExecutor server(&manager, ServerOptions{});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  const std::vector<std::string> setup = {
+      "CREATE t CYCLIC 6 2 3",
+      "APPEND t 0 1 2 3 4 5 ; 5 4 3 2 1 0 ; 1 0 3 2 5 4", "FLUSH t"};
+  // {request, is a cache hit}
+  const std::vector<std::pair<std::string, bool>> script = {
+      {"RUN t A3", false},
+      {"RUN t A3", true},
+      {"RUN t A4", false},
+      {"RUN t A4", true},
+      {"RUN t all DELTA 1", false},
+      {"RUN t all DELTA 1", true},
+      {"RUN t A9", false},
+      {"RUN nosuch A3", false},
+      {"RUN t A3 DELTA -1", false},
+      {"SELECT t 2", false},
+      {"SELECT t 2", true},
+      {"SELECT t 0", false},
+      {"SELECT t 2 ATTR 7 0 0 1", false},
+      {"SELECT t 1 ATTR 0 0 1 1 ATTR 0 1 1 1", false},  // ERR infeasible
+      {"SELECT t 1 ATTR 0 0 1 1 ATTR 0 1 1 1", true},
+      {"EVAL t 0 1 2 3 4 5", false},  // a hit, but EVAL stays on workers
+  };
+  std::vector<std::string> requests = setup;
+  uint64_t hits = 0;
+  for (const auto& [line, hit] : script) {
+    requests.push_back(line);
+    hits += hit ? 1 : 0;
+  }
+  requests.push_back("STATS t");
+  ContextManager reference_manager;
+  const std::vector<std::string> expected =
+      SyncReference(requests, &reference_manager);
+  ASSERT_EQ(expected.size(), requests.size());
+
+  Client client(server.port());
+  for (size_t i = 0; i < setup.size(); ++i) {
+    ASSERT_EQ(Ask(&client, requests[i]), expected[i]) << requests[i];
+  }
+  const uint64_t inline_before = InlineServed(Ask(&client, "METRICS"));
+  for (size_t i = setup.size(); i + 1 < requests.size(); ++i) {
+    EXPECT_EQ(Ask(&client, requests[i]), expected[i]) << requests[i];
+  }
+  EXPECT_EQ(InlineServed(Ask(&client, "METRICS")) - inline_before, hits);
+  EXPECT_EQ(Ask(&client, "STATS t"), expected.back());
+  client.HalfClose();
+  EXPECT_TRUE(client.ReadLinesUntilEof().empty());
   server.Shutdown();
 }
 

@@ -464,6 +464,44 @@ TEST(DrainSchedulingHookTest, IsDrainingIsVisibleUnderTheExclusiveGate) {
   EXPECT_EQ(stats.pending_ops, 0u);
 }
 
+TEST(CacheOnlyProbeTest, RunIsNotServedWhileADrainHoldsTheTable) {
+  // The drain below has an empty backlog, so the generation never moves
+  // and A3 stays cached at it: only the held apply lock can (and must)
+  // keep TryRunCached from serving, while SELECT — non-draining — still
+  // hits. The probes run on another thread: the drainer owns the lock.
+  ContextManager manager;
+  manager.Create("t", MakeCyclicTable(6, 2, 2), InitialProfile(6, 3, 605));
+  const MethodSpec* a3 = FindMethod("A3");
+  serve::SelectQuery query;
+  query.k = 2;
+  manager.Run("t", *a3);
+  manager.Select("t", query);
+  const auto probe = [&](bool* run_served, bool* select_served) {
+    std::thread([&] {
+      ContextManager::MethodResults results;
+      uint64_t generation = 0;
+      *run_served = manager.TryRunCached("t", a3, {}, &results, &generation);
+      serve::SelectOutcome outcome;
+      *select_served = manager.TrySelectCached("t", query, &outcome);
+    }).join();
+  };
+  bool run_served = true;
+  bool select_served = false;
+  TableStats during;
+  ContextManagerTestPeer::DrainWithProbe(manager, "t", [&] {
+    const TableStats before = manager.Stats("t");
+    probe(&run_served, &select_served);
+    during = manager.Stats("t");
+    EXPECT_EQ(during.cache_hits, before.cache_hits + 1);  // the SELECT
+    EXPECT_EQ(during.runs, before.runs + 1);
+  });
+  EXPECT_FALSE(run_served);
+  EXPECT_TRUE(select_served);
+  probe(&run_served, &select_served);
+  EXPECT_TRUE(run_served);
+  EXPECT_EQ(manager.Stats("t").generation, during.generation);
+}
+
 TEST(DrainFailureRecoveryTest, PoisonedBacklogFailsOnceThenRecovers) {
   // End-to-end through the real Drain catch path: a backlog of
   // [valid append x2, poison, remove] throws at the poison; the applied
