@@ -29,6 +29,7 @@
 #include <cstring>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "manirank.h"
@@ -121,64 +122,80 @@ IncrementalResult RunIncrementalAppend(const std::vector<Ranking>& base,
   return result;
 }
 
-// --- scalar vs bit-sliced precedence build ----------------------------------
+// --- scalar vs batch-kernel precedence build and fold ----------------------
 
-struct BitsetBuildCase {
+struct KernelCase {
   int n = 0;
-  int m = 0;
+  int m = 0;  // rankings built (build rows) or folded in one batch (folds)
   double scalar_seconds = 0.0;
-  double bitset_seconds = 0.0;
+  double kernel_seconds = 0.0;
   double speedup = 0.0;
-  const char* kernel = "";  // flavor the bit-sliced timing ran on
+  const char* kernel = "";  // flavor the batch-kernel timing ran on
 };
 
-/// Times PrecedenceMatrix::Build under MANIRANK_KERNEL=scalar vs the
-/// auto-dispatched bit-sliced kernel on the same profile (best of `reps`)
-/// and checks the two matrices are bit-identical — a mismatch is a kernel
-/// bug and aborts the benchmark rather than reporting a bogus speedup.
-BitsetBuildCase RunBitsetBuildCase(int n, int m, int reps) {
-  BitsetBuildCase result;
+/// Times `run(&w)` (returns its own timed seconds and leaves its result in
+/// `w`) under MANIRANK_KERNEL=scalar vs the auto-dispatched batch kernel,
+/// best of `reps` after one untimed warm-up each, and checks the two
+/// matrices are bit-identical — a mismatch is a kernel bug and aborts the
+/// benchmark rather than reporting a bogus speedup.
+template <typename Run>
+KernelCase CompareKernels(const char* what, int n, int m, int reps, Run run) {
+  KernelCase result;
   result.n = n;
   result.m = m;
-  MallowsModel model(Ranking::Identity(n), 0.6);
-  std::vector<Ranking> base = model.SampleMany(m, /*seed=*/23);
-
-  setenv("MANIRANK_KERNEL", "scalar", /*overwrite=*/1);
-  PrecedenceMatrix scalar = PrecedenceMatrix::Build(base);
-  for (int rep = 0; rep < reps; ++rep) {
-    Stopwatch timer;
-    PrecedenceMatrix w = PrecedenceMatrix::Build(base);
-    const double seconds = timer.Seconds();
-    if (rep == 0 || seconds < result.scalar_seconds) {
-      result.scalar_seconds = seconds;
+  auto best_of = [&](PrecedenceMatrix* w) {
+    run(w);
+    double best = 0.0;
+    for (int rep = 0; rep < reps; ++rep) {
+      const double seconds = run(w);
+      if (rep == 0 || seconds < best) best = seconds;
     }
-    (void)w;
-  }
-
+    return best;
+  };
+  PrecedenceMatrix scalar, fast;
+  setenv("MANIRANK_KERNEL", "scalar", /*overwrite=*/1);
+  result.scalar_seconds = best_of(&scalar);
   unsetenv("MANIRANK_KERNEL");
   result.kernel = PrecedenceMatrix::ActiveKernelName();
-  PrecedenceMatrix bitset = PrecedenceMatrix::Build(base);
-  for (int rep = 0; rep < reps; ++rep) {
-    Stopwatch timer;
-    PrecedenceMatrix w = PrecedenceMatrix::Build(base);
-    const double seconds = timer.Seconds();
-    if (rep == 0 || seconds < result.bitset_seconds) {
-      result.bitset_seconds = seconds;
-    }
-    (void)w;
-  }
-
-  if (scalar.ToDense() != bitset.ToDense()) {
+  result.kernel_seconds = best_of(&fast);
+  if (scalar.ToDense() != fast.ToDense()) {
     std::fprintf(stderr,
-                 "FATAL: bit-sliced build (n=%d, m=%d, kernel=%s) does not "
-                 "match the scalar build bit-for-bit\n",
-                 n, m, result.kernel);
+                 "FATAL: batch-kernel %s (n=%d, m=%d, kernel=%s) does not "
+                 "match the scalar %s bit-for-bit\n",
+                 what, n, m, result.kernel, what);
     std::abort();
   }
-  result.speedup = result.bitset_seconds > 0.0
-                       ? result.scalar_seconds / result.bitset_seconds
+  result.speedup = result.kernel_seconds > 0.0
+                       ? result.scalar_seconds / result.kernel_seconds
                        : 0.0;
   return result;
+}
+
+/// PrecedenceMatrix::Build over an m-ranking Mallows profile.
+KernelCase RunBuildCase(int n, int m, int reps) {
+  MallowsModel model(Ranking::Identity(n), 0.6);
+  const std::vector<Ranking> base = model.SampleMany(m, /*seed=*/23);
+  return CompareKernels("build", n, m, reps, [&](PrecedenceMatrix* w) {
+    Stopwatch timer;
+    *w = PrecedenceMatrix::Build(base);
+    return timer.Seconds();
+  });
+}
+
+/// One 64-ranking AddRankingsBatch onto a warm 256-ranking matrix: the
+/// fold a serving table pays for each appended batch.
+KernelCase RunFoldBatchCase(int n, int reps) {
+  constexpr int kBatch = 64;
+  MallowsModel model(Ranking::Identity(n), 0.6);
+  const PrecedenceMatrix warm =
+      PrecedenceMatrix::Build(model.SampleMany(256, /*seed=*/29));
+  const std::vector<Ranking> batch = model.SampleMany(kBatch, /*seed=*/31);
+  return CompareKernels("fold", n, kBatch, reps, [&](PrecedenceMatrix* w) {
+    *w = warm;
+    Stopwatch timer;
+    w->AddRankingsBatch(batch);
+    return timer.Seconds();
+  });
 }
 
 int WriteKernelJson(const char* path) {
@@ -206,14 +223,18 @@ int WriteKernelJson(const char* path) {
   (void)w;
   (void)weights;
 
-  // Scalar vs bit-sliced precedence build across the candidate-count
+  // Scalar vs batch-kernel precedence build across the candidate-count
   // sweep. Profile sizes shrink with n so even the quick (CI) run covers
   // the n >= 512 regime the kernel targets.
-  const BitsetBuildCase bitset_cases[] = {
-      RunBitsetBuildCase(128, quick ? 256 : 1024, reps),
-      RunBitsetBuildCase(512, quick ? 128 : 512, reps),
-      RunBitsetBuildCase(2048, quick ? 64 : 128, reps),
+  const KernelCase build_cases[] = {
+      RunBuildCase(128, quick ? 256 : 1024, reps),
+      RunBuildCase(512, quick ? 128 : 512, reps),
+      RunBuildCase(2048, quick ? 64 : 128, reps),
   };
+  // The serving fold: one 64-ranking batch onto a warm matrix. A single
+  // fold is short, so it takes more reps than the builds.
+  std::vector<KernelCase> fold_cases = {RunFoldBatchCase(512, 5 * reps)};
+  if (!quick) fold_cases.push_back(RunFoldBatchCase(1024, 5 * reps));
 
   // Best-of-N for each scenario to damp scheduler noise.
   SweepResult shared, rebuild;
@@ -269,15 +290,27 @@ int WriteKernelJson(const char* path) {
                "\"full_rebuild_seconds\": %.6f, \"speedup\": %.3f},\n",
                num_rankings, num_appended, incremental.incremental_seconds,
                incremental.rebuild_seconds, incremental_speedup);
+  // The build rows keep their original "bitset_seconds" key.
   std::fprintf(f, "  \"precedence_build_bitset\": [\n");
-  for (size_t i = 0; i < std::size(bitset_cases); ++i) {
-    const BitsetBuildCase& c = bitset_cases[i];
+  for (size_t i = 0; i < std::size(build_cases); ++i) {
+    const KernelCase& c = build_cases[i];
     std::fprintf(f,
                  "    {\"n\": %d, \"m\": %d, \"scalar_seconds\": %.6f, "
                  "\"bitset_seconds\": %.6f, \"speedup\": %.3f, "
                  "\"kernel\": \"%s\"}%s\n",
-                 c.n, c.m, c.scalar_seconds, c.bitset_seconds, c.speedup,
-                 c.kernel, i + 1 < std::size(bitset_cases) ? "," : "");
+                 c.n, c.m, c.scalar_seconds, c.kernel_seconds, c.speedup,
+                 c.kernel, i + 1 < std::size(build_cases) ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"precedence_fold_batch\": [\n");
+  for (size_t i = 0; i < fold_cases.size(); ++i) {
+    const KernelCase& c = fold_cases[i];
+    std::fprintf(f,
+                 "    {\"n\": %d, \"batch\": %d, \"scalar_seconds\": %.6f, "
+                 "\"kernel_seconds\": %.6f, \"speedup\": %.3f, "
+                 "\"kernel\": \"%s\"}%s\n",
+                 c.n, c.m, c.scalar_seconds, c.kernel_seconds, c.speedup,
+                 c.kernel, i + 1 < fold_cases.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"kernels\": {\"precedence_build_seconds\": %.6f, "
@@ -286,10 +319,15 @@ int WriteKernelJson(const char* path) {
   std::fprintf(f, "}\n");
   std::fclose(f);
 
-  for (const BitsetBuildCase& c : bitset_cases) {
+  for (const KernelCase& c : build_cases) {
     std::printf(
         "precedence build n=%-5d m=%-5d scalar %.4fs vs %s %.4fs (%.1fx)\n",
-        c.n, c.m, c.scalar_seconds, c.kernel, c.bitset_seconds, c.speedup);
+        c.n, c.m, c.scalar_seconds, c.kernel, c.kernel_seconds, c.speedup);
+  }
+  for (const KernelCase& c : fold_cases) {
+    std::printf(
+        "precedence fold  n=%-5d batch=%-3d scalar %.5fs vs %s %.5fs (%.1fx)\n",
+        c.n, c.m, c.scalar_seconds, c.kernel, c.kernel_seconds, c.speedup);
   }
 
   std::printf("shared context:     %.4fs (%d precedence builds)\n",

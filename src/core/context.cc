@@ -307,7 +307,7 @@ void ConsensusContext::AddRankings(std::vector<Ranking> rankings) {
       throw std::invalid_argument("added ranking size does not match table");
     }
   }
-  // Precedence deltas ride the bit-sliced batch path in kernel-sized
+  // Precedence deltas ride the batch-kernel path in kernel-sized
   // chunks (bit-identical to per-ranking folds); everything else — Borda,
   // parity, retention, generation — stays per-ranking so observable
   // counters are unchanged.

@@ -311,7 +311,7 @@ class ConsensusContext {
 
 
   /// Folds one ranking into every built cache; caller holds mu_. Batch
-  /// callers that fold precedence separately (through the bit-sliced
+  /// callers that fold precedence separately (through the batch-kernel
   /// AddRankingsBatch path) pass fold_precedence = false.
   void ApplyAddLocked(const Ranking& ranking, bool fold_precedence = true);
 

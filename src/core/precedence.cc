@@ -14,9 +14,13 @@
 namespace manirank {
 namespace {
 
-/// Rankings folded per bit-sliced kernel invocation: one bit lane per
-/// ranking in the 64x64 transpose.
+/// Rankings folded per kernel invocation: one int16 position row per
+/// ranking, so per-batch cell counts stay <= 64.
 constexpr size_t kKernelBatch = 64;
+
+/// Largest n the batch kernel takes: its position table is int16. Beyond
+/// it W alone is >= 8 GiB, so the scalar path costs nothing that matters.
+constexpr int kKernelMaxCandidates = 32767;
 
 /// Adds `weight` to W for one ranking: every pair (worse, better)
 /// contributes to W[worse][better] (the ranking puts `better` above).
@@ -35,9 +39,11 @@ void Accumulate(const Ranking& r, double weight, int n, std::vector<double>* w) 
   }
 }
 
-/// The bit-sliced flavor the current MANIRANK_KERNEL setting resolves to,
-/// or nullptr when the scalar path is forced.
-const kernel::KernelFlavor* ActiveBitsetFlavor() {
+/// The batch-kernel flavor the current MANIRANK_KERNEL setting resolves
+/// to for an n-candidate matrix, or nullptr when the scalar path is forced
+/// or n exceeds kKernelMaxCandidates.
+const kernel::KernelFlavor* ActiveKernelFlavor(int n) {
+  if (n > kKernelMaxCandidates) return nullptr;
   switch (ResolvePrecedenceKernel(kernel::Avx2Kernel() != nullptr)) {
     case PrecedenceKernel::kScalar:
       return nullptr;
@@ -87,9 +93,9 @@ void ScalarBuildInto(const std::vector<Ranking>& base,
   });
 }
 
-/// Runs the bit-sliced kernel over every (64-ranking chunk, 64-row block)
+/// Runs the batch kernel over every (64-ranking chunk, 64-row block)
 /// pair of [rankings, rankings + count) into `w`, single block at a time.
-void BitsetFoldBlocks(const kernel::KernelFlavor& flavor,
+void KernelFoldBlocks(const kernel::KernelFlavor& flavor,
                       const Ranking* rankings, size_t count, int sign,
                       size_t block_begin, size_t block_end, int n, double* w) {
   for (size_t blk = block_begin; blk < block_end; ++blk) {
@@ -102,13 +108,13 @@ void BitsetFoldBlocks(const kernel::KernelFlavor& flavor,
   }
 }
 
-/// Bit-sliced unit build. Two sharding strategies, both bit-identical:
+/// Batch-kernel unit build. Two sharding strategies, both bit-identical:
 /// with enough 64-row blocks to feed every worker, blocks are sharded
 /// shared-nothing (each worker owns disjoint matrix rows — no locals, no
 /// merging at all); for small-n / many-rankings shapes, ranking chunks
 /// are sharded into per-worker locals and stripe-merged like the scalar
 /// path.
-void BitsetBuildInto(const kernel::KernelFlavor& flavor,
+void KernelBuildInto(const kernel::KernelFlavor& flavor,
                      const std::vector<Ranking>& base, int n, double* w) {
 #ifndef NDEBUG
   for (const Ranking& r : base) assert(r.size() == n);
@@ -119,7 +125,7 @@ void BitsetBuildInto(const kernel::KernelFlavor& flavor,
   const size_t max_workers = DefaultThreadCount() + 1;
   if (num_blocks >= std::min(max_workers, num_chunks)) {
     ParallelFor(num_blocks, [&](size_t begin, size_t end, size_t /*worker*/) {
-      BitsetFoldBlocks(flavor, base.data(), count, /*sign=*/1, begin, end, n,
+      KernelFoldBlocks(flavor, base.data(), count, /*sign=*/1, begin, end, n,
                        w);
     });
   } else {
@@ -127,7 +133,7 @@ void BitsetBuildInto(const kernel::KernelFlavor& flavor,
     std::vector<std::mutex> stripe_mu(NumMergeStripes());
     ParallelFor(count, [&](size_t begin, size_t end, size_t worker) {
       std::vector<double> local(cells, 0.0);
-      BitsetFoldBlocks(flavor, base.data() + begin, end - begin, /*sign=*/1, 0,
+      KernelFoldBlocks(flavor, base.data() + begin, end - begin, /*sign=*/1, 0,
                        num_blocks, n, local.data());
       StripedMerge(w, local.data(), cells, &stripe_mu, worker);
     });
@@ -178,7 +184,7 @@ bool PrecedenceMatrix::BatchExactEligible(size_t count) const {
     if (!warned.exchange(true, std::memory_order_relaxed)) {
       std::fprintf(stderr,
                    "manirank: precedence matrix magnitude bound exceeds 2^53; "
-                   "unit batches fall back to scalar folds (bit-sliced "
+                   "unit batches fall back to scalar folds (batch-kernel "
                    "exactness no longer provable)\n");
     }
     return false;
@@ -195,7 +201,7 @@ void PrecedenceMatrix::AddRanking(const Ranking& ranking, double weight) {
 void PrecedenceMatrix::AddRankingsBatch(const Ranking* rankings, size_t count,
                                         double weight) {
   if (count == 0) return;
-  const kernel::KernelFlavor* flavor = ActiveBitsetFlavor();
+  const kernel::KernelFlavor* flavor = ActiveKernelFlavor(n_);
   if (flavor == nullptr || (weight != 1.0 && weight != -1.0) ||
       !BatchExactEligible(count)) {
     for (size_t i = 0; i < count; ++i) AddRanking(rankings[i], weight);
@@ -209,7 +215,7 @@ void PrecedenceMatrix::AddRankingsBatch(const Ranking* rankings, size_t count,
   // Row blocks are disjoint rows of w_, so a delta batch fans out across
   // the pool even while the owning context holds its cache mutex.
   ParallelFor(num_blocks, [&](size_t begin, size_t end, size_t /*worker*/) {
-    BitsetFoldBlocks(*flavor, rankings, count, sign, begin, end, n_,
+    KernelFoldBlocks(*flavor, rankings, count, sign, begin, end, n_,
                      w_.data());
   });
   folded_magnitude_ += static_cast<double>(count);
@@ -227,9 +233,9 @@ PrecedenceMatrix PrecedenceMatrix::Build(
   assert(!base_rankings.empty());
   const int n = base_rankings[0].size();
   PrecedenceMatrix m = Zero(n);
-  const kernel::KernelFlavor* flavor = ActiveBitsetFlavor();
+  const kernel::KernelFlavor* flavor = ActiveKernelFlavor(n);
   if (flavor != nullptr) {
-    BitsetBuildInto(*flavor, base_rankings, n, m.w_.data());
+    KernelBuildInto(*flavor, base_rankings, n, m.w_.data());
   } else {
     ScalarBuildInto(base_rankings, nullptr, n, m.w_.data());
   }

@@ -19,12 +19,13 @@ namespace manirank {
 ///  - the scalar path (per-pair double += weight), the paper-faithful
 ///    reference, always available, and the only path for non-unit
 ///    weights; and
-///  - the bit-sliced batch path (Build / AddRankingsBatch with weight
-///    +-1): batches of up to 64 rankings are sliced into per-candidate
-///    "above" prefix bitsets and folded through a 64x64 bit transpose +
-///    popcount kernel, giving each cell one exact integer->double add per
-///    batch instead of 64 scalar adds and turning the O(m n^2) hot loop
-///    into O(m n^2 / 64) word ops.
+///  - the batch-kernel path (Build / AddRankingsBatch with weight +-1,
+///    n <= 32767): batches of up to 64 rankings become an int16
+///    candidate -> position table, and each cell counts the rankings
+///    placing its column above its row with vectorised 16-bit compares —
+///    O(m n^2 / 16) vector ops under AVX2 (m n^2 / 8 under SSE2) — then
+///    takes one exact integer->double add per batch instead of 64 scalar
+///    adds.
 ///
 /// Exactness argument: unit folds keep every cell an exactly-representable
 /// integer, and adding k ones one at a time equals adding k once as long
@@ -33,14 +34,14 @@ namespace manirank {
 /// and loudly falls back to the scalar path if a profile ever exceeds the
 /// 2^53 envelope or a non-integer weight ever touched the matrix, so any
 /// interleaving of scalar folds, batch folds, and merges lands on the same
-/// bits. Kernel selection (scalar / portable bit-sliced / AVX2 bit-sliced)
-/// is runtime-dispatched and overridable via MANIRANK_KERNEL for testing.
+/// bits. Kernel selection (scalar / portable batch kernel / AVX2 batch
+/// kernel) is runtime-dispatched and overridable via MANIRANK_KERNEL for testing.
 class PrecedenceMatrix {
  public:
   PrecedenceMatrix() = default;
 
   /// Builds W from base rankings, each with weight 1. Parallelised over
-  /// 64-row blocks (shared-nothing) when the bit-sliced kernel has enough
+  /// 64-row blocks (shared-nothing) when the batch kernel has enough
   /// blocks to go around, else over ranking chunks with striped merging.
   static PrecedenceMatrix Build(const std::vector<Ranking>& base_rankings);
 
@@ -51,7 +52,7 @@ class PrecedenceMatrix {
 
   /// Constructs directly from a dense matrix (tests, ablations, snapshot
   /// restore). Scans the cells once: a matrix of integers within the 2^53
-  /// envelope stays eligible for the bit-sliced batch path, so restored
+  /// envelope stays eligible for the batch-kernel path, so restored
   /// shards keep the fast fold.
   explicit PrecedenceMatrix(std::vector<std::vector<double>> w);
 
@@ -72,10 +73,10 @@ class PrecedenceMatrix {
   }
 
   /// Folds `count` rankings of identical weight in one batch. For weight
-  /// +-1 on an integer-valued matrix this rides the bit-sliced kernel in
-  /// chunks of 64 (bit-identical to per-ranking scalar folds, ~an order
-  /// of magnitude faster at n >= 512); otherwise it degrades to the
-  /// scalar per-ranking loop.
+  /// +-1 on an integer-valued matrix with n <= 32767 this rides the batch
+  /// kernel in chunks of 64 (bit-identical to per-ranking scalar folds,
+  /// over an order of magnitude faster at n >= 512); otherwise it degrades
+  /// to the scalar per-ranking loop.
   void AddRankingsBatch(const Ranking* rankings, size_t count,
                         double weight = 1.0);
   void AddRankingsBatch(const std::vector<Ranking>& rankings,
@@ -126,7 +127,7 @@ class PrecedenceMatrix {
 
   /// Name of the kernel flavor the current MANIRANK_KERNEL setting and
   /// CPU resolve to ("scalar" / "portable" / "avx2"); what Build and
-  /// eligible batches will use. For bench output and tests.
+  /// eligible batches will use for n <= 32767. For bench output and tests.
   static const char* ActiveKernelName();
 
   /// Largest per-cell magnitude (sum of folded |weight|) for which unit
@@ -141,7 +142,7 @@ class PrecedenceMatrix {
   /// Updates the exactness envelope after folding one weight.
   void NoteFold(double weight);
 
-  /// True when a `count`-ranking unit batch may take the bit-sliced path:
+  /// True when a `count`-ranking unit batch may take the batch kernel:
   /// every cell is an exact integer and stays within 2^53 afterwards.
   /// Warns (once) on the 2^53 fallback — that profile silently losing the
   /// fast path is worth an operator's attention.

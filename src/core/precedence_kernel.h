@@ -8,16 +8,17 @@
 namespace manirank {
 namespace kernel {
 
-/// One flavor of the bit-sliced unit-weight precedence kernel.
+/// One flavor of the position-compare unit-weight precedence kernel.
 ///
 /// `row_block` folds a batch of `count` (<= 64) unit-weight rankings into
 /// rows [row_begin, row_end) of the row-major n x n matrix `w`:
 ///
 ///   w[b * n + a] += sign * #{k : ranking k places a above b}
 ///
-/// for every b in the row block and every a. The per-pair counts are
-/// produced by popcounts over ranking-sliced bitsets, and each cell
-/// receives exactly ONE integer->double accumulation per batch — which is
+/// for every b in the row block and every a. The per-pair counts come from
+/// int16 position compares (so the caller only dispatches here for
+/// n <= 32767), and each cell receives exactly ONE integer->double
+/// accumulation per batch — which is
 /// bit-identical to `count` scalar +/-1.0 folds as long as every cell
 /// holds an exactly-representable integer (|cell| <= 2^53 before and
 /// after; the caller tracks that bound). Row blocks are disjoint, so
@@ -28,7 +29,7 @@ struct KernelFlavor {
                     int row_begin, int row_end, int n, double* w);
 };
 
-/// Baseline flavor: portable uint64 word ops + __builtin_popcountll.
+/// Baseline flavor: baseline codegen (SSE2 on x86-64, 8 int16 lanes).
 /// Always available.
 const KernelFlavor& PortableKernel();
 

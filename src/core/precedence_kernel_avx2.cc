@@ -1,8 +1,8 @@
-// AVX2 flavor of the bit-sliced precedence kernel: the same word-level
-// algorithm as the portable flavor, compiled with AVX2 (+POPCNT) codegen
-// so the transpose stages, snapshot copies, and int->double accumulation
-// vectorise to 256-bit ops. CMake adds -mavx2 -mpopcnt to this one TU
-// when the compiler supports them; otherwise (or on non-x86) __AVX2__ is
+// AVX2 flavor of the position-compare precedence kernel: the same
+// algorithm as the portable flavor, compiled with AVX2 codegen so the
+// int16 compare-and-count loop runs 16 lanes per op (8 under SSE2) and the
+// int->double accumulation vectorises to 256-bit ops. CMake adds -mavx2
+// to this one TU when the compiler supports it; otherwise (or on non-x86) __AVX2__ is
 // unset and the TU degrades to a stub returning nullptr, which the
 // dispatcher treats as "flavor not compiled in". Bit-identity with the
 // portable flavor is guaranteed by construction (same integer ops) and

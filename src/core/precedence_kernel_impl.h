@@ -1,35 +1,33 @@
-// Flavor-templated body of the bit-sliced precedence kernel. Included by
-// exactly the per-flavor translation units (precedence_kernel_portable.cc,
-// precedence_kernel_avx2.cc), each of which defines
-// MANIRANK_KERNEL_FLAVOR_NS before inclusion and compiles with different
-// codegen flags; runtime dispatch picks one flavor per batch. No include
-// guard on purpose: the file is included once per flavor TU, never twice
-// in one TU.
+// Flavor-templated body of the position-compare precedence kernel.
+// Included by exactly the per-flavor translation units
+// (precedence_kernel_portable.cc, precedence_kernel_avx2.cc), each of
+// which defines MANIRANK_KERNEL_FLAVOR_NS before inclusion and compiles
+// with different codegen flags; runtime dispatch picks one flavor per
+// batch. No include guard on purpose: the file is included once per
+// flavor TU, never twice in one TU.
 //
 // Algorithm. For one batch of K <= 64 unit-weight rankings and one block
 // of <= 64 matrix rows:
 //
-//  1. Prefix-bitset walk (O(n + n) words per ranking): walking ranking k
-//     top-down while OR-ing each seen candidate into a running n-bit
-//     prefix, the prefix right before candidate b is visited is exactly
-//     A_k(b) = {candidates ranked above b}. Snapshot it for the <= 64
-//     candidates b that fall in the row block.
-//  2. Bit-slice + popcount (O(n^2 / 64) words per ranking): row b of the
-//     precedence delta is sum_k A_k(b). For each 64-candidate word column,
-//     gather the K snapshot words, transpose the 64x64 bit block so each
-//     candidate's across-ranking bits land in one word, and popcount —
-//     one integer count per cell, accumulated into the double matrix with
-//     a single exact int->double add per cell per batch.
+//  1. Position table (O(n) per ranking): copy each ranking's
+//     candidate -> position map into an int16 row, padded to a multiple
+//     of 64 candidates with kPadPosition. Positions fit int16 because the
+//     caller only dispatches here for n <= 32767.
+//  2. Compare-and-count (O(n^2 / lanes) vector ops per ranking): for each
+//     row b and each 64-candidate tile, an int16 accumulator per column
+//     adds pos_k[a] < pos_k[b] over the K rankings — the count of
+//     rankings placing a above b. The loop is branch-free and the
+//     compiler vectorises it (8 int16 lanes under SSE2, 16 under AVX2).
+//     Each cell then receives a single exact int->double add per batch.
 //
-// Padding is free: absent rankings (K < 64) contribute all-zero words,
-// and candidate ids >= n never get a prefix bit set.
+// Padding is free: padded columns hold a position no real candidate has,
+// so they never compare below one, and are never written back anyway.
 
 #ifndef MANIRANK_KERNEL_FLAVOR_NS
 #error "define MANIRANK_KERNEL_FLAVOR_NS before including this file"
 #endif
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "core/precedence_kernel.h"
@@ -39,80 +37,55 @@ namespace kernel {
 namespace MANIRANK_KERNEL_FLAVOR_NS {
 namespace {
 
-/// In-place transpose of a 64x64 bit matrix (Hacker's Delight 7-3,
-/// widened to 64-bit words). Under LSB-first bit reading the result is
-/// the transpose composed with a reversal of both axes: bit k of output
-/// word i equals bit (63 - i) of input word (63 - k). The consumer below
-/// compensates by indexing output words as t[63 - bit].
-inline void Transpose64(uint64_t t[64]) {
-  uint64_t m = 0x00000000FFFFFFFFull;
-  for (int j = 32; j != 0; j >>= 1, m ^= m << j) {
-    for (int k = 0; k < 64; k = (k + j + 1) & ~j) {
-      const uint64_t x = (t[k] ^ (t[k + j] >> j)) & m;
-      t[k] ^= x;
-      t[k + j] ^= x << j;
-    }
-  }
+constexpr int kTile = 64;
+constexpr int16_t kPadPosition = 32767;
+
+/// Reused across batches; one per worker thread (row blocks of a batch
+/// fan out across ParallelFor workers). [k][candidate], row stride padded
+/// to a multiple of kTile.
+std::vector<int16_t>& LocalPositions() {
+  thread_local std::vector<int16_t> positions;
+  return positions;
 }
 
-/// Reused across batches; one instance per worker thread (row blocks of a
-/// batch fan out across ParallelFor workers).
-struct Scratch {
-  std::vector<uint64_t> snapshots;  // [k][row_in_block][word], k-major
-  std::vector<uint64_t> prefix;     // running above-set of one ranking
-};
-
-Scratch& LocalScratch() {
-  thread_local Scratch scratch;
-  return scratch;
+/// The one exact int->double add per cell per batch.
+inline void AddCounts(const int16_t* counts, int cols, int sign, double* w) {
+  for (int i = 0; i < cols; ++i) w[i] += static_cast<double>(sign * counts[i]);
 }
 
 void RowBlock(const Ranking* rankings, size_t count, int sign, int row_begin,
               int row_end, int n, double* w) {
-  const int words = (n + 63) >> 6;
-  const int rows = row_end - row_begin;
-  const size_t slab_words = static_cast<size_t>(rows) * words;
-  Scratch& scratch = LocalScratch();
-  // Every (ranking, row-in-block) slot is overwritten below — each block
-  // row is a candidate id that occurs in every ranking — so the snapshot
-  // slab needs sizing, not zeroing.
-  scratch.snapshots.resize(count * slab_words);
-  scratch.prefix.resize(words);
-
+  const int stride = (n + kTile - 1) / kTile * kTile;
+  std::vector<int16_t>& table = LocalPositions();
+  table.resize(count * stride);
   for (size_t k = 0; k < count; ++k) {
-    const CandidateId* order = rankings[k].order().data();
-    uint64_t* prefix = scratch.prefix.data();
-    uint64_t* slab = scratch.snapshots.data() + k * slab_words;
-    std::memset(prefix, 0, static_cast<size_t>(words) * sizeof(uint64_t));
-    for (int p = 0; p < n; ++p) {
-      const uint32_t b = static_cast<uint32_t>(order[p]);
-      const uint32_t rel = b - static_cast<uint32_t>(row_begin);
-      if (rel < static_cast<uint32_t>(rows)) {
-        std::memcpy(slab + static_cast<size_t>(rel) * words, prefix,
-                    static_cast<size_t>(words) * sizeof(uint64_t));
-      }
-      prefix[b >> 6] |= 1ull << (b & 63);
-    }
+    const int* pos = rankings[k].positions().data();
+    int16_t* row = table.data() + k * stride;
+    for (int a = 0; a < n; ++a) row[a] = static_cast<int16_t>(pos[a]);
+    for (int a = n; a < stride; ++a) row[a] = kPadPosition;
   }
 
-  const uint64_t* snapshots = scratch.snapshots.data();
-  for (int r = 0; r < rows; ++r) {
-    double* w_row = w + static_cast<size_t>(row_begin + r) * n;
-    for (int j = 0; j < words; ++j) {
-      uint64_t t[64];
-      const size_t offset = static_cast<size_t>(r) * words + j;
+  // Rows go in pairs so each loaded position vector feeds two compares; an
+  // odd last row pairs with itself and its second count is dropped.
+  for (int b0 = row_begin; b0 < row_end; b0 += 2) {
+    const int b1 = b0 + 1 < row_end ? b0 + 1 : b0;
+    for (int tile = 0; tile < n; tile += kTile) {
+      int16_t acc0[kTile] = {};
+      int16_t acc1[kTile] = {};
       for (size_t k = 0; k < count; ++k) {
-        t[k] = snapshots[k * slab_words + offset];
+        const int16_t* pos = table.data() + k * stride;
+        const int16_t pos_b0 = pos[b0];
+        const int16_t pos_b1 = pos[b1];
+        pos += tile;
+        for (int i = 0; i < kTile; ++i) {
+          acc0[i] += pos[i] < pos_b0;
+          acc1[i] += pos[i] < pos_b1;
+        }
       }
-      for (size_t k = count; k < 64; ++k) t[k] = 0;
-      Transpose64(t);
-      const int col_base = j << 6;
-      const int cols = n - col_base < 64 ? n - col_base : 64;
-      for (int c = 0; c < cols; ++c) {
-        // Candidate (col_base + c) was bit c of each snapshot word; after
-        // the reversing transpose its across-ranking bits sit in t[63-c].
-        w_row[col_base + c] +=
-            static_cast<double>(sign * __builtin_popcountll(t[63 - c]));
+      const int cols = n - tile < kTile ? n - tile : kTile;
+      AddCounts(acc0, cols, sign, w + static_cast<size_t>(b0) * n + tile);
+      if (b1 != b0) {
+        AddCounts(acc1, cols, sign, w + static_cast<size_t>(b1) * n + tile);
       }
     }
   }

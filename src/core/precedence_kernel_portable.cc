@@ -1,5 +1,5 @@
-// Baseline flavor of the bit-sliced precedence kernel: portable uint64
-// word ops, no ISA-specific flags. Always linked; the runtime dispatcher
+// Baseline flavor of the position-compare precedence kernel: no
+// ISA-specific flags (8 int16 lanes under x86-64's SSE2 baseline). Always linked; the runtime dispatcher
 // falls back here whenever AVX2 is unavailable or forced off.
 
 #define MANIRANK_KERNEL_FLAVOR_NS portable

@@ -41,7 +41,7 @@ void StreamingAccumulator::Fold(const Ranking& ranking, size_t worker) {
     state.points[ranking.At(p)] += n_ - 1 - p;
   }
   if (track_ == Track::kBordaAndPrecedence) {
-    // Buffer for the bit-sliced batch fold; one full batch per 64 folds.
+    // Buffer for the batch-kernel fold; one full batch per 64 folds.
     state.pending.push_back(ranking);
     if (state.pending.size() == 64) FlushPending(&state);
   }

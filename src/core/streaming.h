@@ -35,13 +35,13 @@ struct StreamingSummary {
 /// Streaming accumulator kernel: folds sampled rankings into per-worker
 /// Borda point totals (O(n) per ranking) and, optionally, per-worker
 /// precedence deltas without retaining the rankings. Precedence deltas
-/// ride the bit-sliced batch path: each worker buffers up to 64 rankings
-/// and folds them through PrecedenceMatrix::AddRankingsBatch (amortised
-/// O(n^2 / 64) word ops per ranking, bit-identical to per-ranking scalar
-/// folds), flushing any remainder in Finish(). Worker states are merged
-/// once in Finish(), so folding is lock-free as long as each worker index
-/// is used by at most one thread at a time — exactly the contract
-/// ParallelFor provides via its worker argument.
+/// ride the batch-kernel path: each worker buffers up to 64 rankings
+/// and folds them through PrecedenceMatrix::AddRankingsBatch (n^2 int16
+/// compares per ranking, 16 per AVX2 op; bit-identical to per-ranking
+/// scalar folds), flushing any remainder in Finish(). Worker states are
+/// merged once in Finish(), so folding is lock-free as long as each
+/// worker index is used by at most one thread at a time — exactly the
+/// contract ParallelFor provides via its worker argument.
 ///
 /// All folded quantities are integer counts, so the merged summary is
 /// independent of the worker partition and bit-identical to materialising
@@ -86,7 +86,7 @@ class StreamingAccumulator {
     std::vector<int64_t> points;
     PrecedenceMatrix precedence;  // Zero(n) when tracked, empty otherwise
     /// Rankings folded but not yet batched into `precedence` (at most
-    /// one bit-sliced batch's worth; empty when not tracking precedence).
+    /// one kernel batch's worth; empty when not tracking precedence).
     std::vector<Ranking> pending;
   };
 

@@ -47,7 +47,7 @@ PrecedenceKernel ResolvePrecedenceKernel(bool avx2_compiled) {
     WarnOnce(&warned_no_avx2,
              "MANIRANK_KERNEL=avx2 but the AVX2 kernel is unavailable "
              "(not compiled in or CPU lacks AVX2); using the portable "
-             "bit-sliced kernel (bit-identical)");
+             "batch kernel (bit-identical)");
     return PrecedenceKernel::kPortable;
   }
   if (value[0] != '\0' && std::strcmp(value, "auto") != 0) {

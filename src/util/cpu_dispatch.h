@@ -5,14 +5,14 @@ namespace manirank {
 
 /// Which implementation services the unit-weight precedence build/delta
 /// kernels (core/precedence.cc). The scalar path is the paper-faithful
-/// per-pair double accumulation; the other two are the bit-sliced
-/// popcount path, compiled once portably and once with AVX2 codegen
-/// enabled. All three are bit-identical on every eligible input (integer
+/// per-pair double accumulation; the other two are the batch
+/// compare-and-count kernel, compiled once portably and once with AVX2
+/// codegen enabled. All three are bit-identical on every eligible input (integer
 /// counts below 2^53 convert exactly), so selection is purely a
 /// performance/testing knob.
 enum class PrecedenceKernel {
   kScalar,    // reference per-pair double accumulation
-  kPortable,  // bit-sliced batch kernel, baseline codegen
+  kPortable,  // batch kernel, baseline codegen
   kAvx2,      // same kernel compiled with AVX2 enabled
 };
 

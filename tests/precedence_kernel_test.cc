@@ -1,20 +1,25 @@
-// Forced-kernel equivalence suite for the bit-sliced precedence path.
+// Forced-kernel equivalence suite for the batch precedence path.
 //
 // The contract under test: every kernel flavor (scalar reference, portable
-// bit-sliced, AVX2 bit-sliced where the CPU has it) produces bit-identical
-// matrices on every eligible input — builds, batch folds, negative-weight
-// batch removals, interleavings with scalar deltas — and the ineligible
-// cases (non-unit weights, cells near the 2^53 exact-integer envelope)
-// loudly degrade to the scalar path with identical results.
+// position-compare kernel, its AVX2 build where the CPU has it) produces
+// bit-identical matrices on every eligible input — builds, batch folds,
+// negative-weight batch removals, interleavings with scalar deltas — and
+// the ineligible cases (non-unit weights, cells near the 2^53
+// exact-integer envelope) loudly degrade to the scalar path with identical
+// results. The batch kernel compares int16 positions in 64-candidate tiles
+// (8 lanes under SSE2, 16 under AVX2) and only runs for n <= 32767, so the
+// sizes below straddle the lane, tile and 64-row block edges.
 //
 // MANIRANK_KERNEL is re-read on every build/batch, so each test simply
 // sets the variable around the calls it wants forced. Tests run
 // single-threaded at the point of setenv (ParallelFor workers only read
 // the resolved kernel), matching the documented contract.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,6 +44,18 @@ std::vector<Ranking> RandomProfile(int n, int m, Rng* rng) {
   return profile;
 }
 
+// `m` copies of one random ranking, a few of them with one adjacent swap:
+// most per-batch cell counts are exactly 0 or m.
+std::vector<Ranking> NearUnanimousProfile(int n, int m, Rng* rng) {
+  const Ranking base = RandomRanking(n, rng);
+  std::vector<Ranking> profile(m, base);
+  for (int i = 0; i < m; i += 16) {
+    const int p = static_cast<int>(rng->NextUint64(n - 1));
+    profile[i].SwapPositions(p, p + 1);
+  }
+  return profile;
+}
+
 TEST(PrecedenceKernelTest, ActiveKernelNameTracksEnv) {
   {
     ScopedKernelEnv env("scalar");
@@ -53,7 +70,7 @@ TEST(PrecedenceKernelTest, ActiveKernelNameTracksEnv) {
     EXPECT_STREQ(PrecedenceMatrix::ActiveKernelName(), "avx2");
   }
   {
-    // Auto resolves to one of the bit-sliced flavors, never scalar.
+    // Auto resolves to one of the batch-kernel flavors, never scalar.
     ScopedKernelEnv env(nullptr);
     const std::string name = PrecedenceMatrix::ActiveKernelName();
     EXPECT_TRUE(name == "portable" || name == "avx2") << name;
@@ -71,12 +88,14 @@ TEST(PrecedenceKernelTest, UnknownKernelValueFallsBackToAuto) {
   EXPECT_EQ(built.ToDense(), PrecedenceMatrix::Build(base).ToDense());
 }
 
-// Build across sizes straddling every word/block boundary (n at 63/64/65,
-// two-block 100/130, multi-block 200) and batch boundary (m at 64/65/130)
-// must match the scalar reference exactly.
+// Build across sizes straddling every SSE/AVX lane edge (n at 15/16/17),
+// tile/block edge (63/64/65, 127/128/129), two-block 100/130, multi-block
+// 200/500) and batch boundary (m at 64/65/130) must match the scalar
+// reference exactly.
 TEST(PrecedenceKernelTest, BuildMatchesScalarAcrossSizes) {
   Rng rng(7);
-  for (int n : {1, 2, 3, 63, 64, 65, 100, 130, 200}) {
+  for (int n : {1, 2, 3, 15, 16, 17, 63, 64, 65, 100, 127, 128, 129, 130, 200,
+                500}) {
     for (int m : {1, 5, 64, 65, 130}) {
       const std::vector<Ranking> base = RandomProfile(n, m, &rng);
       std::vector<std::vector<double>> reference;
@@ -94,13 +113,39 @@ TEST(PrecedenceKernelTest, BuildMatchesScalarAcrossSizes) {
 }
 
 // A batch fold onto a warm (non-zero) matrix equals folding the same
-// rankings one at a time through the scalar per-pair loop.
+// rankings one at a time through the scalar per-pair loop. n = 500 with
+// batch 64 is the serving fold shape; the near-unanimous batch drives
+// per-batch cell counts to exactly 0 and 64.
 TEST(PrecedenceKernelTest, AddRankingsBatchMatchesScalarFolds) {
   Rng rng(19);
-  const int n = 90;
-  const std::vector<Ranking> warm = RandomProfile(n, 37, &rng);
-  for (int batch_size : {1, 63, 64, 65, 200}) {
-    const std::vector<Ranking> batch = RandomProfile(n, batch_size, &rng);
+  struct Case {
+    int n;
+    int batch_size;
+    bool near_unanimous;
+  };
+  for (const Case& c : {Case{90, 1, false}, Case{90, 63, false},
+                        Case{90, 64, false}, Case{90, 65, false},
+                        Case{90, 200, false}, Case{500, 64, false},
+                        Case{500, 1, false}, Case{130, 64, true}}) {
+    const int n = c.n;
+    const std::vector<Ranking> warm = RandomProfile(n, 37, &rng);
+    const std::vector<Ranking> batch =
+        c.near_unanimous ? NearUnanimousProfile(n, c.batch_size, &rng)
+                         : RandomProfile(n, c.batch_size, &rng);
+    if (c.near_unanimous) {
+      ScopedKernelEnv env("scalar");
+      double lo = c.batch_size, hi = 0;
+      const PrecedenceMatrix delta = PrecedenceMatrix::Build(batch);
+      for (int a = 0; a < n; ++a) {
+        for (int b = 0; b < n; ++b) {
+          if (a == b) continue;
+          lo = std::min(lo, delta.W(a, b));
+          hi = std::max(hi, delta.W(a, b));
+        }
+      }
+      ASSERT_EQ(lo, 0.0);
+      ASSERT_EQ(hi, static_cast<double>(c.batch_size));
+    }
     std::vector<std::vector<double>> reference;
     {
       ScopedKernelEnv env("scalar");
@@ -113,7 +158,8 @@ TEST(PrecedenceKernelTest, AddRankingsBatchMatchesScalarFolds) {
       PrecedenceMatrix w = PrecedenceMatrix::Build(warm);
       w.AddRankingsBatch(batch);
       EXPECT_EQ(w.ToDense(), reference)
-          << "kernel=" << kernel << " batch=" << batch_size;
+          << "kernel=" << kernel << " n=" << n << " batch=" << c.batch_size
+          << (c.near_unanimous ? " near-unanimous" : "");
     }
   }
 }
@@ -122,16 +168,19 @@ TEST(PrecedenceKernelTest, AddRankingsBatchMatchesScalarFolds) {
 // removing it again restores the original bits exactly, under every kernel.
 TEST(PrecedenceKernelTest, BatchRemoveRoundTripsExactly) {
   Rng rng(23);
-  const int n = 130;
-  const std::vector<Ranking> warm = RandomProfile(n, 20, &rng);
-  const std::vector<Ranking> batch = RandomProfile(n, 96, &rng);
-  for (const std::string& kernel : AllPrecedenceKernels()) {
-    ScopedKernelEnv env(kernel.c_str());
-    PrecedenceMatrix w = PrecedenceMatrix::Build(warm);
-    const std::vector<std::vector<double>> before = w.ToDense();
-    w.AddRankingsBatch(batch);
-    w.RemoveRankingsBatch(batch);
-    EXPECT_EQ(w.ToDense(), before) << "kernel=" << kernel;
+  for (const auto& [n, batch_size] :
+       {std::pair{130, 96}, std::pair{500, 64}, std::pair{500, 1}}) {
+    const std::vector<Ranking> warm = RandomProfile(n, 20, &rng);
+    const std::vector<Ranking> batch = RandomProfile(n, batch_size, &rng);
+    for (const std::string& kernel : AllPrecedenceKernels()) {
+      ScopedKernelEnv env(kernel.c_str());
+      PrecedenceMatrix w = PrecedenceMatrix::Build(warm);
+      const std::vector<std::vector<double>> before = w.ToDense();
+      w.AddRankingsBatch(batch);
+      w.RemoveRankingsBatch(batch);
+      EXPECT_EQ(w.ToDense(), before)
+          << "kernel=" << kernel << " n=" << n << " batch=" << batch_size;
+    }
   }
 }
 
@@ -168,7 +217,7 @@ TEST(PrecedenceKernelTest, InterleavedBatchAndScalarDeltasMatchRebuild) {
 }
 
 // Non-unit (and non-integer) batch weights are ineligible for the
-// bit-sliced path; the fallback must still produce the scalar bits.
+// batch kernel; the fallback must still produce the scalar bits.
 TEST(PrecedenceKernelTest, NonUnitWeightBatchFallsBackToScalarBits) {
   Rng rng(41);
   const int n = 66;
@@ -262,7 +311,7 @@ TEST(PrecedenceKernelTest, DenseRestoreKeepsBatchPathExact) {
 }
 
 // Merging per-worker deltas built under different kernels is still exact:
-// the bit-sliced and scalar paths produce the same integer cells, so any
+// the batch-kernel and scalar paths produce the same integer cells, so any
 // mix merges to the bits of a scalar build over the union.
 TEST(PrecedenceKernelTest, MergeAcrossKernelsMatchesScalarUnion) {
   Rng rng(59);
