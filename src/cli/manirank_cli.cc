@@ -223,11 +223,23 @@ int RunAudit(const Args& args) {
   return 0;
 }
 
+/// An ILP method that proved its constraints infeasible (A1 at a delta
+/// no ranking of these groups can meet) returns an empty consensus; the
+/// report cells below say so instead of scoring the empty ranking.
+bool Infeasible(const Ranking& consensus) { return consensus.size() == 0; }
+
 /// PD loss column: undefined on a summarized (snapshot-restored) context,
 /// whose base rankings were folded away.
 std::string PdLossCell(const ConsensusContext& ctx, const Ranking& consensus) {
+  if (Infeasible(consensus)) return "infeasible";
   if (!ctx.has_base_rankings()) return "n/a";
   return TablePrinter::Fmt(PdLoss(ctx.base_rankings(), consensus), 4);
+}
+
+std::string MaxParityCell(const ConsensusContext& ctx,
+                          const Ranking& consensus) {
+  if (Infeasible(consensus)) return "infeasible";
+  return TablePrinter::Fmt(ctx.EvaluateFairness(consensus).MaxParity(), 3);
 }
 
 /// Runs the chosen method (or the registry sweep — every method the
@@ -260,8 +272,7 @@ std::vector<Ranking> RunBatch(const ConsensusContext& ctx,
       ConsensusOutput output = ctx.RunMethod(m, options);
       out.AddRow({"(" + m.id + ") " + m.name,
                   PdLossCell(ctx, output.consensus),
-                  TablePrinter::Fmt(
-                      ctx.EvaluateFairness(output.consensus).MaxParity(), 3),
+                  MaxParityCell(ctx, output.consensus),
                   output.satisfied ? "yes" : "NO",
                   TablePrinter::Fmt(output.seconds, 2)});
       consensuses.push_back(std::move(output.consensus));
@@ -276,15 +287,20 @@ std::vector<Ranking> RunBatch(const ConsensusContext& ctx,
   }
 
   ConsensusOutput result = ctx.RunMethod(*method, options);
-  TablePrinter out(FairnessHeader(ctx.table()));
-  PrintFairness("consensus (" + method->name + ")", result.consensus,
-                ctx.table(), &out);
-  out.Print(std::cout);
+  const bool infeasible = Infeasible(result.consensus);
+  if (!infeasible) {
+    TablePrinter out(FairnessHeader(ctx.table()));
+    PrintFairness("consensus (" + method->name + ")", result.consensus,
+                  ctx.table(), &out);
+    out.Print(std::cout);
+  }
   std::cout << "PD loss: " << PdLossCell(ctx, result.consensus)
             << "  time: " << TablePrinter::Fmt(result.seconds, 2) << "s"
             << "  delta " << options.delta << " satisfied: "
             << (result.satisfied ? "yes" : "no")
-            << (method->uses_ilp && !result.exact ? "  (time-capped)" : "")
+            << (infeasible ? "  (infeasible)"
+                : method->uses_ilp && !result.exact ? "  (time-capped)"
+                                                    : "")
             << "\n";
   return {std::move(result.consensus)};
 }

@@ -1,7 +1,6 @@
 #include "core/context.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -13,22 +12,6 @@
 
 namespace manirank {
 namespace {
-
-/// FNV-1a over the raw bytes of the weight vector. Collisions are handled
-/// by exact comparison, so the hash only needs to spread well.
-uint64_t HashWeights(const std::vector<double>& weights) {
-  uint64_t h = 1469598103934665603ull;
-  for (double w : weights) {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(w), "double must be 64-bit");
-    std::memcpy(&bits, &w, sizeof(bits));
-    for (int i = 0; i < 8; ++i) {
-      h ^= (bits >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
-}
 
 /// Contexts the calling thread is currently running a method against.
 /// Lets a mutation distinguish "a run on another thread is in flight"
@@ -118,14 +101,6 @@ class MutationGuard {
 ConsensusContext::ConsensusContext(std::vector<Ranking> base_rankings,
                                    const CandidateTable& table)
     : base_(std::move(base_rankings)), table_(&table) {
-  const int n = table.num_candidates();
-  for (const Grouping* g : table.constrained_groupings()) {
-    std::vector<int64_t> denoms(g->num_groups());
-    for (int i = 0; i < g->num_groups(); ++i) {
-      denoms[i] = MixedPairs(g->group_size(i), n);
-    }
-    mixed_pair_denoms_.push_back(std::move(denoms));
-  }
   size_counter_.store(base_.size(), std::memory_order_relaxed);
 }
 
@@ -245,7 +220,7 @@ void ConsensusContext::ApplyAddLocked(const Ranking& ranking,
     }
   }
   if (parity_scores_) {
-    parity_scores_->push_back(EvaluateFairnessImpl(ranking).MaxParity());
+    parity_scores_->push_back(EvaluateFairness(ranking).MaxParity());
     ++stats_.parity_delta_updates;
   }
   // The weight vectors these derive from change length with the profile.
@@ -388,10 +363,9 @@ const PrecedenceMatrix& ConsensusContext::Precedence() const {
 const PrecedenceMatrix& ConsensusContext::WeightedPrecedence(
     const std::vector<double>& weights) const {
   RequireBase("WeightedPrecedence");
-  const uint64_t key = HashWeights(weights);
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [hash, entry] : weighted_) {
-    if (hash == key && entry.weights == weights) {
+  for (const WeightedEntry& entry : weighted_) {
+    if (entry.weights == weights) {
       ++stats_.weighted_hits;
       return *entry.matrix;
     }
@@ -401,8 +375,8 @@ const PrecedenceMatrix& ConsensusContext::WeightedPrecedence(
   entry.matrix = std::make_unique<PrecedenceMatrix>(
       PrecedenceMatrix::BuildWeighted(base_, weights));
   ++stats_.weighted_builds;
-  weighted_.emplace_back(key, std::move(entry));
-  return *weighted_.back().second.matrix;
+  weighted_.push_back(std::move(entry));
+  return *weighted_.back().matrix;
 }
 
 const std::vector<int64_t>& ConsensusContext::BordaPoints() const {
@@ -427,7 +401,7 @@ const std::vector<double>& ConsensusContext::BaseParityScores() const {
   if (!parity_scores_) {
     auto scores = std::make_unique<std::vector<double>>(base_.size());
     for (size_t i = 0; i < base_.size(); ++i) {
-      (*scores)[i] = EvaluateFairnessImpl(base_[i]).MaxParity();
+      (*scores)[i] = EvaluateFairness(base_[i]).MaxParity();
     }
     parity_scores_ = std::move(scores);
     ++stats_.parity_score_builds;
@@ -451,36 +425,11 @@ const std::vector<double>& ConsensusContext::KemenyFairnessWeights() const {
 
 FairnessReport ConsensusContext::EvaluateFairness(
     const Ranking& ranking) const {
-  return EvaluateFairnessImpl(ranking);
-}
-
-FairnessReport ConsensusContext::EvaluateFairnessImpl(
-    const Ranking& ranking) const {
-  FairnessReport report;
-  const auto groupings = table_->constrained_groupings();
-  for (size_t gi = 0; gi < groupings.size(); ++gi) {
-    const std::vector<int64_t> favored =
-        GroupFavoredPairs(ranking, *groupings[gi]);
-    const std::vector<int64_t>& denoms = mixed_pair_denoms_[gi];
-    std::vector<double> fpr(favored.size(), 0.5);
-    for (size_t g = 0; g < favored.size(); ++g) {
-      if (denoms[g] > 0) {
-        fpr[g] =
-            static_cast<double>(favored[g]) / static_cast<double>(denoms[g]);
-      }
-    }
-    report.parity.push_back(RankParityFromFpr(fpr));
-    report.fpr.push_back(std::move(fpr));
-  }
-  return report;
+  return manirank::EvaluateFairness(ranking, *table_);
 }
 
 bool ConsensusContext::Satisfies(const Ranking& ranking, double delta) const {
-  const FairnessReport report = EvaluateFairness(ranking);
-  for (double parity : report.parity) {
-    if (parity > delta + 1e-12) return false;
-  }
-  return true;
+  return SatisfiesManiRank(ranking, *table_, delta);
 }
 
 ConsensusOutput ConsensusContext::RunMethod(

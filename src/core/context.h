@@ -81,9 +81,8 @@ struct ContextStats {
 /// gain or lose one entry, and the Borda point totals shift by one
 /// ranking's points. Caches a delta genuinely dirties are dropped: the
 /// weighted precedence variants and the derived Kemeny fairness weights
-/// (both depend on the whole weight vector). The per-grouping mixed-pair
-/// denominators depend only on the table and survive every mutation. Each
-/// mutation bumps ContextStats::generation.
+/// (both depend on the whole weight vector). Each mutation bumps
+/// ContextStats::generation.
 ///
 /// A context can also be constructed from a StreamingSummary — the folded
 /// residue of a profile too large to retain (Table II's 10M rankers). Such
@@ -222,8 +221,8 @@ class ConsensusContext {
   /// std::logic_error.
   const PrecedenceMatrix& Precedence() const;
 
-  /// Weighted variant, cached per distinct weight vector (keyed by a
-  /// content hash; exact vectors are compared on collision). The returned
+  /// Weighted variant, cached per distinct weight vector (found by an
+  /// exact-compare scan: a context sees one or two vectors). The returned
   /// reference lives until the next profile mutation.
   const PrecedenceMatrix& WeightedPrecedence(
       const std::vector<double>& weights) const;
@@ -245,12 +244,10 @@ class ConsensusContext {
   const std::vector<double>& KemenyFairnessWeights() const;
 
   /// Fairness report of a candidate consensus against the table's
-  /// constrained groupings, using the context's cached per-grouping
-  /// mixed-pair denominators (the FPR denominators of Definition 4).
+  /// constrained groupings (the free EvaluateFairness over table()).
   FairnessReport EvaluateFairness(const Ranking& ranking) const;
 
-  /// MANI-Rank (Definition 7) at a uniform delta, via the cached
-  /// denominators.
+  /// MANI-Rank (Definition 7) at a uniform delta (SatisfiesManiRank).
   bool Satisfies(const Ranking& ranking, double delta) const;
 
   /// Runs one registry method ("A1".."B4" or its display name) against
@@ -301,10 +298,6 @@ class ConsensusContext {
   ContextStats stats() const;
 
  private:
-  /// Lock-free implementation of EvaluateFairness (touches only immutable
-  /// state), callable while mu_ is held.
-  FairnessReport EvaluateFairnessImpl(const Ranking& ranking) const;
-
   /// Throws std::logic_error when `what` needs the retained profile but
   /// this context is summarized.
   void RequireBase(const char* what) const;
@@ -345,16 +338,10 @@ class ConsensusContext {
   /// Optional reader/writer gate (see AttachGate); not owned.
   ContextGate* gate_ = nullptr;
   mutable std::unique_ptr<PrecedenceMatrix> precedence_;
-  // Weighted matrices bucketed by content hash; each bucket holds the
-  // exact weight vectors that hashed there.
-  mutable std::vector<std::pair<uint64_t, WeightedEntry>> weighted_;
+  mutable std::vector<WeightedEntry> weighted_;
   mutable std::unique_ptr<std::vector<int64_t>> borda_points_;
   mutable std::unique_ptr<std::vector<double>> parity_scores_;
   mutable std::unique_ptr<std::vector<double>> fairness_weights_;
-  // FPR denominators MixedPairs(|G|, n) per constrained grouping, in
-  // CandidateTable::constrained_groupings() order (eagerly built: cheap).
-  // Depend only on the table, so they survive every profile mutation.
-  std::vector<std::vector<int64_t>> mixed_pair_denoms_;
   mutable ContextStats stats_;
 };
 

@@ -11,6 +11,32 @@ namespace manirank {
 /// repo (snapshots, op logs) trails its payload with.
 uint64_t Fnv1a64(const char* data, size_t size);
 
+/// The little-endian integer codec of those formats: Put* append to a
+/// growing buffer, Get* decode from bytes the caller has bounds-checked.
+inline void PutU32(std::string* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+}
+
+inline void PutU64(std::string* out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+}
+
+inline uint32_t GetU32(const char* data) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<uint32_t>(static_cast<unsigned char>(data[i])) << (8 * i);
+  }
+  return v;
+}
+
+inline uint64_t GetU64(const char* data) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(static_cast<unsigned char>(data[i])) << (8 * i);
+  }
+  return v;
+}
+
 /// Unique-per-writer temporary path next to `path`: `path + ".tmp." +
 /// pid + "." + counter`, so concurrent writers to one destination never
 /// truncate or unlink each other's in-progress file. Every atomic write

@@ -25,34 +25,6 @@ constexpr uint32_t kMaxRecordBodyBytes = 1u << 30;
 /// Mirrors the snapshot reader's table cap (snapshot.cc kMaxCandidates).
 constexpr uint32_t kMaxOpLogCandidates = 1u << 20;
 
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
-
-uint32_t GetU32(const char* data) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(data[i])) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t GetU64(const char* data) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(data[i])) << (8 * i);
-  }
-  return v;
-}
-
 std::string EncodeHeader(int num_candidates, uint64_t base_generation,
                          uint64_t base_rankings) {
   std::string header(kOpLogMagic, sizeof(kOpLogMagic));
@@ -64,26 +36,12 @@ std::string EncodeHeader(int num_candidates, uint64_t base_generation,
   return header;
 }
 
-/// Encodes one framed record (length | body | crc) onto `out`.
-void EncodeRecord(std::string* out, const OpRecord& record) {
-  std::string body;
-  body.push_back(static_cast<char>(record.kind));
-  if (record.kind == OpRecord::Kind::kAppend) {
-    PutU32(&body, static_cast<uint32_t>(record.rankings.size()));
-    for (const Ranking& r : record.rankings) {
-      for (CandidateId c : r.order()) {
-        PutU32(&body, static_cast<uint32_t>(c));
-      }
-    }
-  } else {
-    PutU64(&body, record.remove_index);
-  }
+/// Frames one record body onto `out`: length | body | crc.
+void AppendFrame(std::string* out, const std::string& body) {
   const size_t frame_start = out->size();
   PutU32(out, static_cast<uint32_t>(body.size()));
   out->append(body);
-  const uint64_t crc =
-      Fnv1a64(out->data() + frame_start, out->size() - frame_start);
-  PutU64(out, crc);
+  PutU64(out, Fnv1a64(out->data() + frame_start, out->size() - frame_start));
 }
 
 /// Parses one checksum-verified record body. Throws OpLogFormatError —
@@ -283,6 +241,35 @@ std::string OpLogCursor::TornDetail() const {
          std::to_string(clean_bytes_) + ": " + what;
 }
 
+std::string FloorChain::CheckBase(uint64_t base_generation,
+                                  uint64_t base_rankings) {
+  generation_ = base_generation;
+  if (base_generation > floor_generation_) {
+    return "chains from generation " + std::to_string(base_generation) +
+           ", newer than its snapshot floor (generation " +
+           std::to_string(floor_generation_) + ")";
+  }
+  if (base_generation == floor_generation_ &&
+      base_rankings != floor_rankings_) {
+    return "disagrees with its snapshot floor on the profile size at "
+           "generation " + std::to_string(floor_generation_);
+  }
+  return std::string();
+}
+
+FloorChain::Verdict FloorChain::Classify(const OpRecord& record) {
+  const uint64_t delta = record.kind == OpRecord::Kind::kRemove
+                             ? 1
+                             : static_cast<uint64_t>(record.rankings.size());
+  if (generation_ + delta <= floor_generation_) {
+    generation_ += delta;
+    return Verdict::kSkip;
+  }
+  if (generation_ < floor_generation_) return Verdict::kStraddle;
+  generation_ += delta;
+  return Verdict::kApply;
+}
+
 OpLogWriter::OpLogWriter(std::string path, int fd, int num_candidates,
                          uint64_t base_generation, uint64_t base_rankings,
                          uint64_t bytes, uint64_t records)
@@ -371,8 +358,6 @@ std::unique_ptr<OpLogWriter> OpLogWriter::OpenExisting(
 
 void OpLogWriter::BufferAppend(const std::vector<Ranking>& rankings) {
   record_starts_.push_back(buffer_.size());
-  // Encode without copying the rankings into an OpRecord: frame the
-  // batch directly onto the buffer.
   std::string body;
   body.push_back(static_cast<char>(OpRecord::Kind::kAppend));
   PutU32(&body, static_cast<uint32_t>(rankings.size()));
@@ -381,19 +366,15 @@ void OpLogWriter::BufferAppend(const std::vector<Ranking>& rankings) {
       PutU32(&body, static_cast<uint32_t>(c));
     }
   }
-  const size_t frame_start = buffer_.size();
-  PutU32(&buffer_, static_cast<uint32_t>(body.size()));
-  buffer_.append(body);
-  PutU64(&buffer_,
-         Fnv1a64(buffer_.data() + frame_start, buffer_.size() - frame_start));
+  AppendFrame(&buffer_, body);
 }
 
 void OpLogWriter::BufferRemove(uint64_t index) {
   record_starts_.push_back(buffer_.size());
-  OpRecord record;
-  record.kind = OpRecord::Kind::kRemove;
-  record.remove_index = index;
-  EncodeRecord(&buffer_, record);
+  std::string body;
+  body.push_back(static_cast<char>(OpRecord::Kind::kRemove));
+  PutU64(&body, index);
+  AppendFrame(&buffer_, body);
 }
 
 void OpLogWriter::AbortLast() {

@@ -31,9 +31,9 @@ namespace manirank {
 ///
 /// base_generation / base_rankings bind the log to the snapshot it
 /// chains from: a reader must refuse a log whose base does not match its
-/// floor (see serve_main's cold start, which additionally skips already-
-/// snapshotted records when a crash landed between the snapshot write
-/// and the log truncation). One APPEND record corresponds to one applied
+/// floor, and skip the already-snapshotted records a crash between the
+/// snapshot write and the log truncation leaves at its head (FloorChain
+/// below holds both rules). One APPEND record corresponds to one applied
 /// coalesced batch — replaying record-by-record therefore reproduces not
 /// just the profile but the shard's applied_batches bookkeeping.
 ///
@@ -158,6 +158,52 @@ class OpLogCursor {
   uint64_t base_rankings_ = 0;
   uint64_t clean_bytes_ = 0;
   uint64_t records_ = 0;
+};
+
+/// The rules that chain an op log onto the snapshot floor it is replayed
+/// over. Cold start (serve/durability.cc) and follower catch-up
+/// (serve/replica.cc) both run every log through one FloorChain, so they
+/// accept, skip and refuse exactly the same records; each caller only
+/// chooses how to fail. Check the header once (CheckBase), then classify
+/// every verified record in log order (Classify).
+///
+/// A log may chain from a base OLDER than its floor: a crash between the
+/// snapshot write and the log truncation leaves {new floor, old log},
+/// whose head records are already folded into the floor. The context
+/// bumps its generation once per ranking added or removed (an APPEND of
+/// k rankings advances it by k, a REMOVE by 1) and floors are taken at
+/// fold boundaries, so the cumulative generation finds that prefix
+/// exactly. A record that crosses the floor's generation means the pair
+/// does not describe one table.
+class FloorChain {
+ public:
+  enum class Verdict {
+    kSkip,      ///< already folded into the floor
+    kApply,     ///< past the floor: fold it
+    kStraddle,  ///< crosses the floor: the log does not chain
+  };
+
+  FloorChain(uint64_t floor_generation, uint64_t floor_rankings)
+      : floor_generation_(floor_generation), floor_rankings_(floor_rankings) {}
+
+  /// Checks the log header against the floor and starts counting at its
+  /// base. Returns an empty string when the log chains; otherwise why it
+  /// does not (its base is newer than the floor, or names the floor's
+  /// generation with another profile size), phrased to follow the log's
+  /// name.
+  std::string CheckBase(uint64_t base_generation, uint64_t base_rankings);
+
+  /// Classifies the next record. kSkip and kApply advance generation()
+  /// past it; after kStraddle the caller must stop.
+  Verdict Classify(const OpRecord& record);
+
+  /// Profile generation after the last skipped or applied record.
+  uint64_t generation() const { return generation_; }
+
+ private:
+  uint64_t floor_generation_;
+  uint64_t floor_rankings_;
+  uint64_t generation_ = 0;
 };
 
 /// Append-side handle over one table's op log. Records are *buffered*

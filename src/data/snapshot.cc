@@ -32,18 +32,6 @@ constexpr size_t kMaxSnapshotBytes = size_t{1} << 30;
 
 // --- little-endian encoders over a growing payload buffer ------------------
 
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
-
 void PutI64(std::string* out, int64_t v) {
   PutU64(out, static_cast<uint64_t>(v));
 }
@@ -88,22 +76,14 @@ class Cursor {
 
   uint32_t U32(const char* what) {
     Require(4, what);
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
+    const uint32_t v = GetU32(data_ + pos_);
     pos_ += 4;
     return v;
   }
 
   uint64_t U64(const char* what) {
     Require(8, what);
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
+    const uint64_t v = GetU64(data_ + pos_);
     pos_ += 8;
     return v;
   }

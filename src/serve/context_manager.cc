@@ -681,11 +681,22 @@ TableSnapshot ContextManager::SnapshotTable(const std::string& name,
 
 TableStats ContextManager::RestoreTable(const std::string& name,
                                         TableSnapshot snapshot) {
+  return Restore(name, std::move(snapshot), TableRole::kLeader);
+}
+
+TableStats ContextManager::RestoreFollower(const std::string& name,
+                                           TableSnapshot snapshot) {
+  return Restore(name, std::move(snapshot), TableRole::kFollower);
+}
+
+TableStats ContextManager::Restore(const std::string& name,
+                                   TableSnapshot snapshot, TableRole role) {
   if (name.empty()) {
     throw std::invalid_argument("table name must be non-empty");
   }
+  const bool follower = role == TableRole::kFollower;
   std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
-  {
+  if (!follower) {
     // Same early duplicate check as Create: fail before paying for
     // context construction (Register re-checks the race).
     std::lock_guard<std::mutex> lock(mu_);
@@ -714,11 +725,19 @@ TableStats ContextManager::RestoreTable(const std::string& name,
   shard->cache.set_enabled(cache_enabled_.load(std::memory_order_relaxed));
   shard->applied_batches = snapshot.applied_batches;
   shard->applied_rankings = snapshot.applied_rankings;
+  shard->follower.store(follower, std::memory_order_relaxed);
   TableStats stats = StatsFor(*shard);
   // Floor before Register, exactly like Create — a restored table is a
   // fresh durability chain (its snapshot file + empty log).
   if (hook_ != nullptr) hook_->OnTableRegistered(name, BuildFloor(*shard));
-  Register(name, std::move(shard));
+  if (follower) {
+    // One map update: readers see the old shard or the new follower,
+    // never a missing table or a writable one.
+    std::lock_guard<std::mutex> lock(mu_);
+    shards_[name] = std::move(shard);
+  } else {
+    Register(name, std::move(shard));
+  }
   return stats;
 }
 

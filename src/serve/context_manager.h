@@ -306,12 +306,14 @@ class ContextManager {
   /// std::invalid_argument for unknown names.
   void SetTableRole(const std::string& name, TableRole role);
 
-  /// Applies one verified leader log record through the exact fold path
+  /// Applies one verified op-log record through the exact fold path
   /// Append/Remove use — enqueue, then drain under the exclusive gate,
-  /// one record per fold, so the follower's applied_batches bookkeeping
-  /// reproduces the leader's (the same property crash replay has).
-  /// Bypasses the follower readonly check: the replication session is
-  /// the only intended caller. Returns rankings applied.
+  /// one record per fold, so the shard's applied_batches bookkeeping
+  /// reproduces the process that logged it. Its two callers are the
+  /// follower's replication session and cold start's log replay
+  /// (serve/durability.h), both after FloorChain (data/op_log.h) has
+  /// classified the record. Bypasses the follower readonly check.
+  /// Returns rankings applied (appended + removed).
   size_t ApplyReplicated(const std::string& name, OpRecord record);
 
   /// Publishes follower link progress for STATS: the last generation the
@@ -352,6 +354,13 @@ class ContextManager {
   /// empty or taken ("table already exists", so clients can retry
   /// idempotently).
   TableStats RestoreTable(const std::string& name, TableSnapshot snapshot);
+
+  /// RestoreTable for a replication session's floor: the shard is
+  /// registered already marked a follower, and replaces any table of that
+  /// name in one map update under the lifecycle lock — concurrent readers
+  /// see the old table or the new follower, never a missing table, and no
+  /// external mutation can land in between.
+  TableStats RestoreFollower(const std::string& name, TableSnapshot snapshot);
 
   /// The registry methods the named table can currently serve, in paper
   /// order: all eight for retained profiles, the precedence/Borda subset
@@ -502,6 +511,10 @@ class ContextManager {
   /// public verb adds the follower readonly check on top).
   TableStats EnqueueAppend(Shard& shard, std::vector<Ranking> rankings);
   TableStats EnqueueRemove(Shard& shard, size_t index);
+  /// RestoreTable and RestoreFollower: builds the shard from `snapshot`
+  /// and registers it in `role`; a follower replaces any existing shard.
+  TableStats Restore(const std::string& name, TableSnapshot snapshot,
+                     TableRole role);
   /// Stats snapshot straight off a shard (no name lookup).
   static TableStats StatsFor(const Shard& shard);
   /// One method run through the shard's result cache, keyed by the
@@ -562,7 +575,7 @@ class ContextManager {
   /// manager-wide critical section after one O(1) lookup.
   mutable std::mutex mu_;
   std::unordered_map<std::string, std::shared_ptr<Shard>> shards_;
-  /// Serializes table lifecycle (Create / RestoreTable / Drop) so the
+  /// Serializes table lifecycle (Create / Restore* / Drop) so the
   /// durability hook's floor files can never interleave with a racing
   /// lifecycle op on the same name — e.g. two concurrent CREATEs both
   /// writing a floor before one loses the Register. Ordered strictly

@@ -19,18 +19,6 @@ namespace fs = std::filesystem;
 constexpr char kSnapshotExt[] = ".snap";
 constexpr char kLogExt[] = ".oplog";
 
-/// Profile-generation delta one replayed record contributes: the context
-/// bumps its generation once per ranking added or removed, so an APPEND
-/// of k rankings advances it by k and a REMOVE by 1. This is what makes
-/// the crash window healable: the snapshot's generation always lands on
-/// a cumulative record boundary, so the already-snapshotted prefix of an
-/// un-truncated log can be identified and skipped exactly.
-uint64_t GenerationDelta(const OpRecord& record) {
-  return record.kind == OpRecord::Kind::kRemove
-             ? 1
-             : static_cast<uint64_t>(record.rankings.size());
-}
-
 /// Reads bytes [offset, offset + want) of `path`. Short results are
 /// returned as-is — the caller re-validates the chain and decides.
 std::string ReadFileRange(const std::string& path, uint64_t offset,
@@ -195,70 +183,51 @@ DurabilityManager::RestoredTable DurabilityManager::RestoreOne(
     entry->writer = OpLogWriter::Create(LogPathFor(table), n,
                                         floor_generation, floor_rankings);
   } else {
+    const std::string log_path = LogPathFor(table);
     OpLogContents contents;
     // OpenExisting validates the header, finds the clean tail, truncates
     // any torn record in place, and leaves the writer positioned to
     // append — the file is read exactly once.
-    entry->writer =
-        OpLogWriter::OpenExisting(LogPathFor(table), n, &contents);
+    entry->writer = OpLogWriter::OpenExisting(log_path, n, &contents);
     report.torn_tail = contents.torn_tail;
-    if (contents.base_generation > floor_generation) {
-      throw std::runtime_error(
-          "op log " + LogPathFor(table) +
-          " chains from generation " +
-          std::to_string(contents.base_generation) +
-          ", newer than its snapshot floor (generation " +
-          std::to_string(floor_generation) + ") — unusable state");
-    }
-    if (contents.base_generation == floor_generation &&
-        contents.base_rankings != floor_rankings) {
-      throw std::runtime_error(
-          "op log " + LogPathFor(table) +
-          " and its snapshot floor disagree on the profile size at "
-          "generation " + std::to_string(floor_generation));
+    FloorChain chain(floor_generation, floor_rankings);
+    const std::string refused =
+        chain.CheckBase(contents.base_generation, contents.base_rankings);
+    if (!refused.empty()) {
+      throw std::runtime_error("op log " + log_path + " " + refused +
+                               " — unusable state");
     }
     const auto start = Clock::now();
-    // base < floor happens when the crash hit between the snapshot write
-    // and the log truncation: the log's head records are already folded
-    // into the floor. Skip them by cumulative generation — the floor was
-    // taken at a fold boundary, so it always lands between records.
-    uint64_t generation = contents.base_generation;
     for (OpRecord& record : contents.records) {
-      const uint64_t delta = GenerationDelta(record);
-      if (generation + delta <= floor_generation) {
-        generation += delta;
+      const FloorChain::Verdict verdict = chain.Classify(record);
+      if (verdict == FloorChain::Verdict::kSkip) {
         ++report.skipped_records;
         continue;
       }
-      if (generation < floor_generation) {
+      if (verdict == FloorChain::Verdict::kStraddle) {
         throw std::runtime_error(
-            "op log " + LogPathFor(table) +
+            "op log " + log_path +
             " has a record straddling the snapshot boundary at "
             "generation " + std::to_string(floor_generation) +
             " — unusable state");
       }
       try {
-        if (record.kind == OpRecord::Kind::kRemove) {
-          manager_->Remove(table, record.remove_index);
-        } else {
+        if (record.kind == OpRecord::Kind::kAppend) {
           report.replayed_rankings += record.rankings.size();
-          manager_->Append(table, std::move(record.rankings));
         }
-        // One Flush per record reproduces the shard's applied_batches /
-        // applied_rankings bookkeeping exactly: each record was one
-        // applied coalesced batch (or one remove) in the original
-        // process, and becomes exactly one here.
-        manager_->Flush(table);
+        // One record = one fold, exactly as a follower applies it: each
+        // record was one applied coalesced batch (or one remove) in the
+        // original process, so applied_batches comes back exactly.
+        manager_->ApplyReplicated(table, std::move(record));
       } catch (const std::exception& e) {
         // The record passed its checksum, so this is not a torn tail —
         // a checksum-valid record the manager rejects means the log does
         // not describe this snapshot's table. Refuse the whole restore.
-        throw std::runtime_error("op log " + LogPathFor(table) +
+        throw std::runtime_error("op log " + log_path +
                                  " replay failed at record " +
                                  std::to_string(report.replayed_records) +
                                  ": " + e.what());
       }
-      generation += delta;
       ++report.replayed_records;
     }
     report.replay_ms =
@@ -377,15 +346,11 @@ size_t DurabilityManager::RunDuePolicies() {
             break;
           }
           uint64_t generation = 0;
-          size_t rankings = 0;
           try {
-            const TableStats stats = manager_->Stats(table);
-            generation = stats.generation;
-            rankings = stats.num_rankings;
+            generation = manager_->Stats(table).generation;
           } catch (const std::exception&) {
             break;  // dropped concurrently; the entry is on its way out
           }
-          (void)rankings;
           if (generation >= entry->writer->base_generation() +
                                 entry->policy.every_generations) {
             due.push_back(table);

@@ -7,6 +7,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -25,17 +26,6 @@ constexpr int kSendFlags = MSG_NOSIGNAL;
 #else
 constexpr int kSendFlags = 0;
 #endif
-
-/// Same delta rule the leader's crash-window healing uses (see
-/// serve/durability.cc): the context bumps its generation once per
-/// ranking added or removed, so the snapshot floor always lands on a
-/// cumulative record boundary and the already-folded prefix of the
-/// streamed log can be identified and skipped exactly.
-uint64_t GenerationDelta(const OpRecord& record) {
-  return record.kind == OpRecord::Kind::kRemove
-             ? 1
-             : static_cast<uint64_t>(record.rankings.size());
-}
 
 bool SendAllFd(int fd, const std::string& bytes) {
   size_t sent = 0;
@@ -290,8 +280,9 @@ void FollowerClient::StreamOnce(const std::string& table, int fd,
   }
   // Swap the new floor in. Handshakes re-ship the complete state, so a
   // re-handshake (rotation, torn stream, reconnect) replaces the table
-  // rather than patching it — the one-code-path property: what follows
-  // is exactly cold start's floor + replay.
+  // rather than patching it — in one step, already a follower, so reads
+  // never miss the table and external writes never land in it. What
+  // follows is exactly cold start's floor + replay.
   uint64_t floor_generation = 0;
   uint64_t floor_rankings = 0;
   try {
@@ -299,9 +290,7 @@ void FollowerClient::StreamOnce(const std::string& table, int fd,
     TableSnapshot snapshot = ReadTableSnapshot(is);
     floor_generation = snapshot.summary.generation;
     floor_rankings = static_cast<uint64_t>(snapshot.summary.num_rankings);
-    if (manager_->Has(table)) manager_->Drop(table);
-    manager_->RestoreTable(table, std::move(snapshot));
-    manager_->SetTableRole(table, TableRole::kFollower);
+    manager_->RestoreFollower(table, std::move(snapshot));
   } catch (const std::exception& e) {
     Log("follower: table '" + table + "': cannot restore floor: " +
         e.what());
@@ -318,10 +307,10 @@ void FollowerClient::StreamOnce(const std::string& table, int fd,
       std::to_string(floor_rankings) + " rankings), replaying log");
   // Everything after the floor is one continuous op-log byte stream:
   // the committed prefix from the handshake, then records as the leader
-  // folds them. One cursor verifies it all — the same verifier cold
-  // start and crash recovery use.
+  // folds them. One cursor verifies it all and one FloorChain chains it
+  // to the floor — the same pair cold start uses.
   OpLogCursor cursor("replication stream of table '" + table + "'");
-  uint64_t generation = 0;
+  FloorChain chain(floor_generation, floor_rankings);
   bool chain_checked = false;
   bool caught_up = false;
   try {
@@ -333,6 +322,16 @@ void FollowerClient::StreamOnce(const std::string& table, int fd,
       for (;;) {
         OpRecord record;
         const OpLogCursor::Status status = cursor.Next(&record);
+        if (!chain_checked && cursor.header_ready()) {
+          chain_checked = true;
+          const std::string refused = chain.CheckBase(
+              cursor.base_generation(), cursor.base_rankings());
+          if (!refused.empty()) {
+            Log("follower: table '" + table + "': streamed log " + refused +
+                " — re-handshaking");
+            return;
+          }
+        }
         if (status == OpLogCursor::Status::kNeedMore) break;
         if (status == OpLogCursor::Status::kTorn) {
           // A mid-stream frame that can never verify: the link corrupted
@@ -342,49 +341,24 @@ void FollowerClient::StreamOnce(const std::string& table, int fd,
               cursor.TornDetail() + "), re-handshaking");
           return;
         }
-        if (!chain_checked) {
-          chain_checked = true;
-          if (cursor.base_generation() > floor_generation) {
-            Log("follower: table '" + table +
-                "': streamed log chains from generation " +
-                std::to_string(cursor.base_generation()) +
-                ", newer than its snapshot floor — re-handshaking");
-            return;
-          }
-          if (cursor.base_generation() == floor_generation &&
-              cursor.base_rankings() != floor_rankings) {
-            Log("follower: table '" + table +
-                "': streamed log and snapshot floor disagree on the "
-                "profile size — re-handshaking");
-            return;
-          }
-          generation = cursor.base_generation();
-        }
-        const uint64_t delta = GenerationDelta(record);
-        if (generation + delta <= floor_generation) {
-          // Already folded into the floor (the leader's crash window
-          // leaves such records at the head of its on-disk log).
-          generation += delta;
-          continue;
-        }
-        if (generation < floor_generation) {
+        const FloorChain::Verdict verdict = chain.Classify(record);
+        if (verdict == FloorChain::Verdict::kSkip) continue;
+        if (verdict == FloorChain::Verdict::kStraddle) {
           Log("follower: table '" + table +
               "': streamed record straddles the snapshot boundary — "
               "re-handshaking");
           return;
         }
-        generation += delta;
-        *leader_generation = generation;
-        manager_->SetReplicaProgress(table, generation, *total_bytes, true);
+        *leader_generation = chain.generation();
+        manager_->SetReplicaProgress(table, chain.generation(),
+                                     *total_bytes, true);
         manager_->ApplyReplicated(table, std::move(record));
       }
-      if (!caught_up && cursor.header_ready() &&
+      if (!caught_up && chain_checked &&
           cursor.clean_bytes() + cursor.pending_bytes() >= log_bytes) {
         caught_up = true;
         Log("follower: table '" + table + "': caught up at generation " +
-            std::to_string(generation == 0 && !chain_checked
-                               ? floor_generation
-                               : generation) +
+            std::to_string(std::max(chain.generation(), floor_generation)) +
             ", tailing the leader");
       }
       if (!ReadMoreFd(fd, &buffer, total_bytes)) return;  // EOF: reconnect

@@ -8,10 +8,11 @@
 /// per table. Each stream ships the table's v2 snapshot floor plus the
 /// committed op log (serve/protocol.h documents the wire format — the
 /// exact on-disk byte format, FNV-1a checksums and all), which the
-/// session verifies with the same OpLogCursor cold start uses and folds
-/// through ContextManager::ApplyReplicated — one record per fold, the
-/// same discipline crash replay has. Cold start, crash recovery, and
-/// follower catch-up are therefore ONE verification + apply path.
+/// session verifies with the same OpLogCursor cold start uses, chains to
+/// the floor with the same FloorChain, and folds through the same
+/// ContextManager::ApplyReplicated — one record per fold. Cold start,
+/// crash recovery, and follower catch-up are therefore ONE verification
+/// + apply path.
 ///
 /// Replicated tables are registered as followers (TableRole::kFollower):
 /// external mutations draw "ERR readonly:", while RUN / STATS / EVAL
@@ -23,8 +24,11 @@
 /// attempts the follower keeps serving its last consistently folded
 /// state; STATS surfaces replica_connected=0 and the last observed
 /// leader generation so the staleness is bounded AND observable. A
-/// re-handshake atomically (Drop + Restore under the manager's lifecycle
-/// lock) replaces the table with the new floor before replaying.
+/// re-handshake replaces the table with the new floor before replaying,
+/// in one step: ContextManager::RestoreFollower builds the shard already
+/// marked a follower and swaps it in with a single map update under the
+/// manager's lifecycle lock, so reads never see the table missing and
+/// external writes never reach a not-yet-follower shard.
 
 // Same platform gate as serve/executor.h: Linux only.
 #if defined(__linux__)

@@ -428,6 +428,55 @@ TEST_F(OpLogTest, ChecksumValidButMalformedRecordIsCorruption) {
   EXPECT_THROW(ReadOpLogFile(path), OpLogFormatError);
 }
 
+// ------------------------------------------------------------ floor chain
+
+OpRecord AppendOf(int count) {
+  OpRecord record;
+  record.kind = OpRecord::Kind::kAppend;
+  record.rankings = SampleRankings(4, count, 11);
+  return record;
+}
+
+OpRecord RemoveOf(uint64_t index) {
+  OpRecord record;
+  record.kind = OpRecord::Kind::kRemove;
+  record.remove_index = index;
+  return record;
+}
+
+TEST_F(OpLogTest, FloorChainChecksTheLogBaseAgainstTheFloor) {
+  FloorChain chain(/*floor_generation=*/5, /*floor_rankings=*/3);
+  EXPECT_NE(chain.CheckBase(6, 3), "");  // newer than the floor
+  EXPECT_NE(chain.CheckBase(5, 4), "");  // the floor's generation, other size
+  EXPECT_EQ(chain.CheckBase(5, 3), "");  // the floor's own chain
+  EXPECT_EQ(chain.CheckBase(2, 9), "");  // older: the crash window
+  EXPECT_EQ(chain.generation(), 2u);
+}
+
+TEST_F(OpLogTest, FloorChainSkipsRecordsInsideTheFloorAndAppliesTheRest) {
+  using Verdict = FloorChain::Verdict;
+  FloorChain chain(5, 3);
+  ASSERT_EQ(chain.CheckBase(2, 2), "");
+  EXPECT_EQ(chain.Classify(AppendOf(2)), Verdict::kSkip);  // 2 -> 4
+  EXPECT_EQ(chain.Classify(RemoveOf(0)), Verdict::kSkip);  // 4 -> 5
+  EXPECT_EQ(chain.generation(), 5u);
+  EXPECT_EQ(chain.Classify(AppendOf(3)), Verdict::kApply);  // 5 -> 8
+  EXPECT_EQ(chain.Classify(RemoveOf(1)), Verdict::kApply);  // 8 -> 9
+  EXPECT_EQ(chain.generation(), 9u);
+
+  FloorChain fresh(5, 3);
+  ASSERT_EQ(fresh.CheckBase(5, 3), "");
+  EXPECT_EQ(fresh.Classify(RemoveOf(0)), Verdict::kApply);
+  EXPECT_EQ(fresh.generation(), 6u);
+}
+
+TEST_F(OpLogTest, FloorChainFlagsARecordStraddlingTheFloor) {
+  FloorChain chain(5, 3);
+  ASSERT_EQ(chain.CheckBase(4, 2), "");
+  EXPECT_EQ(chain.Classify(AppendOf(2)), FloorChain::Verdict::kStraddle);
+  EXPECT_EQ(chain.generation(), 4u);
+}
+
 // ------------------------------------------------- durable-file helpers
 
 TEST_F(OpLogTest, DurableTempFileConvention) {
@@ -619,6 +668,60 @@ TEST_F(OpLogTest, OrphanedOpLogRefusesToBoot) {
   ContextManager manager;
   DurabilityManager durability(dir_, &manager);
   EXPECT_THROW(durability.ColdStart(), std::runtime_error);
+}
+
+/// Leaves `dir` holding one durable table "t" whose snapshot floor is
+/// the whole DurabilityWorkload(6) and returns that floor; the log's
+/// contents are the caller's to craft.
+TableSnapshot FloorOfTheWholeWorkload(const std::string& dir) {
+  TwinHarness harness(dir);
+  harness.Drive(DurabilityWorkload(6));
+  harness.durability->SnapshotNow("t");
+  return ReadTableSnapshotFile(dir + "/t.snap");
+}
+
+/// Cold-starts `dir` and expects the refusal to name `log_path` and say
+/// `why`.
+void ExpectColdStartRefuses(const std::string& dir, const std::string& log_path,
+                            const std::string& why) {
+  ContextManager restarted;
+  DurabilityManager durability(dir, &restarted);
+  try {
+    durability.ColdStart();
+    ADD_FAILURE() << "cold start accepted a log that does not chain";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(log_path), std::string::npos) << what;
+    EXPECT_NE(what.find(why), std::string::npos) << what;
+  }
+}
+
+TEST_F(OpLogTest, ColdStartRefusesALogNewerThanItsFloor) {
+  const TableSnapshot floor = FloorOfTheWholeWorkload(dir_);
+  OpLogWriter::Create(Path("t.oplog"), 6, floor.summary.generation + 1,
+                      static_cast<uint64_t>(floor.summary.num_rankings));
+  ExpectColdStartRefuses(dir_, Path("t.oplog"), "newer than its snapshot");
+}
+
+TEST_F(OpLogTest, ColdStartRefusesALogThatDisagreesOnTheFloorSize) {
+  const TableSnapshot floor = FloorOfTheWholeWorkload(dir_);
+  OpLogWriter::Create(Path("t.oplog"), 6, floor.summary.generation,
+                      static_cast<uint64_t>(floor.summary.num_rankings) + 1);
+  ExpectColdStartRefuses(dir_, Path("t.oplog"), "profile size");
+}
+
+TEST_F(OpLogTest, ColdStartRefusesARecordStraddlingTheFloor) {
+  const TableSnapshot floor = FloorOfTheWholeWorkload(dir_);
+  ASSERT_GE(floor.summary.generation, 1u);
+  // Base one generation below the floor, then a two-ranking record: it
+  // starts inside the floor and ends past it.
+  auto writer = OpLogWriter::Create(
+      Path("t.oplog"), 6, floor.summary.generation - 1,
+      static_cast<uint64_t>(floor.summary.num_rankings) - 1);
+  writer->BufferAppend(SampleRankings(6, 2, 5));
+  writer->Commit();
+  writer.reset();
+  ExpectColdStartRefuses(dir_, Path("t.oplog"), "straddling");
 }
 
 // ------------------------------------------------ SNAPSHOT-POLICY verb

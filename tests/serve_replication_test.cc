@@ -5,7 +5,8 @@
 // up to generation G the follower serves RUN / EVAL bit-identically to
 // the leader at G, stays converged while the leader keeps folding
 // (including across snapshot-truncation chain rotations, which close
-// the stream and force a re-handshake), and keeps serving its last
+// the stream and force a re-handshake, and across a leader log whose
+// head is already inside its floor), and keeps serving its last
 // consistent fold boundary after the leader dies.
 
 #include "serve/replica.h"
@@ -14,15 +15,18 @@
 
 #ifdef MANIRANK_SERVE_HAVE_SOCKETS
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "data/snapshot.h"
 #include "serve/context_manager.h"
 #include "serve/durability.h"
 #include "serve/executor.h"
@@ -37,6 +41,7 @@ using serve::ContextManager;
 using serve::Dispatcher;
 using serve::DurabilityManager;
 using serve::FollowerClient;
+using serve::ReadOnlyTableError;
 using serve::ServeExecutor;
 
 uint64_t StatsGeneration(const std::string& stats) {
@@ -66,6 +71,31 @@ class ReplicationTest : public ::testing::Test {
     if (follower_.has_value()) follower_->Shutdown();
     if (leader_.has_value()) leader_->Shutdown();
     fs::remove_all(dir_);
+  }
+
+  /// Ends the leader's first life; its files stay in dir_.
+  void StopLeader() {
+    stopped_port_ = leader_->port();
+    leader_->Shutdown();
+    leader_.reset();
+    leader_manager_.SetDurabilityHook(nullptr);
+    durability_.reset();
+  }
+
+  /// Boots the leader's second life from dir_ alone: a fresh manager
+  /// cold-started by a fresh DurabilityManager, served by a new executor
+  /// on the stopped leader's port, where the follower reconnects.
+  void StartLeaderFromDisk() {
+    restarted_manager_.emplace();
+    restarted_durability_.emplace(dir_, &*restarted_manager_);
+    cold_start_ = restarted_durability_->ColdStart();
+    restarted_durability_->Attach();
+    serve::ServerOptions options;
+    options.port = stopped_port_;
+    options.durability = &*restarted_durability_;
+    leader_.emplace(&*restarted_manager_, options);
+    std::string error;
+    ASSERT_TRUE(leader_->Start(&error)) << error;
   }
 
   void StartFollower() {
@@ -109,6 +139,11 @@ class ReplicationTest : public ::testing::Test {
   ContextManager leader_manager_;
   ContextManager follower_manager_;
   std::optional<DurabilityManager> durability_;
+  /// The leader's second life (StartLeaderFromDisk).
+  std::optional<ContextManager> restarted_manager_;
+  std::optional<DurabilityManager> restarted_durability_;
+  std::vector<DurabilityManager::RestoredTable> cold_start_;
+  int stopped_port_ = 0;
   std::optional<ServeExecutor> leader_;
   std::optional<FollowerClient> follower_;
 };
@@ -177,8 +212,44 @@ TEST_F(ReplicationTest, FollowerTailsFoldsAcrossChainRotations) {
   ASSERT_TRUE(WaitUntil([&] { return FollowerConverged("t", 1); }))
       << FollowerStats("t");
 
+  // Every rotation swaps a new floor in under live traffic. The swap is
+  // one step: the table never goes missing, and it is a follower the
+  // whole time, so an external APPEND can never land in it.
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> appends{0};
+  std::atomic<uint64_t> accepted_appends{0};
+  std::atomic<uint64_t> other_append_errors{0};
+  std::atomic<uint64_t> stats_reads{0};
+  std::atomic<uint64_t> missing_tables{0};
+  std::thread appender([&] {
+    while (!stop.load()) {
+      try {
+        follower_manager_.Append("t", {Ranking({0, 1, 2, 3, 4, 5})});
+        ++accepted_appends;
+      } catch (const ReadOnlyTableError&) {
+      } catch (const std::exception&) {
+        ++other_append_errors;
+      }
+      ++appends;
+      std::this_thread::yield();
+    }
+  });
+  std::thread reader([&] {
+    while (!stop.load()) {
+      try {
+        follower_manager_.Stats("t");
+      } catch (const std::exception&) {
+        ++missing_tables;
+      }
+      ++stats_reads;
+      std::this_thread::yield();
+    }
+  });
+
   const std::vector<std::string> rotations = {
-      "5 4 3 2 1 0", "2 0 4 1 5 3", "3 1 4 0 5 2", "1 2 3 4 5 0"};
+      "5 4 3 2 1 0", "2 0 4 1 5 3", "3 1 4 0 5 2", "1 2 3 4 5 0",
+      "4 0 5 1 3 2", "0 2 1 4 3 5", "5 3 1 0 2 4", "2 4 0 5 1 3",
+      "1 5 2 3 0 4", "3 0 2 5 4 1", "4 5 3 2 0 1", "0 3 5 1 4 2"};
   uint64_t generation = 1;
   for (const std::string& ranking : rotations) {
     ASSERT_TRUE(client.Send("APPEND t " + ranking + "\nFLUSH t\n"));
@@ -194,6 +265,71 @@ TEST_F(ReplicationTest, FollowerTailsFoldsAcrossChainRotations) {
               client.ReadLines(1)[0])
         << "diverged at generation " << generation;
   }
+  stop.store(true);
+  appender.join();
+  reader.join();
+  EXPECT_GT(appends.load(), 0u);
+  EXPECT_GT(stats_reads.load(), 0u);
+  EXPECT_EQ(accepted_appends.load(), 0u);
+  EXPECT_EQ(other_append_errors.load(), 0u);
+  EXPECT_EQ(missing_tables.load(), 0u);
+}
+
+TEST_F(ReplicationTest, FollowerSkipsALeaderLogHeadAlreadyInsideTheFloor) {
+  testing::Client client(leader_->port());
+  const std::vector<std::string> setup = {
+      "CREATE t CYCLIC 6 2 3",
+      "APPEND t 0 1 2 3 4 5 ; 5 4 3 2 1 0",
+      "FLUSH t",
+      "APPEND t 2 0 4 1 5 3",
+      "REMOVE t 0",
+      "FLUSH t",
+  };
+  ASSERT_TRUE(client.Send(testing::JoinRequests(setup)));
+  for (const std::string& response : client.ReadLines(setup.size())) {
+    ASSERT_EQ(response.rfind("OK", 0), 0u) << response;
+  }
+  // The crash image of OpLogTest.CrashWindowBetweenSnapshotAndTruncation-
+  // Heals, made on the live leader: a new floor lands over t.snap but the
+  // log is not truncated, so every record in it is already inside the
+  // floor. The folds below then append past the floor.
+  WriteTableSnapshotFile(
+      dir_ + "/t.snap",
+      leader_manager_.SnapshotTable("t", serve::SnapshotMode::kExact));
+  const std::vector<std::string> more = {"APPEND t 3 1 4 0 5 2", "FLUSH t"};
+  ASSERT_TRUE(client.Send(testing::JoinRequests(more)));
+  for (const std::string& response : client.ReadLines(more.size())) {
+    ASSERT_EQ(response.rfind("OK", 0), 0u) << response;
+  }
+
+  // The handshake ships that floor and log: the follower must skip the
+  // log's head and apply its tail.
+  StartFollower();
+  ASSERT_TRUE(WaitUntil([&] { return FollowerConverged("t", 5); }))
+      << FollowerStats("t");
+  ASSERT_TRUE(client.Send("RUN t all\n"));
+  Dispatcher follower_dispatcher(&follower_manager_);
+  EXPECT_EQ(follower_dispatcher.Handle("RUN t all"), client.ReadLines(1)[0]);
+
+  // Now start a leader on that image: its cold start skips the same head,
+  // keeps appending to the same log, and the re-handshaked follower
+  // converges on it too.
+  StopLeader();
+  StartLeaderFromDisk();
+  ASSERT_EQ(cold_start_.size(), 1u);
+  EXPECT_GT(cold_start_[0].skipped_records, 0u);
+  EXPECT_GT(cold_start_[0].replayed_records, 0u);
+  testing::Client restarted(leader_->port());
+  const std::vector<std::string> last = {"REMOVE t 1", "FLUSH t"};
+  ASSERT_TRUE(restarted.Send(testing::JoinRequests(last)));
+  for (const std::string& response : restarted.ReadLines(last.size())) {
+    ASSERT_EQ(response.rfind("OK", 0), 0u) << response;
+  }
+  ASSERT_TRUE(WaitUntil([&] { return FollowerConverged("t", 6); }))
+      << FollowerStats("t");
+  ASSERT_TRUE(restarted.Send("RUN t all\n"));
+  EXPECT_EQ(follower_dispatcher.Handle("RUN t all"),
+            restarted.ReadLines(1)[0]);
 }
 
 TEST_F(ReplicationTest, FollowerKeepsServingAfterLeaderDies) {
