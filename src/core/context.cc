@@ -466,16 +466,9 @@ ConsensusOutput ConsensusContext::RunMethod(
 
 std::vector<ConsensusOutput> ConsensusContext::RunAll(
     const ConsensusOptions& options) const {
-  RunGuard guard(this, gate_, active_runs_);
-  if (num_rankings() == 0) {
-    throw std::invalid_argument(
-        "cannot run a consensus method over an empty profile");
-  }
-  std::vector<ConsensusOutput> outputs;
-  for (const MethodSpec& method : AllMethods()) {
-    outputs.push_back(method.run(*this, options));
-  }
-  return outputs;
+  std::vector<const MethodSpec*> methods;
+  for (const MethodSpec& method : AllMethods()) methods.push_back(&method);
+  return RunMethods(methods, options);
 }
 
 std::vector<ConsensusOutput> ConsensusContext::RunMethods(

@@ -8,6 +8,7 @@
 #include "core/distance.h"
 #include "core/fair_select.h"
 #include "core/selection_metrics.h"
+#include "serve/durability.h"
 
 namespace manirank::serve {
 namespace {
@@ -754,7 +755,9 @@ TableSnapshot ContextManager::BuildFloor(const Shard& shard) {
                                 : std::vector<Ranking>{}};
 }
 
-void ContextManager::SetDurabilityHook(DurabilityHook* hook) { hook_ = hook; }
+void ContextManager::SetDurabilityHook(DurabilityManager* durability) {
+  hook_ = durability;
+}
 
 std::vector<const MethodSpec*> ContextManager::SupportedMethods(
     const std::string& name) const {

@@ -24,6 +24,8 @@
 
 namespace manirank::serve {
 
+class DurabilityManager;
+
 /// Thrown when a mutation verb addresses a follower table: replication
 /// targets fold only records streamed from their leader, so external
 /// APPEND / REMOVE are rejected (mapped to "ERR readonly:" by the
@@ -149,40 +151,6 @@ enum class SnapshotMode {
   /// kExact when the table retains its profile, kSummarized otherwise —
   /// what a durability policy wants without knowing the table's flavor.
   kAuto,
-};
-
-/// Observer the serving layer attaches to persist mutations as they fold
-/// (see serve/durability.h for the op-log implementation).
-///
-/// Fold group — LogAppend / LogRemove / AbortLastOp / CommitFold — is
-/// called from inside Drain while the table's EXCLUSIVE gate is held:
-/// each op is logged immediately before it applies (in fold order),
-/// AbortLastOp fires when the just-logged op's apply threw (drop its
-/// record; earlier ops of the fold stay logged), and exactly one
-/// CommitFold ends every fold, successful or not. Folds of one table are
-/// serialized by the gate, so implementations need no locking against
-/// them. Fold-group calls MUST NOT throw: a durability failure must not
-/// fail the in-memory apply — record it and surface it through health
-/// reporting instead.
-///
-/// Lifecycle group — OnTableRegistered / OnTableDropped — runs under the
-/// manager's lifecycle lock, before the table becomes visible (resp.
-/// after it is gone). `floor` is the table's complete state at
-/// registration (retained tables get an exact floor). OnTableRegistered
-/// MAY throw: the CREATE/RESTORE then fails cleanly with nothing
-/// registered — a table whose durability floor cannot be written is
-/// never served.
-class DurabilityHook {
- public:
-  virtual ~DurabilityHook() = default;
-  virtual void LogAppend(const std::string& table,
-                         const std::vector<Ranking>& batch) = 0;
-  virtual void LogRemove(const std::string& table, uint64_t index) = 0;
-  virtual void AbortLastOp(const std::string& table) = 0;
-  virtual void CommitFold(const std::string& table) = 0;
-  virtual void OnTableRegistered(const std::string& table,
-                                 const TableSnapshot& floor) = 0;
-  virtual void OnTableDropped(const std::string& table) = 0;
 };
 
 /// Multi-table serving layer: owns N named tables, each backed by one
@@ -444,13 +412,15 @@ class ContextManager {
   using DrainObserver = std::function<void(const std::string& table)>;
   void SetDrainObserver(DrainObserver observer);
 
-  /// Attaches (or clears, with nullptr) the durability hook. NOT
+  /// Attaches (or clears, with nullptr) the durability layer that logs
+  /// every fold and table lifecycle op (serve/durability.h documents
+  /// which calls run under the exclusive gate and which may throw). NOT
   /// synchronized against traffic: attach before the manager serves its
   /// first request and detach only after serving stops — the fold path
   /// reads the pointer without a lock on purpose, so the no-durability
-  /// configuration pays nothing. The hook is borrowed, not owned, and
-  /// must outlive every fold. See DurabilityHook for the contract.
-  void SetDurabilityHook(DurabilityHook* hook);
+  /// configuration pays nothing. The object is borrowed, not owned, and
+  /// must outlive every fold.
+  void SetDurabilityHook(DurabilityManager* durability);
 
  private:
   /// One queued mutation: an append batch (rankings non-empty) or a
@@ -582,9 +552,9 @@ class ContextManager {
   /// outside mu_ (held across the dup-check, the hook call, and
   /// Register/erase); per-table traffic never touches it.
   std::mutex lifecycle_mu_;
-  /// Borrowed fold/lifecycle observer; nullptr when durability is off.
-  /// Read without a lock on the fold path (see SetDurabilityHook).
-  DurabilityHook* hook_ = nullptr;
+  /// Borrowed durability layer; nullptr when durability is off. Read
+  /// without a lock on the fold path (see SetDurabilityHook).
+  DurabilityManager* hook_ = nullptr;
   /// Serializes drain-observer invocations; SetDrainObserver holds it
   /// while swapping, so a swap to nullptr waits out in-flight calls.
   mutable std::mutex observer_mu_;

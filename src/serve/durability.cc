@@ -4,8 +4,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <set>
+#include <map>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "data/durable_file.h"
@@ -63,8 +64,6 @@ bool IsDurableTableName(const std::string& name) {
 DurabilityManager::DurabilityManager(std::string dir, ContextManager* manager)
     : dir_(std::move(dir)), manager_(manager) {}
 
-DurabilityManager::~DurabilityManager() = default;
-
 std::string DurabilityManager::SnapshotPathFor(
     const std::string& table) const {
   return dir_ + "/" + table + kSnapshotExt;
@@ -103,60 +102,83 @@ void DurabilityManager::MarkUnhealthy(Entry& entry, const std::string& error) {
 
 // --- cold start -------------------------------------------------------------
 
-std::vector<DurabilityManager::RestoredTable> DurabilityManager::ColdStart(
-    std::vector<std::string>* removed_temp_files) {
+std::vector<TableDirEntry> ListTableDir(
+    const std::string& dir, std::vector<std::string>* removed_temp_files) {
   std::error_code ec;
-  if (!fs::is_directory(dir_, ec)) {
-    throw std::runtime_error("durability dir is not a directory: " + dir_);
+  if (!fs::is_directory(dir, ec)) {
+    throw std::runtime_error("not a directory: " + dir);
   }
-  std::set<std::string> snapshot_tables;
-  std::set<std::string> log_tables;
-  try {
-    fs::directory_iterator it(dir_, ec);
-    if (ec) {
-      throw std::runtime_error("cannot list durability dir " + dir_ + ": " +
-                               ec.message());
+  std::map<std::string, TableDirEntry> tables;  // sorted: iteration is not
+  fs::directory_iterator it(dir, ec);
+  if (ec) {
+    throw std::runtime_error("cannot list " + dir + ": " + ec.message());
+  }
+  for (const fs::directory_iterator end; it != end; it.increment(ec)) {
+    const fs::path path = it->path();
+    const std::string filename = path.filename().string();
+    if (LooksLikeDurableTempFile(filename)) {
+      // A crashed writer's half-written temp: its rename never happened,
+      // so the content is garbage by construction. Skipping alone would
+      // leak one file per crash forever — unlink it.
+      std::error_code remove_ec;
+      fs::remove(path, remove_ec);
+      if (removed_temp_files != nullptr) {
+        removed_temp_files->push_back(
+            path.string() +
+            (remove_ec ? " (remove failed: " + remove_ec.message() + ")"
+                       : ""));
+      }
+      continue;
     }
-    for (const fs::directory_iterator end; it != end; it.increment(ec)) {
-      const fs::path path = it->path();
-      const std::string filename = path.filename().string();
-      if (LooksLikeDurableTempFile(filename)) {
-        // A crashed writer's half-written temp: its rename never
-        // happened, so the content is garbage by construction. Skipping
-        // alone would leak one file per crash forever — unlink it.
-        fs::remove(path, ec);
-        if (removed_temp_files != nullptr) {
-          removed_temp_files->push_back(path.string());
-        }
+    // Suffix match, not fs::path::extension(): the latter reads ".snap"
+    // as a dotfile with no extension. This is the exact inverse of the
+    // `<dir>/<table><ext>` paths the writers produce.
+    const std::string_view name = filename;
+    for (const std::string_view ext : {kSnapshotExt, kLogExt}) {
+      if (name.size() < ext.size() ||
+          name.substr(name.size() - ext.size()) != ext) {
         continue;
       }
-      const std::string stem = path.stem().string();
-      if (stem.empty() || !IsDurableTableName(stem)) continue;
-      if (path.extension() == kSnapshotExt) snapshot_tables.insert(stem);
-      if (path.extension() == kLogExt) log_tables.insert(stem);
+      const std::string table(name.substr(0, name.size() - ext.size()));
+      if (!IsDurableTableName(table)) {
+        throw std::runtime_error("cannot derive a table name from " +
+                                 path.string());
+      }
+      TableDirEntry& entry = tables[table];
+      entry.table = table;
+      (ext == kSnapshotExt ? entry.has_snapshot : entry.has_log) = true;
     }
-    if (ec) {
-      throw std::runtime_error("error while listing durability dir " + dir_ +
-                               ": " + ec.message());
-    }
-  } catch (const fs::filesystem_error& e) {
-    throw std::runtime_error(std::string("error while listing durability "
-                                         "dir: ") +
-                             e.what());
   }
-  for (const std::string& table : log_tables) {
-    if (snapshot_tables.count(table) == 0) {
+  // A failed increment(ec) lands the iterator ON the end iterator, so the
+  // loop simply stops — the error is only visible here. Ignoring it would
+  // serve a partial table set.
+  if (ec) {
+    throw std::runtime_error("error while listing " + dir + ": " +
+                             ec.message());
+  }
+  std::vector<TableDirEntry> out;
+  out.reserve(tables.size());
+  for (auto& [table, entry] : tables) out.push_back(std::move(entry));
+  return out;
+}
+
+std::vector<DurabilityManager::RestoredTable> DurabilityManager::ColdStart(
+    std::vector<std::string>* removed_temp_files) {
+  const std::vector<TableDirEntry> tables =
+      ListTableDir(dir_, removed_temp_files);
+  for (const TableDirEntry& entry : tables) {
+    if (!entry.has_snapshot) {
       // Registration writes the snapshot floor strictly before creating
       // the log, and Drop removes the log before... the pair is only
       // ever snapshot-then-log. A log with no snapshot is therefore not
       // a crash artifact — refuse to guess at its floor.
       throw std::runtime_error("orphaned op log (no snapshot floor): " +
-                               LogPathFor(table));
+                               LogPathFor(entry.table));
     }
   }
   std::vector<RestoredTable> restored;
-  for (const std::string& table : snapshot_tables) {
-    restored.push_back(RestoreOne(table, log_tables.count(table) != 0));
+  for (const TableDirEntry& entry : tables) {
+    restored.push_back(RestoreOne(entry.table, entry.has_log));
   }
   return restored;
 }
@@ -511,7 +533,7 @@ DurabilityManager::ReplicationPoll DurabilityManager::PollReplication(
   return ReplicationPoll::kData;
 }
 
-// --- DurabilityHook ---------------------------------------------------------
+// --- fold and lifecycle groups ----------------------------------------------
 
 void DurabilityManager::LogAppend(const std::string& table,
                                   const std::vector<Ranking>& batch) {

@@ -18,12 +18,12 @@ namespace manirank::serve {
 /// Exact-profile durability for a ContextManager: every table gets a
 /// snapshot *floor* (`<dir>/<table>.snap`, format v2 — exact for
 /// retained tables) plus an append-only op log (`<dir>/<table>.oplog`)
-/// holding the delta folded since that floor. Implements
-/// ContextManager::DurabilityHook, so mutations are logged at exact fold
-/// boundaries (one fsync per fold); a cold start restores floor + replay
-/// and serves bit-identically to the process that died — including after
-/// a kill -9 mid-stream, where the torn tail of the log is detected,
-/// reported, and truncated to the last clean record.
+/// holding the delta folded since that floor. The ContextManager calls
+/// it at exact fold boundaries (one fsync per fold; see
+/// SetDurabilityHook); a cold start restores floor + replay and serves
+/// bit-identically to the process that died — including after a kill -9
+/// mid-stream, where the torn tail of the log is detected, reported, and
+/// truncated to the last clean record.
 ///
 /// Chain invariant: the log's header binds it to the floor it chains
 /// from (base generation / ranking count). A snapshot truncation writes
@@ -42,13 +42,13 @@ namespace manirank::serve {
 /// a fresh chain and restores health. Ops folded while unhealthy are
 /// recoverable only from that next snapshot onward.
 ///
-/// Threading: fold-group hook calls arrive serialized per table (under
-/// the table's exclusive gate); everything else (policies, stats,
+/// Threading: fold-group calls arrive serialized per table (under the
+/// table's exclusive gate); everything else (policies, stats,
 /// metrics) may be called from any thread. Lock order is
 /// gate -> map mu_ -> entry mu; no call here ever takes a lock and then
 /// re-enters a serving verb except SnapshotNow, which enters
 /// SnapshotTable *before* taking any DurabilityManager lock.
-class DurabilityManager : public DurabilityHook {
+class DurabilityManager {
  public:
   /// Automatic snapshot-truncation policy for one table
   /// (SNAPSHOT-POLICY verb). kGenerations triggers after the table's
@@ -92,25 +92,23 @@ class DurabilityManager : public DurabilityHook {
   /// `dir` must exist and be writable; the manager is borrowed and must
   /// outlive this object.
   DurabilityManager(std::string dir, ContextManager* manager);
-  ~DurabilityManager() override;
 
-  /// Scans `dir` and restores every table found (snapshot floor, then
-  /// op-log replay) into the manager. Leftover durable-write temp files
-  /// from a crashed writer (`*.tmp.<pid>.<seq>`) are unlinked and
-  /// skipped — reported through `removed_temp_files` when given. Must
-  /// run BEFORE Attach (the hook must not observe its own replay);
-  /// throws std::runtime_error on unusable state — an orphaned op log
-  /// with no snapshot, a log that does not chain from its snapshot, or
-  /// a corrupt (not merely torn) file. A torn log tail is NOT an error:
-  /// it is truncated, reported in the result, and recovery proceeds
-  /// from the clean prefix.
+  /// Lists `dir` (ListTableDir, which reports removed temp files through
+  /// `removed_temp_files` when given) and restores every table found
+  /// (snapshot floor, then op-log replay) into the manager. Must run
+  /// BEFORE Attach (the fold path must not observe its own replay);
+  /// throws std::runtime_error on unusable state — a listing failure, an
+  /// orphaned op log with no snapshot, a log that does not chain from its
+  /// snapshot, or a corrupt (not merely torn) file. A torn log tail is
+  /// NOT an error: it is truncated, reported in the result, and recovery
+  /// proceeds from the clean prefix.
   std::vector<RestoredTable> ColdStart(
       std::vector<std::string>* removed_temp_files = nullptr);
 
-  /// Registers this object as the manager's durability hook and writes
-  /// floors for any manager tables that do not have one yet (tables
-  /// imported via --restore-dir before durability engaged). Call once,
-  /// after ColdStart, before serving starts.
+  /// Attaches this object to the manager's fold path and writes floors
+  /// for any manager tables that do not have one yet (tables imported
+  /// via --restore-dir before durability engaged). Call once, after
+  /// ColdStart, before serving starts.
   void Attach();
 
   /// Sets the automatic truncation policy for a durable table. Throws
@@ -180,15 +178,31 @@ class DurabilityManager : public DurabilityHook {
                                   uint64_t* offset, size_t max_bytes,
                                   std::string* out);
 
-  // --- DurabilityHook (fold group called under the table's gate) ------
-  void LogAppend(const std::string& table,
-                 const std::vector<Ranking>& batch) override;
-  void LogRemove(const std::string& table, uint64_t index) override;
-  void AbortLastOp(const std::string& table) override;
-  void CommitFold(const std::string& table) override;
-  void OnTableRegistered(const std::string& table,
-                         const TableSnapshot& floor) override;
-  void OnTableDropped(const std::string& table) override;
+  // --- fold group ------------------------------------------------------
+  //
+  // Called from inside ContextManager's drain while the table's EXCLUSIVE
+  // gate is held: each op is logged immediately before it applies (in
+  // fold order), AbortLastOp fires when the just-logged op's apply threw
+  // (drop its record; earlier ops of the fold stay logged), and exactly
+  // one CommitFold ends every fold, successful or not. Folds of one table
+  // are serialized by the gate. These MUST NOT throw: a durability
+  // failure must not fail the in-memory apply — it marks the table
+  // unhealthy instead (see class comment).
+  void LogAppend(const std::string& table, const std::vector<Ranking>& batch);
+  void LogRemove(const std::string& table, uint64_t index);
+  void AbortLastOp(const std::string& table);
+  void CommitFold(const std::string& table);
+
+  // --- lifecycle group -------------------------------------------------
+  //
+  // Called under the manager's lifecycle lock, before the table becomes
+  // visible (resp. after it is gone). `floor` is the table's complete
+  // state at registration (retained tables get an exact floor).
+  // OnTableRegistered MAY throw: the CREATE/RESTORE then fails cleanly
+  // with nothing registered — a table whose durability floor cannot be
+  // written is never served.
+  void OnTableRegistered(const std::string& table, const TableSnapshot& floor);
+  void OnTableDropped(const std::string& table);
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -227,6 +241,26 @@ class DurabilityManager : public DurabilityHook {
 /// path separators or NUL, not "." / "..". Tables failing this cannot be
 /// created while durability is attached (the floor write refuses).
 bool IsDurableTableName(const std::string& name);
+
+/// One table stored in a table directory (see ListTableDir).
+struct TableDirEntry {
+  std::string table;
+  bool has_snapshot = false;  ///< `<dir>/<table>.snap` exists
+  bool has_log = false;       ///< `<dir>/<table>.oplog` exists
+};
+
+/// The one rule for which files in a directory are tables, shared by
+/// both cold starts (--restore-dir and --log-dir). Returns every table
+/// with a `<table>.snap` or `<table>.oplog` file, sorted by name; other
+/// files are ignored. Leftover durable-write temp files from a crashed
+/// writer (`*.tmp.<pid>.<seq>`) are never tables: each is unlinked and
+/// its path appended to `removed_temp_files` when given, suffixed with
+/// " (remove failed: <why>)" when the unlink failed. Throws
+/// std::runtime_error when `dir` is not a listable directory, when
+/// listing fails midway, and for a .snap / .oplog file whose stem fails
+/// IsDurableTableName (`.snap`, `..snap`, ...), naming that file.
+std::vector<TableDirEntry> ListTableDir(
+    const std::string& dir, std::vector<std::string>* removed_temp_files);
 
 }  // namespace manirank::serve
 

@@ -23,8 +23,10 @@
 //                                       (serve/replica.h)
 //   manirank_serve --workers N          executor worker threads (default:
 //                                       hardware concurrency, max 256)
-//   manirank_serve --restore-dir DIR    cold start: restore every *.snap table
-//                                       snapshot in DIR before serving
+//   manirank_serve --restore-dir DIR    cold start: restore every
+//                                       DIR/<table>.snap (SNAPSHOT file)
+//                                       before serving; a DIR holding an op
+//                                       log is refused (use --log-dir)
 //   manirank_serve --log-dir DIR        exact-profile durability: cold-start
 //                                       every DIR/<table>.snap + .oplog pair
 //                                       (snapshot floor, then op-log replay —
@@ -45,7 +47,9 @@
 // restored as table <name> (data/snapshot.h format) without replaying its
 // profile, so a restarted server resumes serving where SNAPSHOT left off.
 // A corrupt or unreadable snapshot aborts startup loudly (exit 2) rather
-// than silently serving a partial table set.
+// than silently serving a partial table set. So does any DIR/<name>.oplog:
+// a directory written by --log-dir holds folds that only its op logs
+// carry, and restoring the snapshots alone would drop them.
 //
 // --log-dir layers exact durability on top (serve/durability.h): ops are
 // appended to DIR/<table>.oplog at fold boundaries (one fsync per fold)
@@ -53,8 +57,12 @@
 // table — a torn log tail from a crash is truncated and reported, a
 // corrupt or non-chaining file aborts startup (exit 2). It combines with
 // --restore-dir (the snapshots restore first; durability then writes
-// fresh floors for them) unless both name the same table. Leftover
-// durable-write temp files from a crashed writer are removed at startup.
+// fresh floors for them) unless both name the same table.
+//
+// Both flags read their directory through one rule (ListTableDir in
+// serve/durability.h): leftover durable-write temp files from a crashed
+// writer are removed and reported, and a .snap or .oplog file whose name
+// yields no table name (".snap", "..snap") aborts startup (exit 2).
 //
 // Shutdown: SIGINT or SIGTERM stops the TCP server gracefully — the
 // listener closes, no new requests are read, every in-flight request
@@ -68,19 +76,15 @@
 // cannot start (bind, or creating its epoll set, fails) and the output
 // stream dying mid-response in stdin/script mode.
 
-#include <algorithm>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "data/durable_file.h"
 #include "data/snapshot.h"
 #include "serve/context_manager.h"
 #include "serve/durability.h"
@@ -105,7 +109,8 @@ int Usage() {
                "                      [--restore-dir DIR] [--log-dir DIR]\n"
                "                      [--echo]\n"
                "  (no mode flag: serve requests from stdin; --restore-dir\n"
-               "   cold-starts every DIR/<table>.snap before serving;\n"
+               "   cold-starts every DIR/<table>.snap before serving and\n"
+               "   refuses a DIR holding op logs, which --log-dir owns;\n"
                "   --log-dir adds exact-profile durability: op-log replay\n"
                "   at cold start, fold logging and SNAPSHOT-POLICY while\n"
                "   serving; --port serves the async executor pipeline\n"
@@ -151,109 +156,42 @@ bool DurableColdStart(manirank::serve::DurabilityManager* durability) {
   return true;
 }
 
-/// Cold-start: restores every `*.snap` in `dir` as a table named after the
-/// file's stem. Returns false (after reporting to stderr) on the first
-/// failure — a server must not come up silently missing tables.
+/// Cold-start: restores every DIR/<table>.snap as table <table>. Refuses
+/// a directory holding any op log: those folds live only in the log, and
+/// only --log-dir replays them. Returns false (after reporting to stderr)
+/// on the first failure — a server must not come up silently missing
+/// tables or acknowledged folds.
 bool RestoreFromDir(const std::string& dir, ContextManager* manager) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  if (!fs::is_directory(dir, ec)) {
-    std::cerr << "--restore-dir: not a directory: " << dir << "\n";
-    return false;
-  }
-  // Deterministic restore order (directory iteration order is not).
-  // The iterator is advanced with the error_code overload AND wrapped in
-  // a try block: directory_iterator::increment may still throw (e.g.
-  // allocation failure, or implementations that throw from refresh), and
-  // an unhandled exception here would crash the whole cold start instead
-  // of reporting which directory failed.
-  std::vector<fs::path> snapshots;
+  std::vector<std::string> removed_temps;
+  std::vector<manirank::serve::TableDirEntry> tables;
   try {
-    fs::directory_iterator it(dir, ec);
-    if (ec) {
-      std::cerr << "--restore-dir: cannot list " << dir << ": "
-                << ec.message() << "\n";
-      return false;
-    }
-    for (const fs::directory_iterator end; it != end; it.increment(ec)) {
-      const fs::path& path = it->path();
-      // A leftover durable-write temp file (`*.tmp.<pid>.<seq>`) means a
-      // writer crashed between the temp write and the rename: it is
-      // never a table, and the rename never happened, so deleting it is
-      // always safe. Skipping without deleting would leak one file per
-      // crash forever.
-      if (manirank::LooksLikeDurableTempFile(path.filename().string())) {
-        std::error_code remove_ec;
-        fs::remove(path, remove_ec);
-        std::cerr << "--restore-dir: removed leftover temp file "
-                  << path.string()
-                  << (remove_ec ? " (remove failed: " + remove_ec.message() +
-                                      ")"
-                                : "")
-                  << "\n";
-        continue;
-      }
-      // A file named exactly ".snap" is a dotfile to the filesystem
-      // library (no extension, or an empty stem, depending on the
-      // implementation): there is no table name to restore it as. Fail
-      // loudly instead of either skipping the snapshot or passing an
-      // empty name to RestoreTable.
-      if (path.filename() == ".snap") {
-        std::cerr << "--restore-dir: cannot derive a table name from "
-                  << path.string() << " (empty stem)\n";
-        return false;
-      }
-      if (path.extension() == ".snap") snapshots.push_back(path);
-    }
-    // A failed increment(ec) lands the iterator ON the end iterator, so
-    // the loop above simply stops — the error is only visible here.
-    // Without this check a readdir-level failure mid-listing would skip
-    // the unlisted snapshots and silently serve a partial table set.
-    if (ec) {
-      std::cerr << "--restore-dir: error while listing " << dir << ": "
-                << ec.message() << "\n";
-      return false;
-    }
+    tables = manirank::serve::ListTableDir(dir, &removed_temps);
   } catch (const std::exception& e) {
-    std::cerr << "--restore-dir: error while listing " << dir << ": "
-              << e.what() << "\n";
+    std::cerr << "--restore-dir: " << e.what() << "\n";
     return false;
   }
-  std::sort(snapshots.begin(), snapshots.end());
-  // Validate the derived table names up front: a file whose stem is
-  // empty (or all dots — "..snap" stems to ".") cannot name a table, and
-  // two files mapping to one stem would silently shadow each other. Both
-  // must fail the cold start with a message naming the offending file,
-  // not a late RestoreTable error naming only the table. (With today's
-  // exact-case ".snap" filter one directory cannot actually produce two
-  // equal stems; the duplicate check is cheap insurance for the day the
-  // collection rule widens — case-insensitive match, multiple dirs.)
-  std::set<std::string> stems;
-  for (const fs::path& path : snapshots) {
-    const std::string table = path.stem().string();
-    if (table.empty() ||
-        table.find_first_not_of('.') == std::string::npos) {
-      std::cerr << "--restore-dir: cannot derive a table name from "
-                << path.string() << " (empty stem)\n";
-      return false;
-    }
-    if (!stems.insert(table).second) {
-      std::cerr << "--restore-dir: duplicate table name '" << table
-                << "' from " << path.string() << "\n";
+  for (const std::string& temp : removed_temps) {
+    std::cerr << "--restore-dir: removed leftover temp file " << temp << "\n";
+  }
+  for (const auto& entry : tables) {
+    if (entry.has_log) {
+      std::cerr << "--restore-dir: " << dir << "/" << entry.table
+                << ".oplog holds op-logged folds a snapshot restore would "
+                   "drop; cold-start this directory with --log-dir\n";
       return false;
     }
   }
-  for (const fs::path& path : snapshots) {
-    const std::string table = path.stem().string();
+  for (const auto& entry : tables) {
+    const std::string path = dir + "/" + entry.table + ".snap";
     try {
       const manirank::serve::TableStats stats = manager->RestoreTable(
-          table, manirank::ReadTableSnapshotFile(path.string()));
-      std::cerr << "restored table '" << table << "' (" << stats.num_rankings
-                << " rankings, generation " << stats.generation << ") from "
-                << path.string() << "\n";
+          entry.table, manirank::ReadTableSnapshotFile(path));
+      std::cerr << "restored table '" << entry.table << "' ("
+                << stats.num_rankings << " rankings, generation "
+                << stats.generation << ") from " << path << "\n";
     } catch (const std::exception& e) {
-      std::cerr << "--restore-dir: failed to restore '" << table
-                << "' from " << path.string() << ": " << e.what() << "\n";
+      std::cerr << "--restore-dir: failed to restore '" << entry.table
+                << "' from " << path << ": " << e.what() << "\n";
       return false;
     }
   }
@@ -405,11 +343,6 @@ int main(int argc, char** argv) {
   }
   std::optional<manirank::serve::DurabilityManager> durability;
   if (log_dir.has_value()) {
-    std::error_code ec;
-    if (!std::filesystem::is_directory(*log_dir, ec)) {
-      std::cerr << "--log-dir: not a directory: " << *log_dir << "\n";
-      return 2;
-    }
     durability.emplace(*log_dir, &manager);
     // Cold start BEFORE Attach: the hook must not observe its own
     // replay. Attach then floors any --restore-dir tables that have no

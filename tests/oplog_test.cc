@@ -651,13 +651,50 @@ TEST_F(OpLogTest, TornLogTailRestoresTheCleanPrefix) {
 
 TEST_F(OpLogTest, ColdStartRemovesCrashedWriterTempFiles) {
   WriteAllBytes(Path("t.snap.tmp.123.4"), "half-written debris");
+  WriteAllBytes(Path("t.oplog.tmp.123.5"), "half-written debris");
   ContextManager manager;
   DurabilityManager durability(dir_, &manager);
   std::vector<std::string> removed;
   const auto report = durability.ColdStart(&removed);
   EXPECT_TRUE(report.empty());
-  ASSERT_EQ(removed.size(), 1u);
+  ASSERT_EQ(removed.size(), 2u);
   EXPECT_FALSE(fs::exists(Path("t.snap.tmp.123.4")));
+  EXPECT_FALSE(fs::exists(Path("t.oplog.tmp.123.5")));
+}
+
+TEST_F(OpLogTest, TableDirListsSortedAndRefusesFilesWithoutATableName) {
+  // Written out of order, with a file that is no table at all.
+  for (const char* name : {"delta.snap", "alpha.oplog", "notes.txt",
+                           "charlie.snap", "alpha.snap", "bravo.snap",
+                           "x.y.snap"}) {
+    WriteAllBytes(Path(name), "");
+  }
+  const std::vector<serve::TableDirEntry> entries =
+      serve::ListTableDir(dir_, nullptr);
+  std::vector<std::string> tables;
+  for (const auto& entry : entries) tables.push_back(entry.table);
+  EXPECT_EQ(tables, (std::vector<std::string>{"alpha", "bravo", "charlie",
+                                              "delta", "x.y"}));
+  ASSERT_EQ(entries.size(), 5u);
+  EXPECT_TRUE(entries[0].has_snapshot && entries[0].has_log);
+  EXPECT_TRUE(entries[1].has_snapshot && !entries[1].has_log);
+
+  // Each of these derives an empty or dot-only table name: the cold
+  // start must refuse it and say which file, not skip it.
+  for (const char* bad : {"..snap", ".snap", ".oplog"}) {
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+    WriteAllBytes(Path(bad), "");
+    ContextManager manager;
+    DurabilityManager durability(dir_, &manager);
+    try {
+      durability.ColdStart();
+      ADD_FAILURE() << "cold start accepted " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(Path(bad)), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST_F(OpLogTest, OrphanedOpLogRefusesToBoot) {
