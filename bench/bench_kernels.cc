@@ -10,7 +10,8 @@
 //                              kernel timings seeding the perf trajectory.
 //   ./bench_kernels --micro    additionally runs the google-benchmark micro
 //                              suite (Kendall tau, FPR, precedence build,
-//                              Mallows sampling, Make-MR-Fair engines, LP).
+//                              Mallows sampling, Make-MR-Fair engines,
+//                              Copeland/Schulze/Kemeny aggregators, LP).
 //
 // MANIRANK_BENCH_QUICK=1 shrinks the profile and repetition counts so the
 // JSON mode finishes in seconds (the CI smoke job).
@@ -437,6 +438,18 @@ void BM_BordaAggregate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BordaAggregate)->Arg(100)->Arg(1000)->Arg(10000);
+
+void BM_CopelandAggregate(benchmark::State& state) {
+  // A shuffled modal ranking, so contest outcomes do not follow id order.
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(10);
+  MallowsModel model(RandomRanking(n, &rng), 0.6);
+  PrecedenceMatrix w = PrecedenceMatrix::Build(model.SampleMany(100, 10));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CopelandAggregate(w));
+  }
+}
+BENCHMARK(BM_CopelandAggregate)->Arg(300)->Arg(500)->Arg(1000);
 
 void BM_SchulzeAggregate(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -20,12 +20,15 @@ Ranking BordaAggregate(const std::vector<Ranking>& base_rankings);
 Ranking BordaFromPoints(const std::vector<int64_t>& points);
 
 /// Copeland: candidates ordered by the number of pairwise contests won;
-/// a tie counts as a win for both sides (paper §III-B). O(n^2) given W.
+/// a tie counts as a win for both sides (paper §III-B). Ties in wins go to
+/// the lower id. O(n^2) given W: one PrecedenceMatrix::ForEachPairTiled
+/// pass settles each unordered pair's contest once, for both sides.
 Ranking CopelandAggregate(const PrecedenceMatrix& w);
 
 /// Schulze: candidates ordered by beat-paths. Computes strongest-path
-/// strengths with the Floyd–Warshall widest-path variant, then orders by
-/// the (provably transitive) beats-relation p[a][b] > p[b][a]. O(n^3).
+/// strengths with the Floyd–Warshall widest-path variant on one flat
+/// row-major array, then orders by the (provably transitive)
+/// beats-relation p[a][b] > p[b][a]. O(n^3).
 Ranking SchulzeAggregate(const PrecedenceMatrix& w);
 
 /// Strongest-path strength matrix used by Schulze; exposed for tests.

@@ -16,12 +16,13 @@ bool TryTransitiveKemeny(const PrecedenceMatrix& w, Ranking* result) {
   // Kahn's algorithm on the strict-majority digraph (edge a -> b when more
   // rankings prefer a over b). If it is acyclic, every topological order
   // respects all strict majorities and attains the Kemeny lower bound.
+  // W[b][a] counts the rankings preferring a over b.
   std::vector<int> indegree(n, 0);
-  for (CandidateId a = 0; a < n; ++a) {
-    for (CandidateId b = 0; b < n; ++b) {
-      if (a != b && w.PrefersCount(a, b) > w.PrefersCount(b, a)) ++indegree[b];
-    }
-  }
+  w.ForEachPairTiled(
+      [&indegree](CandidateId a, CandidateId b, double w_ab, double w_ba) {
+        indegree[a] += w_ab > w_ba;
+        indegree[b] += w_ba > w_ab;
+      });
   // Deterministic Kahn: repeatedly take the smallest-id zero-indegree node.
   std::vector<CandidateId> order;
   order.reserve(n);

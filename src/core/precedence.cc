@@ -284,24 +284,9 @@ double PrecedenceMatrix::KemenyCost(const Ranking& consensus) const {
 }
 
 double PrecedenceMatrix::LowerBound() const {
-  // Paired-tile traversal: for tiles (I, J) above the diagonal, W[a][b]
-  // streams row-major while the transposed operand W[b][a] stays confined
-  // to one 64x64 tile that remains cache-resident, instead of striding a
-  // whole matrix column per row.
-  constexpr int kTile = 64;
   double bound = 0.0;
-  for (int ti = 0; ti < n_; ti += kTile) {
-    const int a_end = std::min(n_, ti + kTile);
-    for (int tj = ti; tj < n_; tj += kTile) {
-      const int b_end = std::min(n_, tj + kTile);
-      for (int a = ti; a < a_end; ++a) {
-        const double* row_a = w_.data() + static_cast<size_t>(a) * n_;
-        for (int b = std::max(tj, a + 1); b < b_end; ++b) {
-          bound += std::min(row_a[b], w_[static_cast<size_t>(b) * n_ + a]);
-        }
-      }
-    }
-  }
+  ForEachPairTiled([&bound](CandidateId, CandidateId, double w_ab,
+                            double w_ba) { bound += std::min(w_ab, w_ba); });
   return bound;
 }
 

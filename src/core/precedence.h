@@ -1,6 +1,7 @@
 #ifndef MANIRANK_CORE_PRECEDENCE_H_
 #define MANIRANK_CORE_PRECEDENCE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -121,9 +122,34 @@ class PrecedenceMatrix {
   ///   sum over unordered pairs of min(W[a][b], W[b][a]).
   /// Attained exactly by rankings consistent with every strict pairwise
   /// majority; used by the exact solver's transitive fast path.
-  /// Traversed in paired 64x64 tiles so the transposed operand stays
-  /// cache-resident.
+  /// Summed in ForEachPairTiled's fixed visit order.
   double LowerBound() const;
+
+  /// Calls f(a, b, W[a][b], W[b][a]) once for every unordered pair a < b.
+  /// Pairs are visited in paired 64x64 tiles: tile row ti, then tile
+  /// column tj >= ti, then a, then b. W[a][b] streams row-major, and the
+  /// transposed operand W[b][a] stays inside one cache-resident tile
+  /// instead of striding a whole matrix column per row. The order is
+  /// fixed, so a floating-point reduction over it (LowerBound) is
+  /// reproducible bit for bit. Copeland, Schulze and the Kemeny fast path
+  /// read their pairwise contests through it.
+  template <class F>
+  void ForEachPairTiled(F&& f) const {
+    constexpr int kTile = 64;
+    for (int ti = 0; ti < n_; ti += kTile) {
+      const int a_end = std::min(n_, ti + kTile);
+      for (int tj = ti; tj < n_; tj += kTile) {
+        const int b_end = std::min(n_, tj + kTile);
+        for (int a = ti; a < a_end; ++a) {
+          const double* row_a = w_.data() + Index(a, 0);
+          const double* col_a = w_.data() + a;
+          for (int b = std::max(tj, a + 1); b < b_end; ++b) {
+            f(a, b, row_a[b], col_a[Index(b, 0)]);
+          }
+        }
+      }
+    }
+  }
 
   /// Name of the kernel flavor the current MANIRANK_KERNEL setting and
   /// CPU resolve to ("scalar" / "portable" / "avx2"); what Build and

@@ -62,6 +62,73 @@ TEST(KemenyTest, TransitiveFastPathMatchesMajorityDigraph) {
   EXPECT_DOUBLE_EQ(w.KemenyCost(fast), w.LowerBound());
 }
 
+/// Kahn's algorithm on the strict-majority digraph with indegrees counted
+/// one ordered pair at a time; false on a cycle.
+bool ReferenceTransitiveKemeny(const PrecedenceMatrix& w, Ranking* result) {
+  const int n = w.size();
+  const auto majority = [&w](CandidateId a, CandidateId b) {
+    return w.PrefersCount(a, b) > w.PrefersCount(b, a);
+  };
+  std::vector<int> indegree(n, 0);
+  for (CandidateId a = 0; a < n; ++a) {
+    for (CandidateId b = 0; b < n; ++b) {
+      if (a != b && majority(a, b)) ++indegree[b];
+    }
+  }
+  std::vector<CandidateId> order;
+  std::vector<bool> placed(n, false);
+  for (int step = 0; step < n; ++step) {
+    CandidateId next = -1;
+    for (CandidateId c = 0; c < n && next < 0; ++c) {
+      if (!placed[c] && indegree[c] == 0) next = c;
+    }
+    if (next < 0) return false;
+    placed[next] = true;
+    order.push_back(next);
+    for (CandidateId b = 0; b < n; ++b) {
+      if (!placed[b] && majority(next, b)) --indegree[b];
+    }
+  }
+  *result = Ranking(std::move(order));
+  return true;
+}
+
+TEST(KemenyTest, TransitiveFastPathMatchesOrderedPairReference) {
+  // Concentrated profiles (acyclic majorities, so the fast path succeeds),
+  // near-uniform ones (cycles, so it fails), and an even profile with a
+  // ranking and its reverse (tied contests carry no majority edge).
+  int successes = 0;
+  int failures = 0;
+  for (int n : {1, 2, 63, 64, 65, 129}) {
+    Rng rng(6000 + n);
+    const Ranking modal = testing::RandomRanking(n, &rng);
+    const MallowsModel concentrated(modal, /*theta=*/1.0);
+    // A ranking, its reverse and two concentrated samples: pairs the
+    // samples split are 2-2 ties, the rest are 3-1 majorities for modal.
+    std::vector<Ranking> mirrored = concentrated.SampleMany(2, n);
+    mirrored.push_back(modal);
+    mirrored.emplace_back(
+        std::vector<CandidateId>(modal.order().rbegin(), modal.order().rend()));
+    for (const PrecedenceMatrix& w :
+         {PrecedenceMatrix::Build(concentrated.SampleMany(31, n)),
+          PrecedenceMatrix::Build(MallowsModel(modal, 0.01).SampleMany(8, n)),
+          PrecedenceMatrix::Build(mirrored)}) {
+      Ranking fast;
+      Ranking reference;
+      const bool ok = TryTransitiveKemeny(w, &fast);
+      ASSERT_EQ(ok, ReferenceTransitiveKemeny(w, &reference)) << "n=" << n;
+      if (ok) {
+        ASSERT_EQ(fast, reference) << "n=" << n;
+        ++successes;
+      } else {
+        ++failures;
+      }
+    }
+  }
+  EXPECT_GT(successes, 0);
+  EXPECT_GT(failures, 0);
+}
+
 TEST(KemenyTest, RecoversMallowsModalRanking) {
   // The Kemeny consensus is the MLE of the Mallows modal ranking; with
   // many concentrated samples it should recover it exactly.
