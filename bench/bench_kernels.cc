@@ -29,6 +29,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -474,6 +475,49 @@ void BM_KemenyTransitiveFastPath(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KemenyTransitiveFastPath)->Arg(50)->Arg(100)->Arg(200);
+
+/// The lazy Precedence() build of a retained context: m = 2000 base
+/// rankings read from the context's own profile. Construction is untimed.
+void BM_RetainedPrecedenceBuild(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(11);
+  const CandidateTable table = MakeCyclicTable(n, 2, 3);
+  MallowsModel model(RandomRanking(n, &rng), 0.6);
+  const std::vector<Ranking> base = model.SampleMany(2000, 11);
+  std::optional<ConsensusContext> ctx;
+  for (auto _ : state) {
+    state.PauseTiming();
+    ctx.reset();
+    ctx.emplace(base, table);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(&ctx->Precedence());
+  }
+}
+BENCHMARK(BM_RetainedPrecedenceBuild)
+    ->Arg(300)->Arg(500)->Arg(1000)
+    ->Unit(benchmark::kMillisecond);
+
+/// RUN all on a cold retained context: every cache (precedence, parity
+/// scores, B2's weighted matrix) is built from the profile, then all
+/// eight methods run. Construction is untimed.
+void BM_RunAllRetained(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(12);
+  const CandidateTable table = MakeCyclicTable(n, 2, 3);
+  MallowsModel model(RandomRanking(n, &rng), 0.6);
+  const std::vector<Ranking> base = model.SampleMany(4000, 12);
+  ConsensusOptions options;
+  options.time_limit_seconds = 10.0;
+  std::optional<ConsensusContext> ctx;
+  for (auto _ : state) {
+    state.PauseTiming();
+    ctx.reset();
+    ctx.emplace(base, table);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(ctx->RunAll(options));
+  }
+}
+BENCHMARK(BM_RunAllRetained)->Arg(8)->Unit(benchmark::kMillisecond);
 
 void BM_KemenyIlpCondorcetCycles(benchmark::State& state) {
   // Profiles with weak consensus force the ILP path.

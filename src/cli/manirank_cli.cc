@@ -432,7 +432,7 @@ int RunSnapshot(const Args& args) {
   TableSnapshot snapshot{study->table, ctx.Snapshot(), /*applied_batches=*/0,
                          /*applied_rankings=*/0, args.exact_snapshot,
                          args.exact_snapshot ? ctx.base_rankings()
-                                             : std::vector<Ranking>{}};
+                                             : Profile()};
   try {
     WriteTableSnapshotFile(args.output_path, snapshot);
   } catch (const std::exception& e) {

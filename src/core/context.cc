@@ -98,15 +98,17 @@ class MutationGuard {
 
 }  // namespace
 
-ConsensusContext::ConsensusContext(std::vector<Ranking> base_rankings,
+ConsensusContext::ConsensusContext(const std::vector<Ranking>& base_rankings,
                                    const CandidateTable& table)
-    : base_(std::move(base_rankings)), table_(&table) {
+    : base_(table.num_candidates()), table_(&table) {
+  base_.Reserve(base_rankings.size());
+  for (const Ranking& r : base_rankings) base_.Append(r);
   size_counter_.store(base_.size(), std::memory_order_relaxed);
 }
 
 ConsensusContext::ConsensusContext(StreamingSummary summary,
                                    const CandidateTable& table)
-    : ConsensusContext(std::vector<Ranking>{}, table) {
+    : base_(table.num_candidates()), table_(&table) {
   if (summary.num_candidates != table.num_candidates()) {
     throw std::invalid_argument(
         "streaming summary candidate count does not match table");
@@ -139,10 +141,18 @@ ConsensusContext::ConsensusContext(StreamingSummary summary,
                       std::memory_order_relaxed);
 }
 
-ConsensusContext::ConsensusContext(std::vector<Ranking> base_rankings,
+ConsensusContext::ConsensusContext(Profile base_rankings,
                                    StreamingSummary cached_state,
                                    const CandidateTable& table)
-    : ConsensusContext(std::move(base_rankings), table) {
+    : base_(std::move(base_rankings)), table_(&table) {
+  // An empty profile may arrive without a candidate count (a default
+  // Profile); it adopts the table's.
+  if (base_.empty()) base_ = Profile(table.num_candidates());
+  if (base_.num_candidates() != table.num_candidates()) {
+    throw std::invalid_argument(
+        "recovered profile candidate count does not match table");
+  }
+  size_counter_.store(base_.size(), std::memory_order_relaxed);
   if (cached_state.num_candidates != table.num_candidates()) {
     throw std::invalid_argument(
         "cached state candidate count does not match table");
@@ -267,7 +277,7 @@ void ConsensusContext::AddRanking(Ranking ranking) {
   if (summarized_) {
     ++stream_count_;  // folded, not retained
   } else {
-    base_.push_back(std::move(ranking));
+    base_.Append(ranking);
   }
   PublishCountersLocked();
 }
@@ -298,7 +308,10 @@ void ConsensusContext::AddRankings(std::vector<Ranking> rankings) {
       if (summarized_) {
         ++stream_count_;
       } else {
-        base_.push_back(std::move(rankings[i]));
+        base_.Append(rankings[i]);
+        // Freed as soon as its row exists: the rows that follow reuse its
+        // memory, and the batch never holds both forms whole.
+        rankings[i] = Ranking();
       }
       // Per-ranking publication: STATS watching a large batch fold sees
       // live progress instead of a frozen pre-batch snapshot.
@@ -318,16 +331,15 @@ void ConsensusContext::RemoveRanking(size_t index) {
   if (index >= base_.size()) {
     throw std::out_of_range("RemoveRanking index out of range");
   }
-  const Ranking& ranking = base_[index];
   const int n = num_candidates();
   if (precedence_) {
-    precedence_->RemoveRanking(ranking);
+    precedence_->AddProfileRow(base_, index, -1.0);
     ++stats_.precedence_delta_updates;
   }
   if (borda_points_) {
-    for (int p = 0; p < n; ++p) {
-      (*borda_points_)[ranking.At(p)] -= n - 1 - p;
-    }
+    base_.VisitRow(index, [&](const auto* order) {
+      for (int p = 0; p < n; ++p) (*borda_points_)[order[p]] -= n - 1 - p;
+    });
   }
   if (parity_scores_) {
     parity_scores_->erase(parity_scores_->begin() +
@@ -337,7 +349,7 @@ void ConsensusContext::RemoveRanking(size_t index) {
   fairness_weights_.reset();
   weighted_.clear();
   ++stats_.generation;
-  base_.erase(base_.begin() + static_cast<ptrdiff_t>(index));
+  base_.Erase(index);
   PublishCountersLocked();
 }
 
@@ -384,10 +396,10 @@ const std::vector<int64_t>& ConsensusContext::BordaPoints() const {
   if (!borda_points_) {
     const int n = num_candidates();
     auto points = std::make_unique<std::vector<int64_t>>(n, 0);
-    for (const Ranking& r : base_) {
-      for (int p = 0; p < n; ++p) {
-        (*points)[r.At(p)] += n - 1 - p;
-      }
+    for (size_t i = 0; i < base_.size(); ++i) {
+      base_.VisitRow(i, [&](const auto* order) {
+        for (int p = 0; p < n; ++p) (*points)[order[p]] += n - 1 - p;
+      });
     }
     borda_points_ = std::move(points);
     ++stats_.borda_builds;
@@ -401,7 +413,7 @@ const std::vector<double>& ConsensusContext::BaseParityScores() const {
   if (!parity_scores_) {
     auto scores = std::make_unique<std::vector<double>>(base_.size());
     for (size_t i = 0; i < base_.size(); ++i) {
-      (*scores)[i] = EvaluateFairness(base_[i]).MaxParity();
+      (*scores)[i] = manirank::EvaluateFairness(base_, i, *table_).MaxParity();
     }
     parity_scores_ = std::move(scores);
     ++stats_.parity_score_builds;

@@ -12,6 +12,7 @@
 #include "core/fairness_metrics.h"
 #include "core/gate.h"
 #include "core/precedence.h"
+#include "core/profile.h"
 #include "core/ranking.h"
 #include "core/streaming.h"
 
@@ -70,9 +71,13 @@ struct ContextStats {
 /// references. Running N methods on the same inputs through one context
 /// pays for one O(|R| n^2) precedence build instead of N.
 ///
-/// The context owns the base rankings (moved or copied in) and borrows the
-/// candidate table, which must outlive it. All caches are lazy and guarded
-/// by a mutex: concurrent method runs on one context are safe.
+/// The context owns the base rankings as a compact Profile (one 2-byte
+/// order row per ranking for n <= 65535; see core/profile.h), packed from
+/// the rankings handed in, and borrows the candidate table, which must
+/// outlive it. Caches read the rows in place; only the Pick-A-Perm
+/// baselines, which return a base ranking, materialize a Ranking. All
+/// caches are lazy and guarded by a mutex: concurrent method runs on one
+/// context are safe.
 ///
 /// Streaming profiles. The profile is mutable in place: AddRanking /
 /// AddRankings / RemoveRanking update every already-built cache by its
@@ -111,7 +116,7 @@ struct ContextStats {
 /// shard.
 class ConsensusContext {
  public:
-  ConsensusContext(std::vector<Ranking> base_rankings,
+  ConsensusContext(const std::vector<Ranking>& base_rankings,
                    const CandidateTable& table);
 
   /// Builds a summarized context from streamed state: no base rankings,
@@ -129,13 +134,14 @@ class ConsensusContext {
   /// summary matches the profile (candidate counts, ranking count,
   /// cache section sizes); empty borda_points means "not cached" and the
   /// cache stays lazy. Throws std::invalid_argument on any mismatch.
-  ConsensusContext(std::vector<Ranking> base_rankings,
-                   StreamingSummary cached_state, const CandidateTable& table);
+  ConsensusContext(Profile base_rankings, StreamingSummary cached_state,
+                   const CandidateTable& table);
 
   ConsensusContext(const ConsensusContext&) = delete;
   ConsensusContext& operator=(const ConsensusContext&) = delete;
 
-  const std::vector<Ranking>& base_rankings() const { return base_; }
+  /// The retained profile (empty for a summarized context).
+  const Profile& base_rankings() const { return base_; }
   const CandidateTable& table() const { return *table_; }
   int num_candidates() const { return table_->num_candidates(); }
 
@@ -317,7 +323,7 @@ class ConsensusContext {
     std::unique_ptr<PrecedenceMatrix> matrix;
   };
 
-  std::vector<Ranking> base_;
+  Profile base_;
   const CandidateTable* table_;
   /// True when built from a StreamingSummary: base_ stays empty and
   /// stream_count_ carries the profile size.

@@ -7,22 +7,53 @@
 #include "util/threading.h"
 
 namespace manirank {
+namespace {
 
-int64_t KendallTau(const Ranking& a, const Ranking& b) {
-  assert(a.size() == b.size());
+/// KendallTau(a, b) with b given as its order (n ids best-first).
+template <class Id>
+int64_t KendallTauToOrder(const Ranking& a, const Id* b_order) {
   const int n = a.size();
   // Relabel: walk b top-to-bottom, mapping each candidate to its position
   // in a; the Kendall tau distance equals the inversions of that sequence.
   Fenwick seen(n);
   int64_t inversions = 0;
   for (int t = 0; t < n; ++t) {
-    const int pa = a.PositionOf(b.At(t));
+    const int pa = a.PositionOf(static_cast<CandidateId>(b_order[t]));
     // Candidates already placed that sit *below* pa in `a` each form a
     // discordant pair with the current one.
     inversions += seen.RangeSum(pa + 1, n);
     seen.Add(pa, 1);
   }
   return inversions;
+}
+
+/// Sum over the base rankings of KendallTau(consensus, r), over pairs x |R|.
+double MeanKendallTau(const RankingRun& base_rankings,
+                      const Ranking& consensus) {
+  if (base_rankings.empty()) return 0.0;
+  const int64_t pairs = TotalPairs(consensus.size());
+  if (pairs == 0) return 0.0;
+  std::atomic<int64_t> total{0};
+  ParallelFor(base_rankings.size(),
+              [&](size_t begin, size_t end, size_t /*worker*/) {
+                int64_t local = 0;
+                for (size_t i = begin; i < end; ++i) {
+                  base_rankings.VisitOrder(i, [&](const auto* order) {
+                    local += KendallTauToOrder(consensus, order);
+                  });
+                }
+                total.fetch_add(local, std::memory_order_relaxed);
+              });
+  return static_cast<double>(total.load()) /
+         (static_cast<double>(pairs) *
+          static_cast<double>(base_rankings.size()));
+}
+
+}  // namespace
+
+int64_t KendallTau(const Ranking& a, const Ranking& b) {
+  assert(a.size() == b.size());
+  return KendallTauToOrder(a, b.order().data());
 }
 
 int64_t KendallTauBruteForce(const Ranking& a, const Ranking& b) {
@@ -45,21 +76,11 @@ double NormalizedKendallTau(const Ranking& a, const Ranking& b) {
 
 double PdLoss(const std::vector<Ranking>& base_rankings,
               const Ranking& consensus) {
-  if (base_rankings.empty()) return 0.0;
-  const int64_t pairs = TotalPairs(consensus.size());
-  if (pairs == 0) return 0.0;
-  std::atomic<int64_t> total{0};
-  ParallelFor(base_rankings.size(),
-              [&](size_t begin, size_t end, size_t /*worker*/) {
-                int64_t local = 0;
-                for (size_t i = begin; i < end; ++i) {
-                  local += KendallTau(consensus, base_rankings[i]);
-                }
-                total.fetch_add(local, std::memory_order_relaxed);
-              });
-  return static_cast<double>(total.load()) /
-         (static_cast<double>(pairs) *
-          static_cast<double>(base_rankings.size()));
+  return MeanKendallTau(base_rankings, consensus);
+}
+
+double PdLoss(const RankingRun& base_rankings, const Ranking& consensus) {
+  return MeanKendallTau(base_rankings, consensus);
 }
 
 double PriceOfFairness(const std::vector<Ranking>& base_rankings,

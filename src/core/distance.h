@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/profile.h"
 #include "core/ranking.h"
 
 namespace manirank {
@@ -21,9 +22,11 @@ double NormalizedKendallTau(const Ranking& a, const Ranking& b);
 /// Pairwise Disagreement loss (Definition 9): the fraction of pairwise
 /// preferences in the base rankings not represented by `consensus`,
 ///   PD(R, pi) = sum_i KT(pi, r_i) / (omega(X) |R|).
-/// Parallelised over the base rankings.
+/// Parallelised over the base rankings. The RankingRun overload takes a
+/// compact Profile and reads its rows in place.
 double PdLoss(const std::vector<Ranking>& base_rankings,
               const Ranking& consensus);
+double PdLoss(const RankingRun& base_rankings, const Ranking& consensus);
 
 /// Price of Fairness (Eq. 13): the PD-loss increase the fair consensus pays
 /// relative to the fairness-unaware consensus. Always >= 0 when the unfair

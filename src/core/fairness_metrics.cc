@@ -5,14 +5,17 @@
 
 namespace manirank {
 
-std::vector<int64_t> GroupFavoredPairs(const Ranking& ranking,
-                                       const Grouping& grouping) {
-  const int n = ranking.size();
+namespace {
+
+/// GroupFavoredPairs over an order of n ids best-first.
+template <class Id>
+std::vector<int64_t> FavoredPairsOfOrder(const Id* order, int n,
+                                         const Grouping& grouping) {
   const int k = grouping.num_groups();
   std::vector<int64_t> favored(k, 0);
   std::vector<int> seen(k, 0);
   for (int t = 0; t < n; ++t) {
-    const int g = grouping.group_of[ranking.At(t)];
+    const int g = grouping.group_of[order[t]];
     // Candidates below position t that are NOT in g:
     //   (n - 1 - t) - (members of g not yet seen, excluding this one).
     const int members_below = grouping.group_size(g) - seen[g] - 1;
@@ -22,10 +25,10 @@ std::vector<int64_t> GroupFavoredPairs(const Ranking& ranking,
   return favored;
 }
 
-std::vector<double> GroupFpr(const Ranking& ranking,
-                             const Grouping& grouping) {
-  const int n = ranking.size();
-  std::vector<int64_t> favored = GroupFavoredPairs(ranking, grouping);
+template <class Id>
+std::vector<double> FprOfOrder(const Id* order, int n,
+                               const Grouping& grouping) {
+  std::vector<int64_t> favored = FavoredPairsOfOrder(order, n, grouping);
   std::vector<double> fpr(favored.size(), 0.5);
   for (size_t g = 0; g < favored.size(); ++g) {
     const int64_t denom = MixedPairs(grouping.group_size(static_cast<int>(g)), n);
@@ -34,6 +37,29 @@ std::vector<double> GroupFpr(const Ranking& ranking,
     }
   }
   return fpr;
+}
+
+template <class Id>
+FairnessReport EvaluateOrder(const Id* order, int n,
+                             const CandidateTable& table) {
+  FairnessReport report;
+  for (const Grouping* g : table.constrained_groupings()) {
+    report.fpr.push_back(FprOfOrder(order, n, *g));
+    report.parity.push_back(RankParityFromFpr(report.fpr.back()));
+  }
+  return report;
+}
+
+}  // namespace
+
+std::vector<int64_t> GroupFavoredPairs(const Ranking& ranking,
+                                       const Grouping& grouping) {
+  return FavoredPairsOfOrder(ranking.order().data(), ranking.size(), grouping);
+}
+
+std::vector<double> GroupFpr(const Ranking& ranking,
+                             const Grouping& grouping) {
+  return FprOfOrder(ranking.order().data(), ranking.size(), grouping);
 }
 
 double RankParityFromFpr(const std::vector<double>& fpr) {
@@ -80,11 +106,15 @@ double FairnessReport::MaxViolation(const CandidateTable& table,
 
 FairnessReport EvaluateFairness(const Ranking& ranking,
                                 const CandidateTable& table) {
+  return EvaluateOrder(ranking.order().data(), ranking.size(), table);
+}
+
+FairnessReport EvaluateFairness(const RankingRun& rankings, size_t index,
+                                const CandidateTable& table) {
   FairnessReport report;
-  for (const Grouping* g : table.constrained_groupings()) {
-    report.fpr.push_back(GroupFpr(ranking, *g));
-    report.parity.push_back(RankParityFromFpr(report.fpr.back()));
-  }
+  rankings.VisitOrder(index, [&](const auto* order) {
+    report = EvaluateOrder(order, table.num_candidates(), table);
+  });
   return report;
 }
 

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/candidate_table.h"
+#include "core/profile.h"
 #include "core/ranking.h"
 
 namespace manirank {
@@ -66,6 +67,11 @@ struct FairnessReport {
 };
 
 FairnessReport EvaluateFairness(const Ranking& ranking,
+                                const CandidateTable& table);
+
+/// EvaluateFairness of ranking `index` of `rankings`; a compact
+/// Profile's row is read in place, without building a Ranking.
+FairnessReport EvaluateFairness(const RankingRun& rankings, size_t index,
                                 const CandidateTable& table);
 
 /// One fairness requirement: the grouping's rank parity (ARP/IRP) must be

@@ -13,34 +13,47 @@ namespace manirank {
 
 bool TryTransitiveKemeny(const PrecedenceMatrix& w, Ranking* result) {
   const int n = w.size();
+  const size_t words = (static_cast<size_t>(n) + 63) / 64;
   // Kahn's algorithm on the strict-majority digraph (edge a -> b when more
   // rankings prefer a over b). If it is acyclic, every topological order
   // respects all strict majorities and attains the Kemeny lower bound.
-  // W[b][a] counts the rankings preferring a over b.
+  // W[b][a] counts the rankings preferring a over b. One tiled pass over
+  // W records each edge as bit b of row a in `out` and counts indegrees.
+  std::vector<uint64_t> out(static_cast<size_t>(n) * words, 0);
   std::vector<int> indegree(n, 0);
-  w.ForEachPairTiled(
-      [&indegree](CandidateId a, CandidateId b, double w_ab, double w_ba) {
-        indegree[a] += w_ab > w_ba;
-        indegree[b] += w_ba > w_ab;
-      });
-  // Deterministic Kahn: repeatedly take the smallest-id zero-indegree node.
+  w.ForEachPairTiled([&](CandidateId a, CandidateId b, double w_ab,
+                         double w_ba) {
+    const bool a_to_b = w_ba > w_ab;
+    const bool b_to_a = w_ab > w_ba;
+    out[a * words + b / 64] |= static_cast<uint64_t>(a_to_b) << (b % 64);
+    out[b * words + a / 64] |= static_cast<uint64_t>(b_to_a) << (a % 64);
+    indegree[a] += b_to_a;
+    indegree[b] += a_to_b;
+  });
+  // Deterministic Kahn: repeatedly take the smallest-id zero-indegree
+  // node, the lowest set bit of `ready`.
+  std::vector<uint64_t> ready(words, 0);
+  for (CandidateId c = 0; c < n; ++c) {
+    if (indegree[c] == 0) ready[c / 64] |= uint64_t{1} << (c % 64);
+  }
   std::vector<CandidateId> order;
   order.reserve(n);
-  std::vector<bool> placed(n, false);
   for (int step = 0; step < n; ++step) {
-    CandidateId next = -1;
-    for (CandidateId c = 0; c < n; ++c) {
-      if (!placed[c] && indegree[c] == 0) {
-        next = c;
-        break;
-      }
-    }
-    if (next < 0) return false;  // cycle
-    placed[next] = true;
+    size_t word = 0;
+    while (word < words && ready[word] == 0) ++word;
+    if (word == words) return false;  // cycle
+    const CandidateId next =
+        static_cast<CandidateId>(word * 64 + __builtin_ctzll(ready[word]));
+    ready[word] &= ready[word] - 1;
     order.push_back(next);
-    for (CandidateId b = 0; b < n; ++b) {
-      if (!placed[b] && w.PrefersCount(next, b) > w.PrefersCount(b, next)) {
-        --indegree[b];
+    // Every out-neighbour of `next` is still unplaced: it had an unplaced
+    // predecessor (next) until now.
+    const uint64_t* row = out.data() + static_cast<size_t>(next) * words;
+    for (size_t k = 0; k < words; ++k) {
+      for (uint64_t bits = row[k]; bits != 0; bits &= bits - 1) {
+        const CandidateId b =
+            static_cast<CandidateId>(k * 64 + __builtin_ctzll(bits));
+        if (--indegree[b] == 0) ready[k] |= uint64_t{1} << (b % 64);
       }
     }
   }

@@ -22,21 +22,23 @@ constexpr size_t kKernelBatch = 64;
 /// it W alone is >= 8 GiB, so the scalar path costs nothing that matters.
 constexpr int kKernelMaxCandidates = 32767;
 
-/// Adds `weight` to W for one ranking: every pair (worse, better)
+/// Adds `weight` to W for ranking i of `run`: every pair (worse, better)
 /// contributes to W[worse][better] (the ranking puts `better` above).
 /// The scalar reference path; also the only path for non-unit weights.
-void Accumulate(const Ranking& r, double weight, int n, std::vector<double>* w) {
-  const auto& order = r.order();
-  // For positions p < q: order[p] is above order[q], so the ranking
-  // disagrees with any consensus placing order[q] above order[p]:
-  // W[order[q]][order[p]] += weight.
-  for (int p = 0; p < n; ++p) {
-    const CandidateId better = order[p];
+void Accumulate(const RankingRun& run, size_t i, double weight, int n,
+                double* w) {
+  run.VisitOrder(i, [weight, n, w](const auto* order) {
+    // For positions p < q: order[p] is above order[q], so the ranking
+    // disagrees with any consensus placing order[q] above order[p]:
+    // W[order[q]][order[p]] += weight.
     const size_t row_stride = static_cast<size_t>(n);
-    for (int q = p + 1; q < n; ++q) {
-      (*w)[static_cast<size_t>(order[q]) * row_stride + better] += weight;
+    for (int p = 0; p < n; ++p) {
+      const size_t better = order[p];
+      for (int q = p + 1; q < n; ++q) {
+        w[static_cast<size_t>(order[q]) * row_stride + better] += weight;
+      }
     }
-  }
+  });
 }
 
 /// The batch-kernel flavor the current MANIRANK_KERNEL setting resolves
@@ -79,31 +81,50 @@ void StripedMerge(double* shared, const double* local, size_t cells,
 
 /// Scalar build: shard rankings across workers into per-worker local
 /// matrices, stripe-merge into `w`. Weighted and forced-scalar builds.
-void ScalarBuildInto(const std::vector<Ranking>& base,
-                     const std::vector<double>* weights, int n, double* w) {
+void ScalarBuildInto(const RankingRun& base, const std::vector<double>* weights,
+                     int n, double* w) {
   const size_t cells = static_cast<size_t>(n) * n;
   std::vector<std::mutex> stripe_mu(NumMergeStripes());
   ParallelFor(base.size(), [&](size_t begin, size_t end, size_t worker) {
     std::vector<double> local(cells, 0.0);
     for (size_t i = begin; i < end; ++i) {
-      assert(base[i].size() == n);
-      Accumulate(base[i], weights ? (*weights)[i] : 1.0, n, &local);
+      Accumulate(base, i, weights ? (*weights)[i] : 1.0, n, local.data());
     }
     StripedMerge(w, local.data(), cells, &stripe_mu, worker);
   });
 }
 
+/// The kernel's pack step, the only place it reads its input: one int16
+/// candidate -> position row per ranking of `batch` (copied from a
+/// Ranking, scattered from a profile row), padded to the kernel stride.
+void PackPositions(const RankingRun& batch, int n, std::vector<int16_t>* table) {
+  const int stride = kernel::PositionStride(n);
+  table->resize(batch.size() * static_cast<size_t>(stride));
+  for (size_t k = 0; k < batch.size(); ++k) {
+    int16_t* row = table->data() + k * static_cast<size_t>(stride);
+    batch.PackPositions(k, row);
+    std::fill(row + n, row + stride, kernel::kPadPosition);
+  }
+}
+
 /// Runs the batch kernel over every (64-ranking chunk, 64-row block)
-/// pair of [rankings, rankings + count) into `w`, single block at a time.
+/// pair of `rankings` into `w`. Each chunk is packed once and folded into
+/// every block of [block_begin, block_end); a cell still takes the chunks
+/// in order, so the bits do not depend on the block range.
 void KernelFoldBlocks(const kernel::KernelFlavor& flavor,
-                      const Ranking* rankings, size_t count, int sign,
-                      size_t block_begin, size_t block_end, int n, double* w) {
-  for (size_t blk = block_begin; blk < block_end; ++blk) {
-    const int row_begin = static_cast<int>(blk * 64);
-    const int row_end = std::min(n, row_begin + 64);
-    for (size_t i = 0; i < count; i += kKernelBatch) {
-      flavor.row_block(rankings + i, std::min(kKernelBatch, count - i), sign,
-                       row_begin, row_end, n, w);
+                      const RankingRun& rankings, int sign, size_t block_begin,
+                      size_t block_end, int n, double* w) {
+  thread_local std::vector<int16_t> table;  // one per ParallelFor worker
+  const int stride = kernel::PositionStride(n);
+  const size_t count = rankings.size();
+  for (size_t i = 0; i < count; i += kKernelBatch) {
+    const RankingRun batch = rankings.Sub(i, std::min(kKernelBatch, count - i));
+    PackPositions(batch, n, &table);
+    for (size_t blk = block_begin; blk < block_end; ++blk) {
+      const int row_begin = static_cast<int>(blk * 64);
+      const int row_end = std::min(n, row_begin + 64);
+      flavor.row_block(table.data(), batch.size(), stride, sign, row_begin,
+                       row_end, n, w);
     }
   }
 }
@@ -114,26 +135,22 @@ void KernelFoldBlocks(const kernel::KernelFlavor& flavor,
 /// merging at all); for small-n / many-rankings shapes, ranking chunks
 /// are sharded into per-worker locals and stripe-merged like the scalar
 /// path.
-void KernelBuildInto(const kernel::KernelFlavor& flavor,
-                     const std::vector<Ranking>& base, int n, double* w) {
-#ifndef NDEBUG
-  for (const Ranking& r : base) assert(r.size() == n);
-#endif
+void KernelBuildInto(const kernel::KernelFlavor& flavor, const RankingRun& base,
+                     int n, double* w) {
   const size_t count = base.size();
   const size_t num_blocks = (static_cast<size_t>(n) + 63) / 64;
   const size_t num_chunks = (count + kKernelBatch - 1) / kKernelBatch;
   const size_t max_workers = DefaultThreadCount() + 1;
   if (num_blocks >= std::min(max_workers, num_chunks)) {
     ParallelFor(num_blocks, [&](size_t begin, size_t end, size_t /*worker*/) {
-      KernelFoldBlocks(flavor, base.data(), count, /*sign=*/1, begin, end, n,
-                       w);
+      KernelFoldBlocks(flavor, base, /*sign=*/1, begin, end, n, w);
     });
   } else {
     const size_t cells = static_cast<size_t>(n) * n;
     std::vector<std::mutex> stripe_mu(NumMergeStripes());
     ParallelFor(count, [&](size_t begin, size_t end, size_t worker) {
       std::vector<double> local(cells, 0.0);
-      KernelFoldBlocks(flavor, base.data() + begin, end - begin, /*sign=*/1, 0,
+      KernelFoldBlocks(flavor, base.Sub(begin, end - begin), /*sign=*/1, 0,
                        num_blocks, n, local.data());
       StripedMerge(w, local.data(), cells, &stripe_mu, worker);
     });
@@ -194,29 +211,36 @@ bool PrecedenceMatrix::BatchExactEligible(size_t count) const {
 
 void PrecedenceMatrix::AddRanking(const Ranking& ranking, double weight) {
   assert(ranking.size() == n_);
-  Accumulate(ranking, weight, n_, &w_);
+  Accumulate(RankingRun(&ranking, 1), 0, weight, n_, w_.data());
   NoteFold(weight);
 }
 
-void PrecedenceMatrix::AddRankingsBatch(const Ranking* rankings, size_t count,
+void PrecedenceMatrix::AddProfileRow(const Profile& profile, size_t index,
+                                     double weight) {
+  assert(profile.num_candidates() == n_);
+  Accumulate(profile, index, weight, n_, w_.data());
+  NoteFold(weight);
+}
+
+void PrecedenceMatrix::AddRankingsBatch(const RankingRun& rankings,
                                         double weight) {
+  const size_t count = rankings.size();
   if (count == 0) return;
   const kernel::KernelFlavor* flavor = ActiveKernelFlavor(n_);
   if (flavor == nullptr || (weight != 1.0 && weight != -1.0) ||
       !BatchExactEligible(count)) {
-    for (size_t i = 0; i < count; ++i) AddRanking(rankings[i], weight);
+    for (size_t i = 0; i < count; ++i) {
+      Accumulate(rankings, i, weight, n_, w_.data());
+      NoteFold(weight);
+    }
     return;
   }
-#ifndef NDEBUG
-  for (size_t i = 0; i < count; ++i) assert(rankings[i].size() == n_);
-#endif
   const int sign = weight > 0.0 ? 1 : -1;
   const size_t num_blocks = (static_cast<size_t>(n_) + 63) / 64;
   // Row blocks are disjoint rows of w_, so a delta batch fans out across
   // the pool even while the owning context holds its cache mutex.
   ParallelFor(num_blocks, [&](size_t begin, size_t end, size_t /*worker*/) {
-    KernelFoldBlocks(*flavor, rankings, count, sign, begin, end, n_,
-                     w_.data());
+    KernelFoldBlocks(*flavor, rankings, sign, begin, end, n_, w_.data());
   });
   folded_magnitude_ += static_cast<double>(count);
 }
@@ -230,8 +254,16 @@ void PrecedenceMatrix::Merge(const PrecedenceMatrix& other) {
 
 PrecedenceMatrix PrecedenceMatrix::Build(
     const std::vector<Ranking>& base_rankings) {
+  return BuildFrom(base_rankings);
+}
+
+PrecedenceMatrix PrecedenceMatrix::Build(const Profile& base_rankings) {
+  return BuildFrom(base_rankings);
+}
+
+PrecedenceMatrix PrecedenceMatrix::BuildFrom(const RankingRun& base_rankings) {
   assert(!base_rankings.empty());
-  const int n = base_rankings[0].size();
+  const int n = base_rankings.num_candidates();
   PrecedenceMatrix m = Zero(n);
   const kernel::KernelFlavor* flavor = ActiveKernelFlavor(n);
   if (flavor != nullptr) {
@@ -244,11 +276,10 @@ PrecedenceMatrix PrecedenceMatrix::Build(
 }
 
 PrecedenceMatrix PrecedenceMatrix::BuildWeighted(
-    const std::vector<Ranking>& base_rankings,
-    const std::vector<double>& weights) {
+    const RankingRun& base_rankings, const std::vector<double>& weights) {
   assert(weights.size() == base_rankings.size());
   assert(!base_rankings.empty());
-  const int n = base_rankings[0].size();
+  const int n = base_rankings.num_candidates();
   PrecedenceMatrix m = Zero(n);
   ScalarBuildInto(base_rankings, &weights, n, m.w_.data());
   m.folded_magnitude_ = 0.0;

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/profile.h"
 #include "core/ranking.h"
 
 namespace manirank {
@@ -45,10 +46,12 @@ class PrecedenceMatrix {
   /// 64-row blocks (shared-nothing) when the batch kernel has enough
   /// blocks to go around, else over ranking chunks with striped merging.
   static PrecedenceMatrix Build(const std::vector<Ranking>& base_rankings);
+  /// The same build over a compact profile's rows (bit-identical).
+  static PrecedenceMatrix Build(const Profile& base_rankings);
 
   /// Builds W with one non-negative weight per base ranking
   /// (used by the Kemeny-Weighted baseline). Always the scalar path.
-  static PrecedenceMatrix BuildWeighted(const std::vector<Ranking>& base_rankings,
+  static PrecedenceMatrix BuildWeighted(const RankingRun& base_rankings,
                                         const std::vector<double>& weights);
 
   /// Constructs directly from a dense matrix (tests, ablations, snapshot
@@ -73,16 +76,19 @@ class PrecedenceMatrix {
     AddRanking(ranking, -weight);
   }
 
+  /// AddRanking over ranking `index` of a compact profile, read in place.
+  void AddProfileRow(const Profile& profile, size_t index,
+                     double weight = 1.0);
+
   /// Folds `count` rankings of identical weight in one batch. For weight
   /// +-1 on an integer-valued matrix with n <= 32767 this rides the batch
   /// kernel in chunks of 64 (bit-identical to per-ranking scalar folds,
   /// over an order of magnitude faster at n >= 512); otherwise it degrades
   /// to the scalar per-ranking loop.
+  void AddRankingsBatch(const RankingRun& rankings, double weight = 1.0);
   void AddRankingsBatch(const Ranking* rankings, size_t count,
-                        double weight = 1.0);
-  void AddRankingsBatch(const std::vector<Ranking>& rankings,
                         double weight = 1.0) {
-    AddRankingsBatch(rankings.data(), rankings.size(), weight);
+    AddRankingsBatch(RankingRun(rankings, count), weight);
   }
 
   /// Removes a batch of previously folded rankings: the negative-weight
@@ -93,7 +99,7 @@ class PrecedenceMatrix {
   }
   void RemoveRankingsBatch(const std::vector<Ranking>& rankings,
                            double weight = 1.0) {
-    AddRankingsBatch(rankings.data(), rankings.size(), -weight);
+    AddRankingsBatch(rankings, -weight);
   }
 
   /// Cell-wise sum with another matrix of the same size (merging
@@ -164,6 +170,9 @@ class PrecedenceMatrix {
   size_t Index(CandidateId a, CandidateId b) const {
     return static_cast<size_t>(a) * n_ + b;
   }
+
+  /// Build's body, over Ranking objects or profile rows alike.
+  static PrecedenceMatrix BuildFrom(const RankingRun& base_rankings);
 
   /// Updates the exactness envelope after folding one weight.
   void NoteFold(double weight);

@@ -2,16 +2,29 @@
 #define MANIRANK_CORE_PRECEDENCE_KERNEL_H_
 
 #include <cstddef>
-
-#include "core/ranking.h"
+#include <cstdint>
 
 namespace manirank {
 namespace kernel {
 
+/// Candidates per compare tile; position-table rows are padded to a
+/// multiple of it.
+inline constexpr int kTile = 64;
+
+/// Position of a padding column: no real candidate has it, so a padded
+/// column never compares below one.
+inline constexpr int16_t kPadPosition = 32767;
+
+/// Row stride of a position table over n candidates.
+inline int PositionStride(int n) { return (n + kTile - 1) / kTile * kTile; }
+
 /// One flavor of the position-compare unit-weight precedence kernel.
 ///
-/// `row_block` folds a batch of `count` (<= 64) unit-weight rankings into
-/// rows [row_begin, row_end) of the row-major n x n matrix `w`:
+/// `row_block` folds a batch of `count` <= 64 unit-weight rankings into
+/// rows [row_begin, row_end) of the row-major n x n matrix `w`. The batch
+/// arrives packed: row k of `positions` (stride `stride`, padded with
+/// kPadPosition) holds ranking k's candidate -> position as int16. It
+/// adds
 ///
 ///   w[b * n + a] += sign * #{k : ranking k places a above b}
 ///
@@ -25,8 +38,8 @@ namespace kernel {
 /// different blocks of one batch may run on different threads.
 struct KernelFlavor {
   const char* name;
-  void (*row_block)(const Ranking* rankings, size_t count, int sign,
-                    int row_begin, int row_end, int n, double* w);
+  void (*row_block)(const int16_t* positions, size_t count, int stride,
+                    int sign, int row_begin, int row_end, int n, double* w);
 };
 
 /// Baseline flavor: baseline codegen (SSE2 on x86-64, 8 int16 lanes).

@@ -6,19 +6,16 @@
 // batch. No include guard on purpose: the file is included once per
 // flavor TU, never twice in one TU.
 //
-// Algorithm. For one batch of K <= 64 unit-weight rankings and one block
-// of <= 64 matrix rows:
-//
-//  1. Position table (O(n) per ranking): copy each ranking's
-//     candidate -> position map into an int16 row, padded to a multiple
-//     of 64 candidates with kPadPosition. Positions fit int16 because the
-//     caller only dispatches here for n <= 32767.
-//  2. Compare-and-count (O(n^2 / lanes) vector ops per ranking): for each
-//     row b and each 64-candidate tile, an int16 accumulator per column
-//     adds pos_k[a] < pos_k[b] over the K rankings — the count of
-//     rankings placing a above b. The loop is branch-free and the
-//     compiler vectorises it (8 int16 lanes under SSE2, 16 under AVX2).
-//     Each cell then receives a single exact int->double add per batch.
+// Algorithm. For one batch of K <= 64 unit-weight rankings, packed by
+// the caller into an int16 candidate -> position table (one row per
+// ranking, padded to a multiple of 64 candidates with kPadPosition;
+// positions fit int16 because the caller only dispatches here for
+// n <= 32767), and one block of <= 64 matrix rows: for each row b and
+// each 64-candidate tile, an int16 accumulator per column adds
+// pos_k[a] < pos_k[b] over the K rankings — the count of rankings placing
+// a above b. The loop is branch-free and the compiler vectorises it (8
+// int16 lanes under SSE2, 16 under AVX2). Each cell then receives a
+// single exact int->double add per batch.
 //
 // Padding is free: padded columns hold a position no real candidate has,
 // so they never compare below one, and are never written back anyway.
@@ -28,7 +25,6 @@
 #endif
 
 #include <cstdint>
-#include <vector>
 
 #include "core/precedence_kernel.h"
 
@@ -37,34 +33,13 @@ namespace kernel {
 namespace MANIRANK_KERNEL_FLAVOR_NS {
 namespace {
 
-constexpr int kTile = 64;
-constexpr int16_t kPadPosition = 32767;
-
-/// Reused across batches; one per worker thread (row blocks of a batch
-/// fan out across ParallelFor workers). [k][candidate], row stride padded
-/// to a multiple of kTile.
-std::vector<int16_t>& LocalPositions() {
-  thread_local std::vector<int16_t> positions;
-  return positions;
-}
-
 /// The one exact int->double add per cell per batch.
 inline void AddCounts(const int16_t* counts, int cols, int sign, double* w) {
   for (int i = 0; i < cols; ++i) w[i] += static_cast<double>(sign * counts[i]);
 }
 
-void RowBlock(const Ranking* rankings, size_t count, int sign, int row_begin,
-              int row_end, int n, double* w) {
-  const int stride = (n + kTile - 1) / kTile * kTile;
-  std::vector<int16_t>& table = LocalPositions();
-  table.resize(count * stride);
-  for (size_t k = 0; k < count; ++k) {
-    const int* pos = rankings[k].positions().data();
-    int16_t* row = table.data() + k * stride;
-    for (int a = 0; a < n; ++a) row[a] = static_cast<int16_t>(pos[a]);
-    for (int a = n; a < stride; ++a) row[a] = kPadPosition;
-  }
-
+void RowBlock(const int16_t* positions, size_t count, int stride, int sign,
+              int row_begin, int row_end, int n, double* w) {
   // Rows go in pairs so each loaded position vector feeds two compares; an
   // odd last row pairs with itself and its second count is dropped.
   for (int b0 = row_begin; b0 < row_end; b0 += 2) {
@@ -73,7 +48,7 @@ void RowBlock(const Ranking* rankings, size_t count, int sign, int row_begin,
       int16_t acc0[kTile] = {};
       int16_t acc1[kTile] = {};
       for (size_t k = 0; k < count; ++k) {
-        const int16_t* pos = table.data() + k * stride;
+        const int16_t* pos = positions + k * stride;
         const int16_t pos_b0 = pos[b0];
         const int16_t pos_b1 = pos[b1];
         pos += tile;

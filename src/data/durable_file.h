@@ -21,6 +21,22 @@ inline void PutU64(std::string* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
 }
 
+/// Appends `count` ids as u32 little-endian, growing `out` once. The
+/// byte stores compile to one 4-byte store per id on little-endian hosts.
+template <class Id>
+inline void PutU32Ids(std::string* out, const Id* ids, size_t count) {
+  const size_t at = out->size();
+  out->resize(at + 4 * count);
+  char* dst = &(*out)[at];
+  for (size_t i = 0; i < count; ++i, dst += 4) {
+    const uint32_t v = static_cast<uint32_t>(ids[i]);
+    dst[0] = static_cast<char>(v);
+    dst[1] = static_cast<char>(v >> 8);
+    dst[2] = static_cast<char>(v >> 16);
+    dst[3] = static_cast<char>(v >> 24);
+  }
+}
+
 inline uint32_t GetU32(const char* data) {
   uint32_t v = 0;
   for (int i = 0; i < 4; ++i) {

@@ -1,5 +1,6 @@
 #include "data/op_log.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -36,11 +37,9 @@ std::string EncodeHeader(int num_candidates, uint64_t base_generation,
   return header;
 }
 
-/// Frames one record body onto `out`: length | body | crc.
-void AppendFrame(std::string* out, const std::string& body) {
-  const size_t frame_start = out->size();
-  PutU32(out, static_cast<uint32_t>(body.size()));
-  out->append(body);
+/// Ends the frame that starts at `frame_start` in `out` (length | body,
+/// already written): appends its crc.
+void FinishFrame(std::string* out, size_t frame_start) {
   PutU64(out, Fnv1a64(out->data() + frame_start, out->size() - frame_start));
 }
 
@@ -357,24 +356,32 @@ std::unique_ptr<OpLogWriter> OpLogWriter::OpenExisting(
 }
 
 void OpLogWriter::BufferAppend(const std::vector<Ranking>& rankings) {
-  record_starts_.push_back(buffer_.size());
-  std::string body;
-  body.push_back(static_cast<char>(OpRecord::Kind::kAppend));
-  PutU32(&body, static_cast<uint32_t>(rankings.size()));
-  for (const Ranking& r : rankings) {
-    for (CandidateId c : r.order()) {
-      PutU32(&body, static_cast<uint32_t>(c));
-    }
+  const size_t start = buffer_.size();
+  size_t ids = 0;
+  for (const Ranking& r : rankings) ids += static_cast<size_t>(r.size());
+  const size_t body_bytes = 5 + 4 * ids;
+  // The frame goes straight into the buffer, reserved once.
+  const size_t frame_end = start + 4 + body_bytes + 8;
+  if (buffer_.capacity() < frame_end) {
+    buffer_.reserve(std::max(frame_end, 2 * buffer_.capacity()));
   }
-  AppendFrame(&buffer_, body);
+  record_starts_.push_back(start);
+  PutU32(&buffer_, static_cast<uint32_t>(body_bytes));
+  buffer_.push_back(static_cast<char>(OpRecord::Kind::kAppend));
+  PutU32(&buffer_, static_cast<uint32_t>(rankings.size()));
+  for (const Ranking& r : rankings) {
+    PutU32Ids(&buffer_, r.order().data(), r.order().size());
+  }
+  FinishFrame(&buffer_, start);
 }
 
 void OpLogWriter::BufferRemove(uint64_t index) {
-  record_starts_.push_back(buffer_.size());
-  std::string body;
-  body.push_back(static_cast<char>(OpRecord::Kind::kRemove));
-  PutU64(&body, index);
-  AppendFrame(&buffer_, body);
+  const size_t start = buffer_.size();
+  record_starts_.push_back(start);
+  PutU32(&buffer_, 9);
+  buffer_.push_back(static_cast<char>(OpRecord::Kind::kRemove));
+  PutU64(&buffer_, index);
+  FinishFrame(&buffer_, start);
 }
 
 void OpLogWriter::AbortLast() {

@@ -29,6 +29,9 @@ constexpr uint32_t kMaxStringBytes = 1u << 16;
 /// while reading, before the buffer grows, so a stray multi-gigabyte file
 /// in a --restore-dir cannot balloon server memory at cold start.
 constexpr size_t kMaxSnapshotBytes = size_t{1} << 30;
+/// Room for the fixed-size fields and attribute names when sizing the
+/// write buffer up front.
+constexpr size_t kSnapshotReserveSlack = 4096;
 
 // --- little-endian encoders over a growing payload buffer ------------------
 
@@ -188,7 +191,19 @@ void WriteTableSnapshot(std::ostream& os, const TableSnapshot& snapshot) {
     throw std::invalid_argument(
         "snapshot summary candidate count does not match its table");
   }
-  std::string buffer(kSnapshotMagic, sizeof(kSnapshotMagic));
+  // Reserve the whole payload once: the precedence matrix and the
+  // retained profile dominate it, and growing by doubling would hold two
+  // copies at the peak.
+  const size_t cells = static_cast<size_t>(n) * static_cast<size_t>(n);
+  const size_t profile_ids =
+      snapshot.base_rankings.size() * static_cast<size_t>(n);
+  std::string buffer;
+  buffer.reserve(kSnapshotReserveSlack +
+                 static_cast<size_t>(n) *
+                     (8 + 4 * snapshot.table.num_attributes()) +
+                 (snapshot.summary.precedence != nullptr ? 8 * cells : 0) +
+                 4 * profile_ids);
+  buffer.append(kSnapshotMagic, sizeof(kSnapshotMagic));
   PutU32(&buffer, kSnapshotVersion);
   AppendTableSection(&buffer, snapshot.table);
   PutI64(&buffer, snapshot.summary.num_rankings);
@@ -224,15 +239,16 @@ void WriteTableSnapshot(std::ostream& os, const TableSnapshot& snapshot) {
       throw std::invalid_argument(
           "retained snapshot profile size does not match its summary");
     }
-    PutU64(&buffer, static_cast<uint64_t>(snapshot.base_rankings.size()));
-    for (const Ranking& r : snapshot.base_rankings) {
-      if (r.size() != n) {
-        throw std::invalid_argument(
-            "retained snapshot ranking size does not match its table");
-      }
-      for (CandidateId c : r.order()) {
-        PutU32(&buffer, static_cast<uint32_t>(c));
-      }
+    const Profile& profile = snapshot.base_rankings;
+    if (!profile.empty() && profile.num_candidates() != n) {
+      throw std::invalid_argument(
+          "retained snapshot ranking size does not match its table");
+    }
+    PutU64(&buffer, static_cast<uint64_t>(profile.size()));
+    for (size_t i = 0; i < profile.size(); ++i) {
+      profile.VisitRow(i, [&](const auto* order) {
+        PutU32Ids(&buffer, order, static_cast<size_t>(n));
+      });
     }
   } else if (!snapshot.base_rankings.empty()) {
     throw std::invalid_argument(
@@ -322,7 +338,7 @@ TableSnapshot ReadTableSnapshot(std::istream& is) {
         std::make_unique<PrecedenceMatrix>(std::move(dense));
   }
   bool retained = false;
-  std::vector<Ranking> base_rankings;
+  Profile base_rankings;
   if (version >= 2) {
     const uint8_t flag = in.U8("retained flag");
     if (flag > 1) {
@@ -337,7 +353,10 @@ TableSnapshot ReadTableSnapshot(std::istream& is) {
       }
       in.Require(static_cast<size_t>(count) * static_cast<size_t>(n) * 4,
                  "retained rankings");
-      base_rankings.reserve(static_cast<size_t>(count));
+      base_rankings = Profile(n);
+      base_rankings.Reserve(static_cast<size_t>(count));
+      // Each row is decoded and checked in one scratch order, then
+      // packed; no Ranking is built.
       std::vector<CandidateId> order(static_cast<size_t>(n));
       for (uint64_t r = 0; r < count; ++r) {
         for (int p = 0; p < n; ++p) {
@@ -352,7 +371,7 @@ TableSnapshot ReadTableSnapshot(std::istream& is) {
           throw SnapshotFormatError(
               "snapshot retained ranking is not a permutation");
         }
-        base_rankings.emplace_back(order);
+        base_rankings.AppendOrder(order.data());
       }
     }
   }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/candidate_table.h"
+#include "core/profile.h"
 #include "core/ranking.h"
 #include "core/streaming.h"
 
@@ -39,10 +40,11 @@ struct TableSnapshot {
   uint64_t applied_rankings = 0;
   /// True when base_rankings carries the exact retained profile.
   bool retained = false;
-  /// The profile, in order; present (and summary.num_rankings-sized) iff
-  /// `retained`. May be empty WITH retained set: an empty exact snapshot
-  /// is the valid floor of a freshly created table.
-  std::vector<Ranking> base_rankings;
+  /// The profile, in order, as compact rows (core/profile.h); present
+  /// (and summary.num_rankings-sized) iff `retained`. May be empty WITH
+  /// retained set: an empty exact snapshot is the valid floor of a
+  /// freshly created table.
+  Profile base_rankings;
 };
 
 /// Thrown when a snapshot stream fails validation: bad magic, unsupported

@@ -38,6 +38,7 @@
 #include "core/make_mr_fair.h"
 #include "core/method_registry.h"
 #include "core/precedence.h"
+#include "core/profile.h"
 #include "core/ranking.h"
 #include "core/selection_metrics.h"
 #include "core/streaming.h"

@@ -674,7 +674,7 @@ TableSnapshot ContextManager::SnapshotTable(const std::string& name,
     snapshot.emplace(TableSnapshot{*shard->table, std::move(summary), batches,
                                    rankings, exact,
                                    exact ? shard->ctx->base_rankings()
-                                         : std::vector<Ranking>{}});
+                                         : Profile()});
     if (under_gate != nullptr) under_gate(*snapshot);
   });
   return std::move(*snapshot);
@@ -751,8 +751,7 @@ TableSnapshot ContextManager::BuildFloor(const Shard& shard) {
                        shard.applied_batches,
                        shard.applied_rankings,
                        retained,
-                       retained ? shard.ctx->base_rankings()
-                                : std::vector<Ranking>{}};
+                       retained ? shard.ctx->base_rankings() : Profile()};
 }
 
 void ContextManager::SetDurabilityHook(DurabilityManager* durability) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/distance.h"
 #include "mallows/mallows.h"
 #include "test_util.h"
@@ -99,7 +101,7 @@ TEST(KemenyTest, TransitiveFastPathMatchesOrderedPairReference) {
   // ranking and its reverse (tied contests carry no majority edge).
   int successes = 0;
   int failures = 0;
-  for (int n : {1, 2, 63, 64, 65, 129}) {
+  for (int n : {1, 2, 63, 64, 65, 129, 200}) {
     Rng rng(6000 + n);
     const Ranking modal = testing::RandomRanking(n, &rng);
     const MallowsModel concentrated(modal, /*theta=*/1.0);
@@ -127,6 +129,33 @@ TEST(KemenyTest, TransitiveFastPathMatchesOrderedPairReference) {
   }
   EXPECT_GT(successes, 0);
   EXPECT_GT(failures, 0);
+}
+
+TEST(KemenyTest, TransitiveFastPathRefusesCyclicProfiles) {
+  // Three rotations of one order over candidates x, y, z make the
+  // Condorcet cycle x > y > z > x; every other pair is unanimous. The
+  // three ids straddle 64-id words where n allows.
+  for (int n : {3, 63, 64, 65, 129, 200}) {
+    Rng rng(7000 + n);
+    const Ranking modal = testing::RandomRanking(n, &rng);
+    const std::vector<CandidateId> cycle = {0, (n - 1) / 2, n - 1};
+    std::vector<Ranking> profile;
+    for (int shift = 0; shift < 3; ++shift) {
+      std::vector<CandidateId> order = modal.order();
+      std::vector<int> slots;
+      for (CandidateId c : cycle) slots.push_back(modal.PositionOf(c));
+      std::sort(slots.begin(), slots.end());
+      for (int i = 0; i < 3; ++i) {
+        order[slots[i]] = cycle[(i + shift) % 3];
+      }
+      profile.emplace_back(std::move(order));
+    }
+    const PrecedenceMatrix w = PrecedenceMatrix::Build(profile);
+    Ranking fast;
+    Ranking reference;
+    EXPECT_FALSE(ReferenceTransitiveKemeny(w, &reference)) << "n=" << n;
+    EXPECT_FALSE(TryTransitiveKemeny(w, &fast)) << "n=" << n;
+  }
 }
 
 TEST(KemenyTest, RecoversMallowsModalRanking) {

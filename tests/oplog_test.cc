@@ -117,6 +117,33 @@ TEST_F(OpLogTest, WriterRoundTripsHeaderAndRecords) {
   EXPECT_EQ(contents.records[2].rankings[0].order(), batch_b[0].order());
 }
 
+// The APPEND record bytes are pinned: these FNV-1a 64 values and lengths
+// were recorded from the writer before the retained profile went compact,
+// so any change to the on-disk encoding fails here.
+TEST_F(OpLogTest, AppendRecordBytesArePinned) {
+  struct Pin {
+    int n;
+    int count;
+    uint64_t fnv;
+    size_t bytes;
+  };
+  for (const Pin& pin : {Pin{7, 20, 0xb446564ad885e885ull, 577},
+                        Pin{500, 16, 0x8dbd6628bd3ed974ull, 32017}}) {
+    const std::string path = Path("pin" + std::to_string(pin.n) + ".oplog");
+    {
+      auto writer = OpLogWriter::Create(path, pin.n, /*base_generation=*/5,
+                                        /*base_rankings=*/5);
+      writer->BufferAppend(SampleRankings(pin.n, pin.count, 700 + pin.n));
+      writer->Commit();
+    }
+    const std::string record = ReadAllBytes(path).substr(kOpLogHeaderBytes);
+    EXPECT_EQ(record.size(), pin.bytes) << "n=" << pin.n;
+    EXPECT_EQ(Fnv1a64(record.data(), record.size()), pin.fnv)
+        << "n=" << pin.n << " fnv=0x" << std::hex
+        << Fnv1a64(record.data(), record.size());
+  }
+}
+
 TEST_F(OpLogTest, EmptyCommitIsANoop) {
   const std::string path = Path("t.oplog");
   auto writer = OpLogWriter::Create(path, 4, 0, 0);

@@ -17,6 +17,7 @@
 
 #include "core/context.h"
 #include "core/method_registry.h"
+#include "data/durable_file.h"
 #include "mallows/mallows.h"
 #include "serve/context_manager.h"
 #include "serve/protocol.h"
@@ -377,6 +378,31 @@ TEST(ExactSnapshotTest, RoundTripPreservesTheRetainedProfile) {
     EXPECT_EQ(restored.base_rankings[i].order(), f.base[i].order());
   }
   EXPECT_EQ(restored.summary.borda_points, original.summary.borda_points);
+}
+
+// The v2 exact snapshot bytes are pinned: these FNV-1a 64 values and
+// lengths were recorded from the writer before the retained profile went
+// compact, so any change to the on-disk encoding fails here.
+TEST(ExactSnapshotTest, ExactSnapshotBytesArePinned) {
+  struct Pin {
+    int n;
+    int count;
+    uint64_t fnv;
+    size_t bytes;
+  };
+  for (const Pin& pin : {Pin{7, 20, 0xb33068854ad722f9ull, 1176},
+                        Pin{500, 64, 0x4b19cf0d2b8dfa85ull, 2136112}}) {
+    Fixture f = MakeFixture(pin.n, 800 + pin.n, pin.count);
+    ConsensusContext ctx(f.base, f.table);
+    const std::string bytes = ToBytes(
+        TableSnapshot{f.table, ctx.Snapshot(), /*applied_batches=*/3,
+                      static_cast<uint64_t>(pin.count), /*retained=*/true,
+                      f.base});
+    EXPECT_EQ(bytes.size(), pin.bytes) << "n=" << pin.n;
+    EXPECT_EQ(Fnv1a64(bytes.data(), bytes.size()), pin.fnv)
+        << "n=" << pin.n << " fnv=0x" << std::hex
+        << Fnv1a64(bytes.data(), bytes.size());
+  }
 }
 
 TEST(ExactSnapshotTest, InconsistentRetainedSectionsRefuseToSerialize) {
