@@ -1,11 +1,15 @@
 #include "data/durable_file.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <memory>
 #include <stdexcept>
+#include <system_error>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define MANIRANK_HAVE_POSIX_IO 1
@@ -71,6 +75,44 @@ uint64_t Fnv1a64(const char* data, size_t size) {
   return h;
 }
 
+std::optional<std::string> ReadFileBytes(const std::string& path,
+                                         uint64_t offset, size_t max_bytes,
+                                         size_t size_cap) {
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
+  if (file == nullptr) return std::nullopt;
+  std::setvbuf(file.get(), nullptr, _IONBF, 0);  // reads land in `out`
+  // A regular file's size sizes the buffer once and enforces the cap
+  // before allocating; anything else (pipe, device, directory) reports
+  // no size and grows chunk by chunk below.
+  std::error_code ec;
+  const uintmax_t size = std::filesystem::file_size(path, ec);
+  const uintmax_t expected = !ec && size > offset ? size - offset : 0;
+  if (expected > size_cap) {
+    throw std::length_error("file exceeds its size cap: " + path);
+  }
+  if (offset > 0 &&
+      (offset > static_cast<uint64_t>(std::numeric_limits<long>::max()) ||
+       std::fseek(file.get(), static_cast<long>(offset), SEEK_SET) != 0)) {
+    return std::string();  // unreachable offset: nothing to read
+  }
+  std::string out(static_cast<size_t>(std::min<uintmax_t>(expected, max_bytes)),
+                  '\0');
+  out.resize(std::fread(out.data(), 1, out.size(), file.get()));
+  // Read on to EOF: the size was only a hint (and absent for pipes).
+  char chunk[1 << 16];
+  while (out.size() < max_bytes) {
+    const size_t got = std::fread(
+        chunk, 1, std::min(sizeof(chunk), max_bytes - out.size()), file.get());
+    if (got == 0) break;
+    if (out.size() + got > size_cap) {
+      throw std::length_error("file exceeds its size cap: " + path);
+    }
+    out.append(chunk, got);
+  }
+  return out;
+}
+
 std::string NextDurableTempPath(const std::string& path) {
   static std::atomic<uint64_t> counter{0};
 #ifdef MANIRANK_HAVE_POSIX_IO
@@ -133,75 +175,14 @@ void FsyncParentDir(const std::string& path) {
 }
 
 void CopyFileDurably(const std::string& src, const std::string& dst) {
-#ifdef MANIRANK_HAVE_POSIX_IO
-  const int in = ::open(src.c_str(), O_RDONLY | O_CLOEXEC);
-  if (in < 0) ThrowErrno("cannot open copy source", src);
-  const std::string tmp = NextDurableTempPath(dst);
-  const int out =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
-  if (out < 0) {
-    const int saved = errno;
-    ::close(in);
-    errno = saved;
-    ThrowErrno("cannot open copy temp file", tmp);
+  const std::optional<std::string> bytes = ReadFileBytes(src);
+  if (!bytes) ThrowErrno("cannot open copy source", src);
+  // ReadFileBytes ends at a read error as at EOF; a copy must not.
+  std::error_code ec;
+  if (std::filesystem::file_size(src, ec) != bytes->size() || ec) {
+    throw std::runtime_error("short read while copying: " + src);
   }
-  try {
-    char chunk[1 << 16];
-    for (;;) {
-      const ssize_t n = ::read(in, chunk, sizeof(chunk));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        ThrowErrno("read failed", src);
-      }
-      if (n == 0) break;
-      size_t done = 0;
-      while (done < static_cast<size_t>(n)) {
-        const ssize_t w = ::write(out, chunk + done,
-                                  static_cast<size_t>(n) - done);
-        if (w < 0) {
-          if (errno == EINTR) continue;
-          ThrowErrno("write failed", tmp);
-        }
-        done += static_cast<size_t>(w);
-      }
-    }
-    if (::fsync(out) != 0) ThrowErrno("fsync failed", tmp);
-    if (::close(out) != 0) ThrowErrno("close failed", tmp);
-    ::close(in);
-  } catch (...) {
-    ::close(in);
-    ::close(out);
-    ::unlink(tmp.c_str());
-    throw;
-  }
-  // tmp sits next to dst, so this rename never crosses a filesystem.
-  if (std::rename(tmp.c_str(), dst.c_str()) != 0) {
-    const int saved = errno;
-    ::unlink(tmp.c_str());
-    errno = saved;
-    ThrowErrno("cannot move copied file into place", dst);
-  }
-  FsyncParentDir(dst);
-#else
-  std::FILE* in = std::fopen(src.c_str(), "rb");
-  if (in == nullptr) ThrowErrno("cannot open copy source", src);
-  std::FILE* out = std::fopen(dst.c_str(), "wb");
-  if (out == nullptr) {
-    std::fclose(in);
-    ThrowErrno("cannot open copy destination", dst);
-  }
-  char chunk[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), in)) > 0) {
-    if (std::fwrite(chunk, 1, n, out) != n) {
-      std::fclose(in);
-      std::fclose(out);
-      ThrowErrno("write failed", dst);
-    }
-  }
-  std::fclose(in);
-  if (std::fclose(out) != 0) ThrowErrno("close failed", dst);
-#endif
+  WriteFileDurably(dst, *bytes);
 }
 
 void RenameDurably(const std::string& src, const std::string& dst) {

@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 
 namespace manirank {
@@ -53,6 +55,24 @@ inline uint64_t GetU64(const char* data) {
   return v;
 }
 
+/// "No limit" for ReadFileBytes' `max_bytes` and `size_cap`.
+inline constexpr size_t kReadToEof = std::numeric_limits<size_t>::max();
+
+/// The one reader every durable file goes through (snapshots, op logs,
+/// and the replication handshake and poll): returns bytes [offset,
+/// offset + max_bytes) of `path`, fewer when EOF comes first, or
+/// std::nullopt when `path` cannot be opened (callers name the file kind
+/// in their own error). Reads to EOF rather than trusting the file size,
+/// so pipes and devices work; a read error ends the bytes as EOF would
+/// (a directory opens and reads as empty), leaving the caller's format
+/// check to report what it got. Throws std::length_error when more than
+/// `size_cap` bytes follow `offset` — for a regular file, checked from
+/// its size before anything is allocated.
+std::optional<std::string> ReadFileBytes(const std::string& path,
+                                         uint64_t offset = 0,
+                                         size_t max_bytes = kReadToEof,
+                                         size_t size_cap = kReadToEof);
+
 /// Unique-per-writer temporary path next to `path`: `path + ".tmp." +
 /// pid + "." + counter`, so concurrent writers to one destination never
 /// truncate or unlink each other's in-progress file. Every atomic write
@@ -74,9 +94,9 @@ bool LooksLikeDurableTempFile(const std::string& filename);
 /// no-op on platforms without directory fsync.
 void FsyncParentDir(const std::string& path);
 
-/// Copies `src` to `dst` byte-for-byte through a temp file next to `dst`
-/// (fsync'd before the final same-filesystem rename), then fsyncs dst's
-/// parent directory. The cross-filesystem half of RenameDurably; also
+/// Copies `src` to `dst` byte-for-byte: reads it whole (ReadFileBytes)
+/// and writes it with WriteFileDurably, so a crash leaves the old `dst`
+/// or the complete copy. The cross-filesystem half of RenameDurably; also
 /// usable on its own. Throws std::runtime_error on any I/O failure.
 void CopyFileDurably(const std::string& src, const std::string& dst);
 

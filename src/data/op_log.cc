@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <utility>
 
 #include "data/durable_file.h"
@@ -91,7 +92,7 @@ OpRecord ParseBody(const char* body, uint32_t len, uint32_t n,
   return record;
 }
 
-/// Parses header + records out of a fully slurped file by pumping the
+/// Parses header + records out of a whole file's bytes by pumping the
 /// incremental cursor over the whole buffer — the file path and the
 /// streaming path share one verifier. Shared by the reader and
 /// OpenExisting's tail scan.
@@ -124,27 +125,12 @@ OpLogContents ParseOpLog(const std::string& buffer, const std::string& path) {
   return contents;
 }
 
-std::string SlurpFile(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    throw std::runtime_error("cannot open op log: " + path);
-  }
-  std::string buffer;
-  char chunk[1 << 16];
-  for (;;) {
-    is.read(chunk, sizeof(chunk));
-    const std::streamsize got = is.gcount();
-    if (got <= 0) break;
-    buffer.append(chunk, static_cast<size_t>(got));
-    if (!is) break;
-  }
-  return buffer;
-}
-
 }  // namespace
 
 OpLogContents ReadOpLogFile(const std::string& path) {
-  return ParseOpLog(SlurpFile(path), path);
+  const std::optional<std::string> bytes = ReadFileBytes(path);
+  if (!bytes) throw std::runtime_error("cannot open op log: " + path);
+  return ParseOpLog(*bytes, path);
 }
 
 OpLogCursor::OpLogCursor(std::string path) : path_(std::move(path)) {}

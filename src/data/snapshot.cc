@@ -2,12 +2,8 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <istream>
-#include <iterator>
 #include <memory>
-#include <ostream>
-#include <sstream>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -24,11 +20,12 @@ namespace {
 constexpr uint32_t kMaxCandidates = 1u << 20;
 constexpr uint32_t kMaxAttributes = 256;
 constexpr uint32_t kMaxStringBytes = 1u << 16;
-/// Hard cap on a whole snapshot stream (1 GiB — a CREATE-capped n=5000
-/// table's precedence matrix is ~200 MB, so this is generous). Enforced
-/// while reading, before the buffer grows, so a stray multi-gigabyte file
+/// Hard cap on a whole snapshot (1 GiB — a CREATE-capped n=5000 table's
+/// precedence matrix is ~200 MB, so this is generous). A file is checked
+/// from its size before anything is read, so a stray multi-gigabyte file
 /// in a --restore-dir cannot balloon server memory at cold start.
 constexpr size_t kMaxSnapshotBytes = size_t{1} << 30;
+constexpr char kSizeCapMessage[] = "snapshot exceeds the 1 GiB size cap";
 /// Room for the fixed-size fields and attribute names when sizing the
 /// write buffer up front.
 constexpr size_t kSnapshotReserveSlack = 4096;
@@ -185,7 +182,7 @@ CandidateTable ReadTableSection(Cursor* in) {
 
 }  // namespace
 
-void WriteTableSnapshot(std::ostream& os, const TableSnapshot& snapshot) {
+std::string EncodeTableSnapshot(const TableSnapshot& snapshot) {
   const int n = snapshot.table.num_candidates();
   if (snapshot.summary.num_candidates != n) {
     throw std::invalid_argument(
@@ -256,26 +253,12 @@ void WriteTableSnapshot(std::ostream& os, const TableSnapshot& snapshot) {
   }
   const uint64_t checksum = Fnv1a64(buffer.data(), buffer.size());
   PutU64(&buffer, checksum);
-  os.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-  if (!os) {
-    throw std::runtime_error("snapshot write failed (stream error)");
-  }
+  return buffer;
 }
 
-TableSnapshot ReadTableSnapshot(std::istream& is) {
-  // Chunked slurp with the size cap checked as the buffer grows — never
-  // an unbounded allocation driven by the file's actual length.
-  std::string buffer;
-  char chunk[1 << 16];
-  for (;;) {
-    is.read(chunk, sizeof(chunk));
-    const std::streamsize got = is.gcount();
-    if (got <= 0) break;
-    if (buffer.size() + static_cast<size_t>(got) > kMaxSnapshotBytes) {
-      throw SnapshotFormatError("snapshot exceeds the 1 GiB size cap");
-    }
-    buffer.append(chunk, static_cast<size_t>(got));
-    if (!is) break;
+TableSnapshot DecodeTableSnapshot(std::string_view buffer) {
+  if (buffer.size() > kMaxSnapshotBytes) {
+    throw SnapshotFormatError(kSizeCapMessage);
   }
   constexpr size_t kHeaderBytes = sizeof(kSnapshotMagic) + 4;
   if (buffer.size() < kHeaderBytes + 8) {
@@ -390,9 +373,9 @@ bool ProbeSnapshotWritable(const std::string& path) {
   // Shares the durable-write temp-path convention, so the probe can never
   // drift from what WriteTableSnapshotFile actually creates.
   const std::string tmp = NextDurableTempPath(path);
-  std::ofstream probe(tmp, std::ios::binary | std::ios::trunc);
-  if (!probe) return false;
-  probe.close();
+  std::FILE* probe = std::fopen(tmp.c_str(), "wb");
+  if (probe == nullptr) return false;
+  std::fclose(probe);
   std::remove(tmp.c_str());
   return true;
 }
@@ -406,18 +389,20 @@ void WriteTableSnapshotFile(const std::string& path,
   // SNAPSHOT into a bricked restart. The temp is fsynced *before* the
   // rename and the parent directory after it; a bare write-then-rename
   // can be reordered by the filesystem into a complete-looking name
-  // pointing at unwritten blocks.
-  std::ostringstream os(std::ios::binary);
-  WriteTableSnapshot(os, snapshot);
-  WriteFileDurably(path, os.str());
+  // pointing at unwritten blocks. The encoded buffer is the only copy
+  // of the payload the write holds.
+  WriteFileDurably(path, EncodeTableSnapshot(snapshot));
 }
 
 TableSnapshot ReadTableSnapshotFile(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    throw std::runtime_error("cannot open snapshot: " + path);
+  std::optional<std::string> bytes;
+  try {
+    bytes = ReadFileBytes(path, 0, kReadToEof, kMaxSnapshotBytes);
+  } catch (const std::length_error&) {
+    throw SnapshotFormatError(kSizeCapMessage);
   }
-  return ReadTableSnapshot(is);
+  if (!bytes) throw std::runtime_error("cannot open snapshot: " + path);
+  return DecodeTableSnapshot(*bytes);
 }
 
 }  // namespace manirank

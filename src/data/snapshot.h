@@ -2,9 +2,9 @@
 #define MANIRANK_DATA_SNAPSHOT_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/candidate_table.h"
@@ -47,7 +47,7 @@ struct TableSnapshot {
   Profile base_rankings;
 };
 
-/// Thrown when a snapshot stream fails validation: bad magic, unsupported
+/// Thrown when snapshot bytes fail validation: bad magic, unsupported
 /// version, checksum mismatch, truncation, or inconsistent section sizes.
 /// Callers must treat the payload as unusable — a corrupt snapshot never
 /// loads silently.
@@ -56,7 +56,7 @@ class SnapshotFormatError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Versioned binary snapshot format (see WriteTableSnapshot):
+/// Versioned binary snapshot format (see EncodeTableSnapshot):
 ///
 ///   magic   "MRNKSNAP"                      (8 bytes)
 ///   version u32 little-endian               (currently 2; 1 still reads)
@@ -69,25 +69,31 @@ class SnapshotFormatError : public std::runtime_error {
 /// doubles (integral counts, so the round trip is bit-exact). The
 /// trailing checksum makes truncation and corruption both detectable:
 /// readers verify it before parsing a single field. Readers accept both
-/// versions — a v1 file simply loads with `retained == false`.
+/// versions — a v1 file simply loads with `retained == false`. A whole
+/// snapshot is capped at 1 GiB.
 inline constexpr char kSnapshotMagic[8] = {'M', 'R', 'N', 'K',
                                            'S', 'N', 'A', 'P'};
 inline constexpr uint32_t kSnapshotVersion = 2;
 
-/// Serializes `snapshot` to `os`. Throws std::runtime_error when the
-/// stream rejects writes.
-void WriteTableSnapshot(std::ostream& os, const TableSnapshot& snapshot);
+/// Encodes `snapshot` into one buffer sized up front (the bytes a file
+/// or a replication handshake carries). Throws std::invalid_argument when
+/// its sections disagree with its table.
+std::string EncodeTableSnapshot(const TableSnapshot& snapshot);
 
-/// Parses a snapshot written by WriteTableSnapshot. Throws
-/// SnapshotFormatError on any validation failure (bad magic / version /
-/// checksum, truncated stream, out-of-range section sizes).
-TableSnapshot ReadTableSnapshot(std::istream& is);
+/// Decodes bytes written by EncodeTableSnapshot, in place: a follower
+/// decodes its floor straight out of its receive buffer. Throws
+/// SnapshotFormatError on any validation failure (size cap, bad magic /
+/// version / checksum, truncation, out-of-range section sizes).
+TableSnapshot DecodeTableSnapshot(std::string_view bytes);
 
-/// File-path convenience wrappers. Open failures throw std::runtime_error
-/// ("cannot open snapshot ..."), format failures SnapshotFormatError.
-/// Writes are atomic AND crash-durable (data/durable_file.h): the payload
-/// lands in a uniquely named temporary next to `path` (concurrent writers
-/// to one destination never share it), is fsynced *before* the rename,
+/// File-path wrappers over the codec. The reader goes through
+/// ReadFileBytes (data/durable_file.h), which checks the size cap from
+/// the file size before reading. Open failures throw std::runtime_error
+/// ("cannot open snapshot: <path>"), format failures SnapshotFormatError.
+/// Writes hold the encoded payload once and are atomic AND crash-durable
+/// (data/durable_file.h): the payload lands in a uniquely named temporary
+/// next to `path` (concurrent writers to one destination never share
+/// it), is fsynced *before* the rename,
 /// and the parent directory is fsynced after — so a power cut can leave
 /// either the old file or the complete new one at `path`, never a
 /// truncated snapshot and never a rename pointing at unsynced data. A

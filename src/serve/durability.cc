@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -20,35 +20,16 @@ namespace fs = std::filesystem;
 constexpr char kSnapshotExt[] = ".snap";
 constexpr char kLogExt[] = ".oplog";
 
-/// Reads bytes [offset, offset + want) of `path`. Short results are
-/// returned as-is — the caller re-validates the chain and decides.
-std::string ReadFileRange(const std::string& path, uint64_t offset,
-                          size_t want) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
+/// Bytes [offset, offset + max_bytes) of `path`, through the one
+/// durable-file reader. Short results are returned as-is — the caller
+/// re-validates the chain and decides.
+std::string ReadForReplication(const std::string& path, uint64_t offset = 0,
+                               size_t max_bytes = kReadToEof) {
+  std::optional<std::string> bytes = ReadFileBytes(path, offset, max_bytes);
+  if (!bytes) {
     throw std::runtime_error("cannot open for replication: " + path);
   }
-  is.seekg(static_cast<std::streamoff>(offset));
-  std::string out(want, '\0');
-  is.read(out.data(), static_cast<std::streamsize>(want));
-  out.resize(static_cast<size_t>(std::max<std::streamsize>(0, is.gcount())));
-  return out;
-}
-
-std::string SlurpWholeFile(const std::string& path) {
-  std::ifstream is(path, std::ios::binary | std::ios::ate);
-  if (!is) {
-    throw std::runtime_error("cannot open for replication: " + path);
-  }
-  const std::streamoff size = is.tellg();
-  is.seekg(0);
-  std::string out(static_cast<size_t>(std::max<std::streamoff>(0, size)),
-                  '\0');
-  is.read(out.data(), static_cast<std::streamsize>(out.size()));
-  if (is.gcount() != static_cast<std::streamsize>(out.size())) {
-    throw std::runtime_error("short read for replication: " + path);
-  }
-  return out;
+  return std::move(*bytes);
 }
 
 }  // namespace
@@ -476,8 +457,8 @@ DurabilityManager::ReplicationHandshake DurabilityManager::TakeHandshake(
     // the fold path's CommitFold; consistency comes from re-validating
     // the chain below (WriteFileDurably replaces files by rename, so a
     // racing truncation gives us the NEW files — detectably).
-    hs.snapshot_bytes = SlurpWholeFile(SnapshotPathFor(table));
-    hs.log_bytes = ReadFileRange(LogPathFor(table), 0, committed);
+    hs.snapshot_bytes = ReadForReplication(SnapshotPathFor(table));
+    hs.log_bytes = ReadForReplication(LogPathFor(table), 0, committed);
     hs.chain = chain;
     hs.committed_bytes = committed;
     bool consistent = hs.log_bytes.size() == committed;
@@ -514,7 +495,7 @@ DurabilityManager::ReplicationPoll DurabilityManager::PollReplication(
       static_cast<size_t>(std::min<uint64_t>(max_bytes, committed - *offset));
   std::string chunk;
   try {
-    chunk = ReadFileRange(LogPathFor(table), *offset, want);
+    chunk = ReadForReplication(LogPathFor(table), *offset, want);
   } catch (const std::exception&) {
     return ReplicationPoll::kRotated;  // file replaced/unreadable mid-poll
   }

@@ -300,6 +300,11 @@ uint64_t ServeExecutor::requests_parked() const {
   return counters_.parked_drains;
 }
 
+uint64_t ServeExecutor::bytes_received() const {
+  std::lock_guard<std::mutex> lock(sched_mu_);
+  return counters_.bytes_in;
+}
+
 bool ServeExecutor::Start(std::string* error) {
   if (started_) {
     if (error != nullptr) *error = "executor already started";

@@ -223,6 +223,10 @@ class ServeExecutor {
   /// Requests parked on the IsDraining hook instead of blocking a
   /// worker, since the last Start (diagnostics).
   uint64_t requests_parked() const;
+  /// Request bytes read from clients since the last Start (METRICS
+  /// bytes_in). A chunk counts only once every request line in it is
+  /// scheduled, so tests wait on it to order arrivals.
+  uint64_t bytes_received() const;
 
  private:
   struct Conn;

@@ -9,14 +9,16 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <ostream>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "data/op_log.h"
 #include "data/snapshot.h"
+#include "serve/protocol.h"
 
 namespace manirank::serve {
 namespace {
@@ -72,29 +74,27 @@ bool ReadLineFd(int fd, std::string* buffer, std::string* line,
   }
 }
 
-/// Parses "OK REPLICATE <table> snapshot_bytes=<N> log_bytes=<M>".
+/// Parses a whole token as a decimal u64: digits only — no sign, no
+/// space — and no overflow.
+bool ParseU64(std::string_view token, uint64_t* out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+  return !token.empty() && ec == std::errc() && ptr == end;
+}
+
+/// Parses "OK REPLICATE <table> snapshot_bytes=<N> log_bytes=<M>", and
+/// nothing after it.
 bool ParseHandshakeHeader(const std::string& line, const std::string& table,
                           uint64_t* snapshot_bytes, uint64_t* log_bytes) {
-  std::istringstream in(line);
-  std::string ok, verb, name, snap_kv, log_kv;
-  if (!(in >> ok >> verb >> name >> snap_kv >> log_kv)) return false;
-  if (ok != "OK" || verb != "REPLICATE" || name != table) return false;
-  const auto parse_kv = [](const std::string& kv, const char* key,
-                           uint64_t* out) {
-    const std::string prefix = std::string(key) + "=";
-    if (kv.compare(0, prefix.size(), prefix) != 0) return false;
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v =
-        std::strtoull(kv.c_str() + prefix.size(), &end, 10);
-    if (errno != 0 || end == kv.c_str() + prefix.size() || *end != '\0') {
-      return false;
-    }
-    *out = static_cast<uint64_t>(v);
-    return true;
+  RequestTokenizer tokens(line);
+  const auto parse_kv = [&tokens](std::string_view key, uint64_t* out) {
+    const std::string_view kv = tokens.Next();
+    return kv.size() > key.size() && kv.substr(0, key.size()) == key &&
+           kv[key.size()] == '=' && ParseU64(kv.substr(key.size() + 1), out);
   };
-  return parse_kv(snap_kv, "snapshot_bytes", snapshot_bytes) &&
-         parse_kv(log_kv, "log_bytes", log_bytes);
+  return tokens.Next() == "OK" && tokens.Next() == "REPLICATE" &&
+         tokens.Next() == table && parse_kv("snapshot_bytes", snapshot_bytes) &&
+         parse_kv("log_bytes", log_bytes) && tokens.Next().empty();
 }
 
 }  // namespace
@@ -198,14 +198,16 @@ void FollowerClient::DiscoverLoop() {
       if (!SendAllFd(fd, "TABLES\n")) break;
       std::string line;
       if (!ReadLineFd(fd, &buffer, &line)) break;
-      std::istringstream in(line);
-      std::string ok, verb;
+      // "OK TABLES <count> <name>..."
+      RequestTokenizer tokens(line);
       uint64_t count = 0;
-      if (!(in >> ok >> verb >> count) || ok != "OK" || verb != "TABLES") {
+      if (tokens.Next() != "OK" || tokens.Next() != "TABLES" ||
+          !ParseU64(tokens.Next(), &count)) {
         continue;
       }
-      std::string name;
-      while (in >> name) {
+      for (std::string_view token = tokens.Next(); !token.empty();
+           token = tokens.Next()) {
+        const std::string name(token);
         std::lock_guard<std::mutex> lock(mu_);
         if (stopping_.load() || sessions_.count(name) != 0) continue;
         auto session = std::make_unique<Session>();
@@ -286,8 +288,8 @@ void FollowerClient::StreamOnce(const std::string& table, int fd,
   uint64_t floor_generation = 0;
   uint64_t floor_rankings = 0;
   try {
-    std::istringstream is(buffer.substr(0, snapshot_bytes));
-    TableSnapshot snapshot = ReadTableSnapshot(is);
+    TableSnapshot snapshot =
+        DecodeTableSnapshot(std::string_view(buffer).substr(0, snapshot_bytes));
     floor_generation = snapshot.summary.generation;
     floor_rankings = static_cast<uint64_t>(snapshot.summary.num_rankings);
     manager_->RestoreFollower(table, std::move(snapshot));

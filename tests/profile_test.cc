@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,14 +28,11 @@ namespace manirank {
 namespace {
 
 std::string ToBytes(const TableSnapshot& snapshot) {
-  std::ostringstream os(std::ios::binary);
-  WriteTableSnapshot(os, snapshot);
-  return os.str();
+  return EncodeTableSnapshot(snapshot);
 }
 
 TableSnapshot FromBytes(const std::string& bytes) {
-  std::istringstream is(bytes, std::ios::binary);
-  return ReadTableSnapshot(is);
+  return DecodeTableSnapshot(bytes);
 }
 
 /// W summed one scalar Ranking fold at a time: the reference the

@@ -8,8 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/ranking.h"
@@ -157,6 +161,60 @@ TEST_F(ProtocolTest, SnapshotToUnwritablePathRejectsBeforeDraining) {
   EXPECT_EQ(response.rfind("ERR io", 0), 0u) << response;
   EXPECT_EQ(StateSnapshot(), before)
       << "a rejected SNAPSHOT must not have drained the queue";
+}
+
+TEST_F(ProtocolTest, RestoreErrorResponsesArePinned) {
+  // The full response bytes for every way a snapshot file can be
+  // unusable. A directory opens but reads as empty, so it draws the same
+  // bad-snapshot line as an empty file.
+  const std::string dir = ::testing::TempDir() + "manirank_restore_errors";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir + "/a_directory");
+  const std::string good = dir + "/good.snap";
+  ASSERT_EQ(Handle("SNAPSHOT t " + good),
+            "OK SNAPSHOT t rankings=2 generation=2 precedence=1 path=" + good);
+  std::string bytes;
+  {
+    std::ifstream in(good, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(bytes.size(), 20u);
+  const auto write_file = [&](const std::string& name,
+                              const std::string& content) {
+    std::ofstream(dir + "/" + name, std::ios::binary) << content;
+    return dir + "/" + name;
+  };
+  std::string bad_magic = bytes;
+  bad_magic[0] = 'X';
+  std::string corrupt = bytes;
+  corrupt[bytes.size() / 2] ^= 0x5a;
+  const std::string missing = dir + "/missing.snap";
+  const std::string directory = dir + "/a_directory";
+  const std::string empty = write_file("empty.snap", "");
+  const std::string truncated =
+      write_file("truncated.snap", bytes.substr(0, 10));
+  const std::string magic = write_file("magic.snap", bad_magic);
+  const std::string checksum = write_file("checksum.snap", corrupt);
+
+  const std::string before = StateSnapshot();
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {missing, "ERR io: cannot open snapshot: " + missing},
+      {directory, "ERR bad-snapshot: snapshot truncated: shorter than header"},
+      {empty, "ERR bad-snapshot: snapshot truncated: shorter than header"},
+      {truncated, "ERR bad-snapshot: snapshot truncated: shorter than header"},
+      {magic,
+       "ERR bad-snapshot: snapshot has bad magic (not a MANI-Rank snapshot "
+       "file)"},
+      {checksum,
+       "ERR bad-snapshot: snapshot checksum mismatch (corrupt or truncated "
+       "file)"},
+  };
+  for (const auto& [path, expected] : cases) {
+    EXPECT_EQ(Handle("RESTORE r " + path), expected) << path;
+  }
+  EXPECT_EQ(StateSnapshot(), before);
+  EXPECT_EQ(Handle("STATS r"), "ERR no-such-table: no such table: r");
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(ProtocolTest, RunOnEmptyTableDrawsEmptyTableError) {

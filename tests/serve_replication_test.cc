@@ -15,13 +15,21 @@
 
 #ifdef MANIRANK_SERVE_HAVE_SOCKETS
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <mutex>
 #include <optional>
+#include <ostream>
 #include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
@@ -397,6 +405,124 @@ TEST_F(ReplicationTest, FollowerDiscoversTablesCreatedAfterItStarted) {
 /// Leader-side REPLICATE failure modes through the executor's
 /// ScheduleLine interception: a refused handshake answers one ERR line
 /// and leaves the connection serving ordinary requests.
+/// A std::ostream sink the follower's log thread writes while the test
+/// thread reads it.
+class SyncLog : public std::streambuf {
+ public:
+  std::string Text() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return text_;
+  }
+
+ protected:
+  int overflow(int c) override {
+    if (c != traits_type::eof()) {
+      const char ch = static_cast<char>(c);
+      xsputn(&ch, 1);
+    }
+    return c;
+  }
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    text_.append(s, static_cast<size_t>(n));
+    return n;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::string text_;
+};
+
+/// A header whose byte count carries a sign must be refused, not read
+/// as 2^64 - 1 (which would leave the follower waiting on a live link
+/// for bytes that never come). The fake leader answers TABLES with one
+/// table, answers REPLICATE with "snapshot_bytes=-1", and keeps every
+/// connection open.
+TEST(ReplicationHandshakeTest, FollowerRefusesASignedByteCount) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 16), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  std::atomic<bool> stop{false};
+  std::vector<int> conns;
+  std::mutex conns_mu;
+  std::vector<std::thread> handlers;
+  std::thread acceptor([&] {
+    for (;;) {
+      const int fd = ::accept(listener, nullptr, nullptr);
+      if (fd < 0 || stop.load()) {
+        if (fd >= 0) ::close(fd);
+        return;
+      }
+      std::lock_guard<std::mutex> lock(conns_mu);
+      conns.push_back(fd);
+      handlers.emplace_back([fd] {
+        std::string buffer;
+        char chunk[256];
+        for (;;) {
+          const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+          if (n <= 0) return;
+          buffer.append(chunk, static_cast<size_t>(n));
+          for (size_t nl; (nl = buffer.find('\n')) != std::string::npos;) {
+            const std::string line = buffer.substr(0, nl);
+            buffer.erase(0, nl + 1);
+            const std::string reply =
+                line == "TABLES" ? "OK TABLES 1 t\n"
+                : line == "REPLICATE t"
+                    ? "OK REPLICATE t snapshot_bytes=-1 log_bytes=0\n"
+                    : "ERR bad-request\n";
+            if (::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL) < 0) {
+              return;
+            }
+          }
+        }
+      });
+    }
+  });
+
+  SyncLog sink;
+  std::ostream log(&sink);
+  ContextManager follower_manager;
+  FollowerClient::Options options;
+  options.port = ntohs(addr.sin_port);
+  options.log = &log;
+  options.reconnect_ms = 100;
+  options.discover_ms = 100;
+  std::optional<FollowerClient> follower;
+  follower.emplace(&follower_manager, options);
+  ASSERT_TRUE(follower->Start());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  const std::string refused =
+      "follower: table 't': leader refused replication: OK REPLICATE t "
+      "snapshot_bytes=-1 log_bytes=0";
+  while (sink.Text().find(refused) == std::string::npos &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_NE(sink.Text().find(refused), std::string::npos) << sink.Text();
+  EXPECT_FALSE(follower_manager.Has("t"));
+
+  follower->Shutdown();
+  stop.store(true);
+  ::shutdown(listener, SHUT_RDWR);
+  ::close(listener);
+  acceptor.join();
+  {
+    std::lock_guard<std::mutex> lock(conns_mu);
+    for (const int fd : conns) ::shutdown(fd, SHUT_RDWR);
+  }
+  for (std::thread& t : handlers) t.join();
+  for (const int fd : conns) ::close(fd);
+}
+
 TEST_F(ReplicationTest, LeaderRejectsMalformedReplicateAndKeepsServing) {
   testing::Client client(leader_->port());
   ASSERT_TRUE(client.Send("CREATE t CYCLIC 6 2 2\n"

@@ -14,6 +14,7 @@
 
 #include <dirent.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
 #include <time.h>
 
 #include <algorithm>
@@ -268,6 +269,18 @@ TEST(ServeSchedulingTest, FullFdTableLeavesTheLoopIdle) {
   server.Shutdown();
 }
 
+/// Polls until the server has read and scheduled `bytes` request bytes
+/// (ServeExecutor::bytes_received), so the caller can order arrivals.
+bool WaitForBytesReceived(const ServeExecutor& server, uint64_t bytes) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (server.bytes_received() < bytes) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 /// Weighted fair queuing: with a single worker pinned down by a
 /// long-running exact solve, eight queued RUNs against the hot table
 /// must not starve a later RUN against a light table — the light lane's
@@ -284,10 +297,12 @@ TEST(ServeSchedulingTest, LightTableNotStarvedBehindHotBacklog) {
   ASSERT_TRUE(server.Start(&error)) << error;
 
   {
-    // "slow" is sized so the exact Fair-Kemeny solve runs into its time
-    // limit: four strongly conflicting rankings over 40 candidates.
+    // "slow" and "slow2" are sized so the exact Fair-Kemeny solve runs
+    // into its time limit: four strongly conflicting rankings over 40
+    // candidates.
     std::vector<std::string> setup = {
         "CREATE slow CYCLIC 40 2 2",
+        "CREATE slow2 CYCLIC 40 2 2",
         "CREATE hot CYCLIC 8 2 2",
         "CREATE light CYCLIC 8 2 2",
         "APPEND hot 0 1 2 3 4 5 6 7",
@@ -299,56 +314,68 @@ TEST(ServeSchedulingTest, LightTableNotStarvedBehindHotBacklog) {
       backward += (i ? " " : "") + std::to_string(39 - i);
       evens += (i ? " " : "") + std::to_string((i * 2) % 40 + (i >= 20));
     }
-    setup.push_back("APPEND slow " + forward + " ; " + backward);
-    setup.push_back("APPEND slow " + evens);
+    for (const char* table : {"slow", "slow2"}) {
+      setup.push_back(std::string("APPEND ") + table + " " + forward + " ; " +
+                      backward);
+      setup.push_back(std::string("APPEND ") + table + " " + evens);
+    }
     Client setup_client(static_cast<int>(server.port()));
     ASSERT_TRUE(setup_client.Send(testing::JoinRequests(setup)));
     for (const std::string& line : setup_client.ReadLines(setup.size())) {
       ASSERT_EQ(line.rfind("OK ", 0), 0u) << line;
     }
   }
+  uint64_t received = server.bytes_received();
 
   // Occupy the single worker for ~1 second...
+  const std::string blocker_line = "RUN slow A1 LIMIT 1.0\n";
   Client blocker(static_cast<int>(server.port()));
-  ASSERT_TRUE(blocker.Send("RUN slow A1 LIMIT 1.0\n"));
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  ASSERT_TRUE(blocker.Send(blocker_line));
+  received += blocker_line.size();
+  ASSERT_TRUE(WaitForBytesReceived(server, received));
 
   // ...queue eight hot-table RUNs from eight connections...
+  const std::string hot_line = "RUN hot A3\n";
   std::vector<std::unique_ptr<Client>> hot_clients;
   for (int i = 0; i < 8; ++i) {
     hot_clients.push_back(
         std::make_unique<Client>(static_cast<int>(server.port())));
-    ASSERT_TRUE(hot_clients.back()->Send("RUN hot A3\n"));
+    ASSERT_TRUE(hot_clients.back()->Send(hot_line));
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  received += 8 * hot_line.size();
+  ASSERT_TRUE(WaitForBytesReceived(server, received));
 
-  // ...then one light-table RUN, arriving last.
+  // ...then one light-table RUN, arriving last. A second blocker on a
+  // fresh table rides right behind it and pins the worker again once the
+  // light response is out, so the hot responses already sent at that
+  // moment are exactly those the server answered before the light one.
   Client light(static_cast<int>(server.port()));
-  ASSERT_TRUE(light.Send("RUN light A3\n"));
-
-  std::atomic<int> hot_done{0};
-  std::vector<std::thread> readers;
-  for (auto& hot : hot_clients) {
-    readers.emplace_back([&hot, &hot_done] {
-      const std::vector<std::string> lines = hot->ReadLines(1);
-      ASSERT_EQ(lines.size(), 1u);
-      EXPECT_EQ(lines[0].rfind("OK RUN hot", 0), 0u) << lines[0];
-      hot_done.fetch_add(1);
-    });
-  }
+  ASSERT_TRUE(light.Send("RUN light A3\nRUN slow2 A1 LIMIT 1.0\n"));
   const std::vector<std::string> light_lines = light.ReadLines(1);
-  const int hot_before_light = hot_done.load();
+  int hot_before_light = 0;
+  for (const auto& hot : hot_clients) {
+    char byte;
+    if (::recv(hot->fd(), &byte, 1, MSG_PEEK | MSG_DONTWAIT) == 1) {
+      ++hot_before_light;
+    }
+  }
   ASSERT_EQ(light_lines.size(), 1u);
   EXPECT_EQ(light_lines[0].rfind("OK RUN light", 0), 0u) << light_lines[0];
   // WFQ serves the light request right after the in-flight hot one;
-  // allow generous slack for reader-thread scheduling, while FIFO would
-  // reach 8 here.
+  // allow generous slack, while FIFO would reach 8 here.
   EXPECT_LE(hot_before_light, 4);
 
-  for (std::thread& t : readers) t.join();
+  for (const auto& hot : hot_clients) {
+    const std::vector<std::string> lines = hot->ReadLines(1);
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_EQ(lines[0].rfind("OK RUN hot", 0), 0u) << lines[0];
+  }
   const std::vector<std::string> blocker_lines = blocker.ReadLines(1);
   ASSERT_EQ(blocker_lines.size(), 1u);
   EXPECT_EQ(blocker_lines[0].rfind("OK RUN slow", 0), 0u) << blocker_lines[0];
+  const std::vector<std::string> slow2_lines = light.ReadLines(1);
+  ASSERT_EQ(slow2_lines.size(), 1u);
+  EXPECT_EQ(slow2_lines[0].rfind("OK RUN slow2", 0), 0u) << slow2_lines[0];
   server.Shutdown();
 }
 

@@ -15,6 +15,12 @@
 #include <string>
 #include <vector>
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <unistd.h>
+#endif
+
 #include "core/context.h"
 #include "core/method_registry.h"
 #include "data/durable_file.h"
@@ -50,14 +56,11 @@ Fixture MakeFixture(int n, uint64_t seed, int num_rankings) {
 
 /// Serializes `snapshot` to a string (for corruption tests).
 std::string ToBytes(const TableSnapshot& snapshot) {
-  std::ostringstream os(std::ios::binary);
-  WriteTableSnapshot(os, snapshot);
-  return os.str();
+  return EncodeTableSnapshot(snapshot);
 }
 
 TableSnapshot FromBytes(const std::string& bytes) {
-  std::istringstream is(bytes, std::ios::binary);
-  return ReadTableSnapshot(is);
+  return DecodeTableSnapshot(bytes);
 }
 
 TEST(SnapshotFormatTest, RoundTripPreservesEveryField) {
@@ -130,6 +133,33 @@ TEST(SnapshotFormatTest, CorruptTruncatedAndForeignFilesFailLoudly) {
   EXPECT_THROW(FromBytes("candidate,Gender\n0,M\n1,F\n"),
                SnapshotFormatError);
 }
+
+#if defined(__unix__) || defined(__APPLE__)
+TEST(SnapshotFormatTest, FileOverTheSizeCapIsRefusedBeforeItIsRead) {
+  // A sparse 1 GiB + 1 byte file uses no disk blocks. The reader must
+  // refuse it from its size instead of reading a gigabyte first.
+  const std::string path = TempPath("over_size_cap");
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::ftruncate(fd, (off_t{1} << 30) + 1), 0);
+  ::close(fd);
+  rusage before{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &before), 0);
+  try {
+    ReadTableSnapshotFile(path);
+    ADD_FAILURE() << "a file over the size cap must throw";
+  } catch (const SnapshotFormatError& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds the 1 GiB size cap"),
+              std::string::npos)
+        << e.what();
+  }
+  rusage after{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &after), 0);
+  std::remove(path.c_str());
+  // ru_maxrss is in KiB.
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024);
+}
+#endif
 
 TEST(SnapshotFormatTest, VersionMismatchIsRejectedEvenWithValidChecksum) {
   Fixture f = MakeFixture(8, 404, 6);
