@@ -35,19 +35,6 @@ void ContextGate::LockExclusive() {
   exclusive_depth_ = 1;
 }
 
-bool ContextGate::TryLockExclusive() {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::thread::id self = std::this_thread::get_id();
-  if (exclusive_depth_ > 0 && exclusive_owner_ == self) {
-    ++exclusive_depth_;
-    return true;
-  }
-  if (exclusive_depth_ > 0 || readers_ > 0) return false;
-  exclusive_owner_ = self;
-  exclusive_depth_ = 1;
-  return true;
-}
-
 void ContextGate::UnlockExclusive() {
   std::lock_guard<std::mutex> lock(mu_);
   if (--exclusive_depth_ == 0) {

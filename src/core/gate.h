@@ -42,10 +42,6 @@ class ContextGate {
 
   /// Writer side. Blocks until all readers drain; re-entrant per thread.
   void LockExclusive();
-  /// Non-blocking writer acquire: returns false when readers are in
-  /// flight or another thread holds the exclusive side. Still re-entrant
-  /// for the current exclusive owner.
-  bool TryLockExclusive();
   void UnlockExclusive();
 
   /// True iff the calling thread currently holds the exclusive side.

@@ -11,13 +11,10 @@
 #include <stdexcept>
 #include <system_error>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define MANIRANK_HAVE_POSIX_IO 1
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
-#endif
 
 namespace manirank {
 namespace {
@@ -25,8 +22,6 @@ namespace {
 [[noreturn]] void ThrowErrno(const std::string& what, const std::string& path) {
   throw std::runtime_error(what + ": " + path + ": " + std::strerror(errno));
 }
-
-#ifdef MANIRANK_HAVE_POSIX_IO
 
 /// Parent directory of `path` under the same rules rename(2) uses: the
 /// bytes before the last '/', or "." when there is none.
@@ -61,8 +56,6 @@ void WriteAll(int fd, const char* data, size_t size, const std::string& path) {
     done += static_cast<size_t>(n);
   }
 }
-
-#endif  // MANIRANK_HAVE_POSIX_IO
 
 }  // namespace
 
@@ -115,11 +108,7 @@ std::optional<std::string> ReadFileBytes(const std::string& path,
 
 std::string NextDurableTempPath(const std::string& path) {
   static std::atomic<uint64_t> counter{0};
-#ifdef MANIRANK_HAVE_POSIX_IO
   const uint64_t pid = static_cast<uint64_t>(::getpid());
-#else
-  const uint64_t pid = 0;
-#endif
   return path + ".tmp." + std::to_string(pid) + "." +
          std::to_string(counter.fetch_add(1) + 1);
 }
@@ -150,7 +139,6 @@ bool LooksLikeDurableTempFile(const std::string& filename) {
 }
 
 void FsyncParentDir(const std::string& path) {
-#ifdef MANIRANK_HAVE_POSIX_IO
   const std::string dir = ParentDir(path);
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (fd < 0) {
@@ -169,45 +157,9 @@ void FsyncParentDir(const std::string& path) {
     ThrowErrno("directory fsync failed", dir);
   }
   ::close(fd);
-#else
-  (void)path;
-#endif
-}
-
-void CopyFileDurably(const std::string& src, const std::string& dst) {
-  const std::optional<std::string> bytes = ReadFileBytes(src);
-  if (!bytes) ThrowErrno("cannot open copy source", src);
-  // ReadFileBytes ends at a read error as at EOF; a copy must not.
-  std::error_code ec;
-  if (std::filesystem::file_size(src, ec) != bytes->size() || ec) {
-    throw std::runtime_error("short read while copying: " + src);
-  }
-  WriteFileDurably(dst, *bytes);
-}
-
-void RenameDurably(const std::string& src, const std::string& dst) {
-  if (std::rename(src.c_str(), dst.c_str()) == 0) {
-    FsyncParentDir(dst);
-    return;
-  }
-#ifdef MANIRANK_HAVE_POSIX_IO
-  if (errno == EXDEV) {
-    // src and dst live on different filesystems (e.g. a --log-dir on a
-    // separate mount): rename(2) cannot work there, so degrade to a
-    // copy that is still atomic at dst (temp + same-fs rename) and only
-    // unlink the source once the copy is durably in place.
-    CopyFileDurably(src, dst);
-    if (::unlink(src.c_str()) != 0 && errno != ENOENT) {
-      ThrowErrno("cannot remove source after cross-filesystem copy", src);
-    }
-    return;
-  }
-#endif
-  ThrowErrno("cannot rename " + src, dst);
 }
 
 void WriteFileDurably(const std::string& path, const std::string& data) {
-#ifdef MANIRANK_HAVE_POSIX_IO
   const std::string tmp = NextDurableTempPath(path);
   const int fd =
       ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
@@ -220,26 +172,13 @@ void WriteFileDurably(const std::string& path, const std::string& data) {
     ::unlink(tmp.c_str());
     throw;
   }
-  try {
-    RenameDurably(tmp, path);
-  } catch (...) {
-    ::unlink(tmp.c_str());
-    throw;
-  }
-#else
-  const std::string tmp = NextDurableTempPath(path);
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) ThrowErrno("cannot open temp file for writing", tmp);
-  const size_t written = std::fwrite(data.data(), 1, data.size(), out);
-  if (written != data.size() || std::fclose(out) != 0) {
-    std::remove(tmp.c_str());
-    ThrowErrno("write failed", tmp);
-  }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
+    const int saved = errno;
+    ::unlink(tmp.c_str());
+    errno = saved;
     ThrowErrno("cannot rename " + tmp, path);
   }
-#endif
+  FsyncParentDir(path);
 }
 
 }  // namespace manirank

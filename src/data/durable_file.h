@@ -88,30 +88,18 @@ std::string NextDurableTempPath(const std::string& path);
 bool LooksLikeDurableTempFile(const std::string& filename);
 
 /// fsync(2) the directory containing `path`, making a just-renamed entry
-/// durable against power loss (on POSIX the rename itself only becomes
-/// persistent once the parent directory's metadata reaches disk). Throws
-/// std::runtime_error when the directory cannot be opened or synced. A
-/// no-op on platforms without directory fsync.
+/// durable against power loss (the rename itself only becomes persistent
+/// once the parent directory's metadata reaches disk). Throws
+/// std::runtime_error when the directory cannot be opened or synced.
 void FsyncParentDir(const std::string& path);
 
-/// Copies `src` to `dst` byte-for-byte: reads it whole (ReadFileBytes)
-/// and writes it with WriteFileDurably, so a crash leaves the old `dst`
-/// or the complete copy. The cross-filesystem half of RenameDurably; also
-/// usable on its own. Throws std::runtime_error on any I/O failure.
-void CopyFileDurably(const std::string& src, const std::string& dst);
-
-/// Moves `src` into place at `dst` durably: rename(2) plus a parent-dir
-/// fsync — and when the rename fails with EXDEV (src and dst on
-/// different filesystems, where rename cannot work), falls back to
-/// copy+fsync+unlink via CopyFileDurably. Any other failure throws
-/// std::runtime_error naming the paths and errno.
-void RenameDurably(const std::string& src, const std::string& dst);
-
 /// Writes `data` to `path` atomically AND durably: unique temp file next
-/// to `path`, full write, fsync, close, RenameDurably into place. A
-/// crash at any point leaves either the old file or the new one — never
-/// a torn mix — and a completed call survives power loss. Throws
-/// std::runtime_error; the temp file is unlinked on failure.
+/// to `path`, full write, fsync, close, rename(2) into place, parent-dir
+/// fsync. The temp file shares `path`'s directory, so the rename never
+/// crosses filesystems. A crash at any point leaves either the old file
+/// or the new one — never a torn mix — and a completed call survives
+/// power loss. Throws std::runtime_error ("cannot rename …" when the
+/// rename fails); the temp file is unlinked on failure.
 void WriteFileDurably(const std::string& path, const std::string& data);
 
 }  // namespace manirank

@@ -3,18 +3,14 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <optional>
 #include <utility>
 
-#include "data/durable_file.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define MANIRANK_OPLOG_HAVE_POSIX 1
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
+
+#include "data/durable_file.h"
 
 namespace manirank {
 namespace {
@@ -267,9 +263,7 @@ OpLogWriter::OpLogWriter(std::string path, int fd, int num_candidates,
       records_(records) {}
 
 OpLogWriter::~OpLogWriter() {
-#ifdef MANIRANK_OPLOG_HAVE_POSIX
   if (fd_ >= 0) ::close(fd_);
-#endif
 }
 
 std::unique_ptr<OpLogWriter> OpLogWriter::Create(const std::string& path,
@@ -282,15 +276,11 @@ std::unique_ptr<OpLogWriter> OpLogWriter::Create(const std::string& path,
   // the previous log (still chained to the previous snapshot) or the
   // fresh empty one — never a torn header.
   WriteFileDurably(path, header);
-#ifdef MANIRANK_OPLOG_HAVE_POSIX
   const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
   if (fd < 0) {
     throw std::runtime_error("cannot open op log for append: " + path + ": " +
                              std::strerror(errno));
   }
-#else
-  const int fd = -1;
-#endif
   return std::unique_ptr<OpLogWriter>(
       new OpLogWriter(path, fd, num_candidates, base_generation,
                       base_rankings, header.size(), 0));
@@ -305,7 +295,6 @@ std::unique_ptr<OpLogWriter> OpLogWriter::OpenExisting(
         " does not match the table's " + std::to_string(num_candidates) +
         ": " + path);
   }
-#ifdef MANIRANK_OPLOG_HAVE_POSIX
   // O_APPEND like Create's handle: after any ftruncate rewind, writes
   // land at the (new) end of file without bookkeeping a seek position.
   const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
@@ -331,9 +320,6 @@ std::unique_ptr<OpLogWriter> OpLogWriter::OpenExisting(
     throw std::runtime_error("cannot seek op log: " + path + ": " +
                              std::strerror(saved));
   }
-#else
-  const int fd = -1;
-#endif
   auto writer = std::unique_ptr<OpLogWriter>(new OpLogWriter(
       path, fd, num_candidates, scanned.base_generation,
       scanned.base_rankings, scanned.clean_bytes, scanned.records.size()));
@@ -378,7 +364,6 @@ void OpLogWriter::AbortLast() {
 
 void OpLogWriter::Commit() {
   if (buffer_.empty()) return;
-#ifdef MANIRANK_OPLOG_HAVE_POSIX
   size_t done = 0;
   while (done < buffer_.size()) {
     const ssize_t n = ::write(fd_, buffer_.data() + done,
@@ -413,14 +398,6 @@ void OpLogWriter::Commit() {
     throw std::runtime_error("op log fdatasync failed: " + path_ + ": " +
                              std::strerror(saved));
   }
-#else
-  std::ofstream os(path_, std::ios::binary | std::ios::app);
-  os.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-  os.close();
-  if (!os) {
-    throw std::runtime_error("op log append failed: " + path_);
-  }
-#endif
   bytes_ += buffer_.size();
   records_ += record_starts_.size();
   buffer_.clear();

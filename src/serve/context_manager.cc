@@ -266,9 +266,7 @@ size_t ContextManager::ApplyReplicated(const std::string& name,
   // serially, external mutations are rejected on followers, so nothing
   // can coalesce into this drain and the leader's per-record
   // applied_batches bookkeeping is reproduced exactly.
-  size_t applied = 0;
-  Drain(*shard, /*try_only=*/false, &applied);
-  return applied;
+  return Drain(*shard);
 }
 
 void ContextManager::SetReplicaProgress(const std::string& name,
@@ -283,9 +281,8 @@ void ContextManager::SetReplicaProgress(const std::string& name,
   shard->replica_connected = connected;
 }
 
-bool ContextManager::Drain(Shard& shard, bool try_only, size_t* applied,
-                           const std::function<void()>& under_gate) {
-  if (applied != nullptr) *applied = 0;
+size_t ContextManager::Drain(Shard& shard,
+                             const std::function<void()>& under_gate) {
   // A method body re-entering the serving API for its own table would
   // otherwise self-deadlock on the gate (the thread already holds it
   // shared); fail fast like the context-level mutation API does.
@@ -293,27 +290,17 @@ bool ContextManager::Drain(Shard& shard, bool try_only, size_t* applied,
     throw std::logic_error(
         "serving request on a table from inside one of its own method runs");
   }
-  std::unique_lock<std::mutex> apply_lock(shard.apply_mu, std::defer_lock);
-  if (try_only) {
-    if (!apply_lock.try_lock()) return false;
-  } else {
-    apply_lock.lock();
-  }
+  std::lock_guard<std::mutex> apply_lock(shard.apply_mu);
   // Fast path: nothing queued — skip the exclusive gate entirely so query
   // waves with no pending mutations never block each other. A caller that
   // needs the gate held (under_gate) claims it even for an empty queue.
   {
     std::lock_guard<std::mutex> qlock(shard.queue_mu);
-    if (shard.queue.empty() && under_gate == nullptr) return true;
+    if (shard.queue.empty() && under_gate == nullptr) return 0;
   }
-  // Claim the gate for the whole backlog, then steal it. Stealing after
-  // the claim keeps try_only side-effect free on failure, and ops
-  // enqueued from here on simply ride the next wave.
-  if (try_only) {
-    if (!shard.gate.TryLockExclusive()) return false;
-  } else {
-    shard.gate.LockExclusive();
-  }
+  // Claim the gate for the whole backlog, then steal it: ops enqueued
+  // from here on simply ride the next wave.
+  shard.gate.LockExclusive();
   // Published for the async scheduling hooks: while this is set a
   // draining verb on the same table would block on the exclusive gate,
   // so an async front end parks such requests instead of burning a
@@ -390,8 +377,7 @@ bool ContextManager::Drain(Shard& shard, bool try_only, size_t* applied,
   shard.cache.EvictOtherGenerations(shard.ctx->generation());
   shard.gate.UnlockExclusive();
   NotifyDrained(shard);
-  if (applied != nullptr) *applied = total;
-  return true;
+  return total;
 }
 
 void ContextManager::NotifyDrained(Shard& shard) {
@@ -447,14 +433,7 @@ void ContextManager::ResyncQueueAfterFailedApply(Shard& shard) {
 
 size_t ContextManager::Flush(const std::string& name) {
   std::shared_ptr<Shard> shard = Find(name);
-  size_t applied = 0;
-  Drain(*shard, /*try_only=*/false, &applied);
-  return applied;
-}
-
-bool ContextManager::TryFlush(const std::string& name, size_t* applied) {
-  std::shared_ptr<Shard> shard = Find(name);
-  return Drain(*shard, /*try_only=*/true, applied);
+  return Drain(*shard);
 }
 
 ConsensusOutput ContextManager::Run(const std::string& name,
@@ -474,7 +453,7 @@ ConsensusOutput ContextManager::Run(const std::string& name,
                                     const ConsensusOptions& options,
                                     uint64_t* generation_after) {
   std::shared_ptr<Shard> shard = Find(name);
-  Drain(*shard, /*try_only=*/false, nullptr);
+  Drain(*shard);
   // The context's attached gate admits a cache-miss run shared, so a
   // concurrent drain on another thread waits for it (and vice versa).
   // Empty-profile rejection happens inside RunMethod, under that gate.
@@ -658,7 +637,7 @@ TableSnapshot ContextManager::SnapshotTable(const std::string& name,
   // drain produced, and no concurrent drain can slip a half-applied wave
   // underneath it. (Context::Snapshot's own shared acquisition nests
   // inside our exclusive hold, which the gate admits re-entrantly.)
-  Drain(*shard, /*try_only=*/false, nullptr, [&] {
+  Drain(*shard, [&] {
     // The exact modes tolerate an empty profile (a fresh table's op-log
     // floor); kSummarized keeps rejecting it via Context::Snapshot —
     // restoring zero folded rankings would serve nothing.
@@ -768,7 +747,7 @@ ContextManager::MethodResults ContextManager::RunSupported(
     uint64_t* generation_after) {
   std::shared_ptr<Shard> shard_ptr = Find(name);
   Shard& shard = *shard_ptr;
-  Drain(shard, /*try_only=*/false, nullptr);
+  Drain(shard);
   const std::vector<const MethodSpec*> supported = SupportedFor(*shard.ctx);
   MethodResults results;
   if (LookupSweepOn(shard, supported, options, &results, generation_after)) {

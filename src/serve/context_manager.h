@@ -214,10 +214,6 @@ class ContextManager {
   /// applied (appended + removed).
   size_t Flush(const std::string& name);
 
-  /// Non-blocking Flush: returns false without applying anything when
-  /// the exclusive gate cannot be claimed immediately (runs in flight).
-  bool TryFlush(const std::string& name, size_t* applied = nullptr);
-
   /// Drains the queue, then runs one registry method under the shared
   /// gate. Throws std::invalid_argument for unknown methods and empty
   /// profiles. `generation_after`, when given, receives the profile
@@ -511,15 +507,14 @@ class ContextManager {
   /// valid) query: false (nothing moved) on a miss.
   static bool LookupSelectOn(Shard& shard, const SelectQuery& query,
                              SelectOutcome* outcome);
-  /// Steals and applies the queued backlog. With `try_only`, gives up
-  /// without side effects when the gate is contended. Returns rankings
-  /// applied via *applied; returns false only in try_only mode. When
+  /// Steals and applies the queued backlog, blocking on the exclusive
+  /// gate. Returns rankings applied (appended + removed). When
   /// `under_gate` is given it runs after the backlog applies, still under
   /// the exclusive gate (and the gate is claimed even for an empty
   /// queue) — SnapshotTable uses this to read a batch-boundary state no
   /// concurrent drain can interleave.
-  bool Drain(Shard& shard, bool try_only, size_t* applied,
-             const std::function<void()>& under_gate = nullptr);
+  size_t Drain(Shard& shard,
+               const std::function<void()>& under_gate = nullptr);
   /// Rebuilds the virtual-size bookkeeping after a failed batch apply:
   /// replays the surviving queue against the applied profile size,
   /// dropping (and accounting in dropped_removes) any queued REMOVE whose

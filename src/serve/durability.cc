@@ -307,14 +307,15 @@ int64_t DurabilityManager::NextDeadlineMs() const {
   for (const auto& [table, entry] : entries_) {
     std::lock_guard<std::mutex> elock(entry->mu);
     if (entry->policy.kind != Policy::Kind::kSeconds) continue;
-    const auto deadline =
-        entry->last_truncation +
+    // Period minus elapsed time: both are non-negative, so a period near
+    // the clock's int64 range cannot overflow it.
+    const auto remaining =
         std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double>(entry->policy.every_seconds));
-    const int64_t ms =
-        std::max<int64_t>(0, std::chrono::duration_cast<std::chrono::milliseconds>(
-                                 deadline - now)
-                                 .count());
+            std::chrono::duration<double>(entry->policy.every_seconds)) -
+        (now - entry->last_truncation);
+    const int64_t ms = std::max<int64_t>(
+        0, std::chrono::duration_cast<std::chrono::milliseconds>(remaining)
+               .count());
     if (best < 0 || ms < best) best = ms;
   }
   return best;

@@ -54,7 +54,8 @@ class DurabilityManager {
   /// (SNAPSHOT-POLICY verb). kGenerations triggers after the table's
   /// profile generation advances `every_generations` past the current
   /// floor; kSeconds after `every_seconds` of wall time since the last
-  /// truncation.
+  /// truncation. `every_seconds` must be finite, positive, and fit in
+  /// steady_clock's int64 nanoseconds (SNAPSHOT-POLICY refuses the rest).
   struct Policy {
     enum class Kind { kOff, kGenerations, kSeconds };
     Kind kind = Kind::kOff;

@@ -1,7 +1,5 @@
 #include "serve/executor.h"
 
-#ifdef MANIRANK_SERVE_HAVE_SOCKETS
-
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -24,14 +22,6 @@
 
 namespace manirank::serve {
 namespace {
-
-/// Suppress SIGPIPE per-write where the platform allows it; serve_main
-/// additionally ignores the signal process-wide for its stream modes.
-#ifdef MSG_NOSIGNAL
-constexpr int kSendFlags = MSG_NOSIGNAL;
-#else
-constexpr int kSendFlags = 0;
-#endif
 
 /// Longest request line eligible for the loop-thread inline fast path.
 /// Small enough that parsing + a non-blocking table op cannot stall the
@@ -628,7 +618,7 @@ bool ServeExecutor::RejectOverloadedAccept() {
     // window.
     const char msg[] = "ERR unavailable: server out of file descriptors\n";
     [[maybe_unused]] const ssize_t w = ::send(fd, msg, sizeof(msg) - 1,
-                                              kSendFlags);
+                                              MSG_NOSIGNAL);
     ::shutdown(fd, SHUT_WR);
     char chunk[256];
     while (::read(fd, chunk, sizeof(chunk)) > 0) {
@@ -1349,7 +1339,7 @@ void ServeExecutor::FlushConn(const std::shared_ptr<Conn>& conn) {
     }
     const ssize_t n = ::send(conn->fd, conn->sending.data() + conn->send_offset,
                              conn->sending.size() - conn->send_offset,
-                             kSendFlags);
+                             MSG_NOSIGNAL);
     if (n > 0) {
       conn->send_offset += static_cast<size_t>(n);
       sent_total += static_cast<size_t>(n);
@@ -1442,5 +1432,3 @@ std::string ServeExecutor::MetricsResponse() const {
 }
 
 }  // namespace manirank::serve
-
-#endif  // MANIRANK_SERVE_HAVE_SOCKETS

@@ -128,14 +128,6 @@
 /// closed outright at shutdown; followers treat any EOF as "reconnect
 /// and re-handshake".
 
-// The TCP front end is built on epoll, so it exists on Linux only; other
-// platforms keep the stdin/--script stream modes.
-#if defined(__linux__)
-#define MANIRANK_SERVE_HAVE_SOCKETS 1
-#endif
-
-#ifdef MANIRANK_SERVE_HAVE_SOCKETS
-
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -391,5 +383,4 @@ class ServeExecutor {
 
 }  // namespace manirank::serve
 
-#endif  // MANIRANK_SERVE_HAVE_SOCKETS
 #endif  // MANIRANK_SERVE_EXECUTOR_H_

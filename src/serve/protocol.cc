@@ -599,10 +599,14 @@ std::string HandleSnapshotPolicy(ContextManager* manager,
       return Err("bad-request", "SNAPSHOT-POLICY <table> SECONDS <s>");
     }
     const auto s = ParseDouble(tokens[3]);
-    // `> 0` also rejects NaN.
-    if (!s || !(*s > 0)) {
-      return Err("bad-request", "SECONDS needs a positive number, got '" +
-                                    std::string(tokens[3]) + "'");
+    // The policy timer converts the period to steady_clock's int64
+    // nanoseconds, so the count must fit there (2^63 ns is ~9.2e9 s);
+    // the comparisons also reject NaN and inf.
+    if (!s || !(*s > 0) || !(*s * 1e9 < 0x1p63)) {
+      return Err("bad-request",
+                 "SECONDS needs a positive number of seconds whose "
+                 "nanosecond count fits in int64, got '" +
+                     std::string(tokens[3]) + "'");
     }
     policy.kind = DurabilityManager::Policy::Kind::kSeconds;
     policy.every_seconds = *s;

@@ -1,7 +1,5 @@
 #include "serve/replica.h"
 
-#ifdef MANIRANK_SERVE_HAVE_SOCKETS
-
 #include <netdb.h>
 #include <sys/socket.h>
 #include <sys/types.h>
@@ -23,17 +21,11 @@
 namespace manirank::serve {
 namespace {
 
-#ifdef MSG_NOSIGNAL
-constexpr int kSendFlags = MSG_NOSIGNAL;
-#else
-constexpr int kSendFlags = 0;
-#endif
-
 bool SendAllFd(int fd, const std::string& bytes) {
   size_t sent = 0;
   while (sent < bytes.size()) {
     const ssize_t w = ::send(fd, bytes.data() + sent, bytes.size() - sent,
-                             kSendFlags);
+                             MSG_NOSIGNAL);
     if (w < 0 && errno == EINTR) continue;
     if (w <= 0) return false;
     sent += static_cast<size_t>(w);
@@ -376,5 +368,3 @@ void FollowerClient::StreamOnce(const std::string& table, int fd,
 }
 
 }  // namespace manirank::serve
-
-#endif  // MANIRANK_SERVE_HAVE_SOCKETS

@@ -30,15 +30,6 @@
 /// manager's lifecycle lock, so reads never see the table missing and
 /// external writes never reach a not-yet-follower shard.
 
-// Same platform gate as serve/executor.h: Linux only.
-#if defined(__linux__)
-#ifndef MANIRANK_SERVE_HAVE_SOCKETS
-#define MANIRANK_SERVE_HAVE_SOCKETS 1
-#endif
-#endif
-
-#ifdef MANIRANK_SERVE_HAVE_SOCKETS
-
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -124,5 +115,4 @@ class FollowerClient {
 
 }  // namespace manirank::serve
 
-#endif  // MANIRANK_SERVE_HAVE_SOCKETS
 #endif  // MANIRANK_SERVE_REPLICA_H_

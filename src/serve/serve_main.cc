@@ -6,7 +6,7 @@
 //   manirank_serve --port P             TCP server: async executor pipeline —
 //                                       one edge-triggered epoll event loop
 //                                       plus the executor's worker threads
-//                                       (serve/executor.h; Linux only); P=0
+//                                       (serve/executor.h); P=0
 //                                       picks an ephemeral port (the bound
 //                                       port is printed as "listening on
 //                                       port N")
@@ -76,6 +76,8 @@
 // cannot start (bind, or creating its epoll set, fails) and the output
 // stream dying mid-response in stdin/script mode.
 
+#include <unistd.h>
+
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -92,10 +94,6 @@
 #include "serve/protocol.h"
 #include "serve/replica.h"
 #include "util/threading.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 namespace {
 
@@ -198,8 +196,6 @@ bool RestoreFromDir(const std::string& dir, ContextManager* manager) {
   return true;
 }
 
-#ifdef MANIRANK_SERVE_HAVE_SOCKETS
-
 /// Self-pipe for the signal handlers: async-signal-safe write on one
 /// end, the main thread blocks reading the other until shutdown time.
 int g_signal_pipe[2] = {-1, -1};
@@ -241,8 +237,6 @@ int ServeUntilSignal(manirank::serve::ServeExecutor& server) {
   ::close(g_signal_pipe[1]);
   return 0;
 }
-
-#endif  // MANIRANK_SERVE_HAVE_SOCKETS
 
 }  // namespace
 
@@ -330,12 +324,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-#if defined(__unix__) || defined(__APPLE__)
   // In EVERY mode, not just TCP: a client closing the output pipe
   // mid-response must surface as a stream/write failure (exit 2 below),
   // not kill the process with SIGPIPE.
   std::signal(SIGPIPE, SIG_IGN);
-#endif
 
   ContextManager manager;
   if (restore_dir.has_value() && !RestoreFromDir(*restore_dir, &manager)) {
@@ -358,7 +350,6 @@ int main(int argc, char** argv) {
   }
   manirank::serve::DurabilityManager* durability_ptr =
       durability.has_value() ? &*durability : nullptr;
-#ifdef MANIRANK_SERVE_HAVE_SOCKETS
   // The follower client starts BEFORE serving begins (any mode): tables
   // appear as their replication streams land, and its destructor (after
   // the server's, whose scope is inner) closes the streams on exit.
@@ -377,14 +368,7 @@ int main(int argc, char** argv) {
     std::cerr << "following leader at " << follow_host << ":" << follow_port
               << "\n";
   }
-#else
-  if (follow.has_value()) {
-    std::cerr << "--follow is not supported on this platform\n";
-    return 2;
-  }
-#endif
   if (port.has_value()) {
-#ifdef MANIRANK_SERVE_HAVE_SOCKETS
     manirank::serve::ServerOptions options;
     options.port = *port;
     options.workers = workers;
@@ -392,10 +376,6 @@ int main(int argc, char** argv) {
     options.durability = durability_ptr;
     manirank::serve::ServeExecutor server(&manager, options);
     return ServeUntilSignal(server);
-#else
-    std::cerr << "--port is not supported on this platform\n";
-    return 2;
-#endif
   }
   Dispatcher dispatcher(&manager);
   // Stream modes have no event loop for the policy timer — tick inline.

@@ -520,26 +520,40 @@ TEST_F(OpLogTest, DurableTempFileConvention) {
   EXPECT_TRUE(LooksLikeDurableTempFile(fs::path(a).filename().string()));
 }
 
-TEST_F(OpLogTest, WriteCopyRenameDurablyRoundTrip) {
+TEST_F(OpLogTest, WriteFileDurablyRoundTrip) {
   const std::string src = Path("src.bin");
   WriteFileDurably(src, "payload-1");
   EXPECT_EQ(ReadAllBytes(src), "payload-1");
   WriteFileDurably(src, "payload-2");  // atomic replace
   EXPECT_EQ(ReadAllBytes(src), "payload-2");
-  const std::string copy = Path("copy.bin");
-  CopyFileDurably(src, copy);
-  EXPECT_EQ(ReadAllBytes(copy), "payload-2");
-  EXPECT_EQ(ReadAllBytes(src), "payload-2");  // source untouched
-  const std::string moved = Path("moved.bin");
-  RenameDurably(copy, moved);
-  EXPECT_EQ(ReadAllBytes(moved), "payload-2");
-  EXPECT_FALSE(fs::exists(copy));
-  // No temp debris left behind by any of the above.
+  // No temp debris left behind by either write.
   for (const auto& entry : fs::directory_iterator(dir_)) {
     EXPECT_FALSE(
         LooksLikeDurableTempFile(entry.path().filename().string()))
         << entry.path();
   }
+}
+
+TEST_F(OpLogTest, WriteFileDurablyRenameFailureUnlinksTheTempFile) {
+  // rename(2) cannot replace a non-empty directory with a file, so the
+  // write reaches its rename step and fails there.
+  const std::string target = Path("occupied");
+  fs::create_directory(target);
+  WriteFileDurably(target + "/keep.bin", "kept");
+  try {
+    WriteFileDurably(target, "payload");
+    ADD_FAILURE() << "renaming onto a non-empty directory must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot rename"), std::string::npos)
+        << e.what();
+  }
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    EXPECT_FALSE(
+        LooksLikeDurableTempFile(entry.path().filename().string()))
+        << entry.path();
+  }
+  EXPECT_TRUE(fs::is_directory(target));
+  EXPECT_EQ(ReadAllBytes(target + "/keep.bin"), "kept");
 }
 
 // ------------------------------------------- DurabilityManager end-to-end
@@ -809,12 +823,17 @@ TEST_F(OpLogTest, SnapshotPolicyVerbValidation) {
   EXPECT_EQ(dispatcher.Handle("SNAPSHOT-POLICY t SECONDS 1.5"),
             "OK SNAPSHOT-POLICY t SECONDS 1.5");
   EXPECT_GE(durability.NextDeadlineMs(), 0);  // a SECONDS timer is armed
+  // Near the top of the int64-nanosecond range: accepted, and far off.
+  EXPECT_EQ(dispatcher.Handle("SNAPSHOT-POLICY t SECONDS 9e9"),
+            "OK SNAPSHOT-POLICY t SECONDS 9e9");
+  EXPECT_GT(durability.NextDeadlineMs(), int64_t{8'000'000'000'000});
   EXPECT_EQ(dispatcher.Handle("SNAPSHOT-POLICY t OFF"),
             "OK SNAPSHOT-POLICY t OFF");
   EXPECT_EQ(durability.NextDeadlineMs(), -1);
   for (const char* bad :
        {"SNAPSHOT-POLICY t GENERATIONS 0", "SNAPSHOT-POLICY t GENERATIONS -1",
         "SNAPSHOT-POLICY t SECONDS 0", "SNAPSHOT-POLICY t SECONDS nan",
+        "SNAPSHOT-POLICY t SECONDS inf", "SNAPSHOT-POLICY t SECONDS 1e10",
         "SNAPSHOT-POLICY t EVERY 3", "SNAPSHOT-POLICY t", "SNAPSHOT-POLICY"}) {
     EXPECT_EQ(dispatcher.Handle(bad).substr(0, 3), "ERR") << bad;
   }

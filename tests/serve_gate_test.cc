@@ -3,8 +3,8 @@
 // ContextManager gate under multiple threads. Before the serving layer,
 // mutating a context mid-RunAll was only caught by a single-thread debug
 // check; these tests pin down the promoted behaviour — cross-thread
-// mutations block until runs drain, TryFlush is rejected while a run is
-// in flight, and same-thread re-entrant mutation still throws.
+// mutations block until runs drain, a Flush issued mid-run waits for the
+// run, and same-thread re-entrant mutation still throws.
 
 #include "core/gate.h"
 
@@ -83,13 +83,12 @@ TEST(ContextGateTest, SharedHoldersAdmitEachOther) {
   gate.LockShared();
   gate.LockShared();
   EXPECT_EQ(gate.readers_in_flight(), 2);
-  EXPECT_FALSE(gate.TryLockExclusive());
   gate.UnlockShared();
   gate.UnlockShared();
-  EXPECT_TRUE(gate.TryLockExclusive());
+  gate.LockExclusive();
   EXPECT_TRUE(gate.ThisThreadHoldsExclusive());
   // Re-entrant exclusive: the batch-application path re-acquires.
-  EXPECT_TRUE(gate.TryLockExclusive());
+  gate.LockExclusive();
   gate.UnlockExclusive();
   EXPECT_TRUE(gate.ThisThreadHoldsExclusive());
   gate.UnlockExclusive();
@@ -178,8 +177,8 @@ TEST(GatedContextTest, CrossThreadMutationBlocksUntilRunCompletes) {
 TEST(ServeGateTest, MutationMidRunIsRejectedThroughTheManagerGate) {
   // The regression demanded by the serving layer: while a query wave is
   // in flight on a table, (1) enqueues are admitted but not applied,
-  // (2) TryFlush is rejected, (3) a blocking Flush waits for the wave,
-  // and (4) the wave's outputs correspond to the pre-mutation profile.
+  // (2) a Flush waits for the wave, and (3) the wave's outputs
+  // correspond to the pre-mutation profile.
   ContextManager manager;
   std::vector<Ranking> base;
   Rng rng(505);
@@ -199,14 +198,6 @@ TEST(ServeGateTest, MutationMidRunIsRejectedThroughTheManagerGate) {
   EXPECT_EQ(stats.pending_ops, 2u);
   EXPECT_EQ(stats.generation, 0u);
   EXPECT_EQ(stats.num_rankings, 5u);
-
-  // Immediate application is rejected while the run holds the gate.
-  size_t applied = 1234;
-  EXPECT_FALSE(manager.TryFlush("t", &applied));
-  EXPECT_EQ(applied, 0u);
-  stats = manager.Stats("t");
-  EXPECT_EQ(stats.pending_ops, 2u);
-  EXPECT_EQ(stats.generation, 0u);
 
   // A blocking Flush parks behind the wave.
   std::atomic<bool> flushed{false};
@@ -245,7 +236,6 @@ TEST(ServeGateTest, ReenteringTheServingApiFromAMethodRunFailsFast) {
     EXPECT_NO_THROW(manager.Append("t", {extra}));  // enqueue only: fine
     EXPECT_NO_THROW(manager.Stats("t"));            // no drain: fine
     EXPECT_THROW(manager.Flush("t"), std::logic_error);
-    EXPECT_THROW(manager.TryFlush("t"), std::logic_error);
     EXPECT_THROW(manager.Run("t", "A4"), std::logic_error);
     ConsensusOutput out;
     out.consensus = Ranking::Identity(8);

@@ -13,8 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#ifdef MANIRANK_SERVE_HAVE_SOCKETS
-
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -590,5 +588,3 @@ TEST_F(ReplicationTest, SecondsPolicyFiresFromTheExecutorTimerAcrossRestart) {
 
 }  // namespace
 }  // namespace manirank
-
-#endif  // MANIRANK_SERVE_HAVE_SOCKETS

@@ -10,8 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#ifdef MANIRANK_SERVE_HAVE_SOCKETS
-
 #include <dirent.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -381,5 +379,3 @@ TEST(ServeSchedulingTest, LightTableNotStarvedBehindHotBacklog) {
 
 }  // namespace
 }  // namespace manirank
-
-#endif  // MANIRANK_SERVE_HAVE_SOCKETS

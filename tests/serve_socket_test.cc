@@ -14,8 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#ifdef MANIRANK_SERVE_HAVE_SOCKETS
-
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -558,5 +556,3 @@ TEST(ServeSocketTest, ExecutorShutdownDrainsInFlightRequests) {
 
 }  // namespace
 }  // namespace manirank
-
-#endif  // MANIRANK_SERVE_HAVE_SOCKETS

@@ -129,9 +129,7 @@ TEST(ContextManagerTest, FlushIsIdempotentAndCountsApplications) {
   manager.Create("t", MakeCyclicTable(6, 2, 2), {Ranking::Identity(6)});
   EXPECT_EQ(manager.Flush("t"), 0u);
   manager.Append("t", {SampleFor(11, 0, 6)});
-  size_t applied = 0;
-  EXPECT_TRUE(manager.TryFlush("t", &applied));
-  EXPECT_EQ(applied, 1u);
+  EXPECT_EQ(manager.Flush("t"), 1u);
   EXPECT_EQ(manager.Flush("t"), 0u);
 }
 
@@ -398,7 +396,7 @@ struct ContextManagerTestPeer {
   /// to racing a poller thread against the fold.
   static void DrainWithProbe(ContextManager& manager, const std::string& name,
                              const std::function<void()>& probe) {
-    manager.Drain(*manager.Find(name), /*try_only=*/false, nullptr, probe);
+    manager.Drain(*manager.Find(name), probe);
   }
 };
 

@@ -8,8 +8,6 @@
 
 #include "serve/executor.h"
 
-#ifdef MANIRANK_SERVE_HAVE_SOCKETS
-
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -28,12 +26,6 @@
 #include "serve/protocol.h"
 
 namespace manirank::testing {
-
-#ifdef MSG_NOSIGNAL
-inline constexpr int kClientSendFlags = MSG_NOSIGNAL;
-#else
-inline constexpr int kClientSendFlags = 0;
-#endif
 
 /// Blocking loopback client with a receive timeout, so a server bug
 /// fails the test instead of hanging it.
@@ -68,7 +60,7 @@ class Client {
     size_t sent = 0;
     while (sent < bytes.size()) {
       const ssize_t w = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                               kClientSendFlags);
+                               MSG_NOSIGNAL);
       if (w < 0 && errno == EINTR) continue;
       if (w <= 0) return false;
       sent += static_cast<size_t>(w);
@@ -212,7 +204,5 @@ inline std::vector<std::string> MixedWorkload(const std::string& prefix, int n,
 }
 
 }  // namespace manirank::testing
-
-#endif  // MANIRANK_SERVE_HAVE_SOCKETS
 
 #endif  // MANIRANK_TESTS_SERVE_TEST_UTIL_H_

@@ -15,11 +15,9 @@
 #include <string>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <sys/resource.h>
 #include <unistd.h>
-#endif
 
 #include "core/context.h"
 #include "core/method_registry.h"
@@ -134,7 +132,6 @@ TEST(SnapshotFormatTest, CorruptTruncatedAndForeignFilesFailLoudly) {
                SnapshotFormatError);
 }
 
-#if defined(__unix__) || defined(__APPLE__)
 TEST(SnapshotFormatTest, FileOverTheSizeCapIsRefusedBeforeItIsRead) {
   // A sparse 1 GiB + 1 byte file uses no disk blocks. The reader must
   // refuse it from its size instead of reading a gigabyte first.
@@ -159,7 +156,6 @@ TEST(SnapshotFormatTest, FileOverTheSizeCapIsRefusedBeforeItIsRead) {
   // ru_maxrss is in KiB.
   EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024);
 }
-#endif
 
 TEST(SnapshotFormatTest, VersionMismatchIsRejectedEvenWithValidChecksum) {
   Fixture f = MakeFixture(8, 404, 6);
