@@ -3,26 +3,37 @@
 #include <atomic>
 #include <cassert>
 
-#include "util/fenwick.h"
 #include "util/threading.h"
 
 namespace manirank {
 namespace {
 
 /// KendallTau(a, b) with b given as its order (n ids best-first).
+///
+/// Relabel: walk b top-to-bottom, mapping each candidate to its position
+/// pa in a; the Kendall tau distance equals the inversions of that
+/// sequence. Step t adds the t already-placed candidates minus those
+/// placed above pa. `seen` marks placed positions one bit each, and
+/// `word_counts` is a Fenwick tree over its words' popcounts, so "placed
+/// above pa" is one prefix query over whole words plus one masked
+/// popcount of pa's own word.
 template <class Id>
 int64_t KendallTauToOrder(const Ranking& a, const Id* b_order) {
   const int n = a.size();
-  // Relabel: walk b top-to-bottom, mapping each candidate to its position
-  // in a; the Kendall tau distance equals the inversions of that sequence.
-  Fenwick seen(n);
+  const int words = (n + 63) / 64;
+  std::vector<uint64_t> seen(words, 0);
+  std::vector<int32_t> word_counts(words + 1, 0);  // 1-based
+  const int* position = a.positions().data();
   int64_t inversions = 0;
   for (int t = 0; t < n; ++t) {
-    const int pa = a.PositionOf(static_cast<CandidateId>(b_order[t]));
-    // Candidates already placed that sit *below* pa in `a` each form a
-    // discordant pair with the current one.
-    inversions += seen.RangeSum(pa + 1, n);
-    seen.Add(pa, 1);
+    const int pa = position[b_order[t]];
+    const int w = pa >> 6;
+    const uint64_t bit = uint64_t{1} << (pa & 63);
+    int64_t above = __builtin_popcountll(seen[w] & (bit - 1));
+    for (int k = w; k > 0; k &= k - 1) above += word_counts[k];
+    inversions += t - above;
+    seen[w] |= bit;
+    for (int k = w + 1; k <= words; k += k & -k) ++word_counts[k];
   }
   return inversions;
 }

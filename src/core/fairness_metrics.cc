@@ -7,31 +7,56 @@ namespace manirank {
 
 namespace {
 
-/// GroupFavoredPairs over an order of n ids best-first.
+/// Favored-pair counts (FPR numerators) of every group of every grouping
+/// in `groupings`, from one pass over an order of n ids best-first,
+/// grouping-major: groupings[0]'s groups first, then groupings[1]'s, ...
+///
+/// The member of g at position t ranks above the n - 1 - t candidates
+/// below it. The pairs among g's own members are not mixed, and summed
+/// over g's members they number exactly C(|g|, 2), so
+///   favored[g] = sum over members of (n - 1 - t)  -  C(|g|, 2).
+/// The sums live in four interleaved copies (step t adds to copy t % 4):
+/// consecutive members of one group add to different addresses instead
+/// of each add waiting on the previous one's store.
 template <class Id>
 std::vector<int64_t> FavoredPairsOfOrder(const Id* order, int n,
-                                         const Grouping& grouping) {
-  const int k = grouping.num_groups();
-  std::vector<int64_t> favored(k, 0);
-  std::vector<int> seen(k, 0);
+                                         const Grouping* const* groupings,
+                                         size_t count) {
+  constexpr size_t kCopies = 4;
+  std::vector<const int*> group_of(count);
+  std::vector<size_t> first(count + 1, 0);  // first group's flat index
+  for (size_t k = 0; k < count; ++k) {
+    group_of[k] = groupings[k]->group_of.data();
+    first[k + 1] = first[k] + static_cast<size_t>(groupings[k]->num_groups());
+  }
+  std::vector<int64_t> sums(first[count] * kCopies, 0);
   for (int t = 0; t < n; ++t) {
-    const int g = grouping.group_of[order[t]];
-    // Candidates below position t that are NOT in g:
-    //   (n - 1 - t) - (members of g not yet seen, excluding this one).
-    const int members_below = grouping.group_size(g) - seen[g] - 1;
-    favored[g] += (n - 1 - t) - members_below;
-    ++seen[g];
+    const size_t c = static_cast<size_t>(order[t]);
+    const int64_t below = n - 1 - t;
+    int64_t* copy = sums.data() + (t & (kCopies - 1));
+    for (size_t k = 0; k < count; ++k) {
+      copy[(first[k] + static_cast<size_t>(group_of[k][c])) * kCopies] +=
+          below;
+    }
+  }
+  std::vector<int64_t> favored(first[count]);
+  for (size_t k = 0; k < count; ++k) {
+    for (int g = 0; g < groupings[k]->num_groups(); ++g) {
+      const size_t i = first[k] + static_cast<size_t>(g);
+      const int64_t* s = &sums[i * kCopies];
+      favored[i] = s[0] + s[1] + s[2] + s[3] -
+                   TotalPairs(groupings[k]->group_size(g));
+    }
   }
   return favored;
 }
 
-template <class Id>
-std::vector<double> FprOfOrder(const Id* order, int n,
-                               const Grouping& grouping) {
-  std::vector<int64_t> favored = FavoredPairsOfOrder(order, n, grouping);
-  std::vector<double> fpr(favored.size(), 0.5);
-  for (size_t g = 0; g < favored.size(); ++g) {
-    const int64_t denom = MixedPairs(grouping.group_size(static_cast<int>(g)), n);
+/// FPR of each group of `grouping` from its favored-pair counts.
+std::vector<double> FprFromFavored(const int64_t* favored, int n,
+                                   const Grouping& grouping) {
+  std::vector<double> fpr(grouping.num_groups(), 0.5);
+  for (int g = 0; g < grouping.num_groups(); ++g) {
+    const int64_t denom = MixedPairs(grouping.group_size(g), n);
     if (denom > 0) {
       fpr[g] = static_cast<double>(favored[g]) / static_cast<double>(denom);
     }
@@ -39,13 +64,22 @@ std::vector<double> FprOfOrder(const Id* order, int n,
   return fpr;
 }
 
+/// Every constrained grouping's FPR and parity from one pass over the
+/// order.
 template <class Id>
 FairnessReport EvaluateOrder(const Id* order, int n,
                              const CandidateTable& table) {
+  const std::vector<const Grouping*> groupings = table.constrained_groupings();
+  const std::vector<int64_t> favored =
+      FavoredPairsOfOrder(order, n, groupings.data(), groupings.size());
   FairnessReport report;
-  for (const Grouping* g : table.constrained_groupings()) {
-    report.fpr.push_back(FprOfOrder(order, n, *g));
+  report.fpr.reserve(groupings.size());
+  report.parity.reserve(groupings.size());
+  const int64_t* next = favored.data();
+  for (const Grouping* g : groupings) {
+    report.fpr.push_back(FprFromFavored(next, n, *g));
     report.parity.push_back(RankParityFromFpr(report.fpr.back()));
+    next += g->num_groups();
   }
   return report;
 }
@@ -54,12 +88,15 @@ FairnessReport EvaluateOrder(const Id* order, int n,
 
 std::vector<int64_t> GroupFavoredPairs(const Ranking& ranking,
                                        const Grouping& grouping) {
-  return FavoredPairsOfOrder(ranking.order().data(), ranking.size(), grouping);
+  const Grouping* const groupings[] = {&grouping};
+  return FavoredPairsOfOrder(ranking.order().data(), ranking.size(),
+                             groupings, 1);
 }
 
 std::vector<double> GroupFpr(const Ranking& ranking,
                              const Grouping& grouping) {
-  return FprOfOrder(ranking.order().data(), ranking.size(), grouping);
+  return FprFromFavored(GroupFavoredPairs(ranking, grouping).data(),
+                        ranking.size(), grouping);
 }
 
 double RankParityFromFpr(const std::vector<double>& fpr) {

@@ -66,6 +66,9 @@ struct FairnessReport {
                       const ManiRankThresholds& thresholds) const;
 };
 
+/// Every constrained grouping's FPR and parity, from one pass over the
+/// ranking; each value is bit-identical to GroupFpr / RankParity of that
+/// grouping.
 FairnessReport EvaluateFairness(const Ranking& ranking,
                                 const CandidateTable& table);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <numeric>
 #include <sstream>
 
@@ -20,12 +21,14 @@ Ranking Ranking::Identity(int n) {
 }
 
 bool Ranking::IsValidOrder(const std::vector<CandidateId>& order) {
-  std::vector<bool> seen(order.size(), false);
+  const size_t n = order.size();
+  std::vector<uint64_t> seen((n + 63) / 64, 0);
   for (CandidateId c : order) {
-    if (c < 0 || c >= static_cast<CandidateId>(order.size()) || seen[c]) {
-      return false;
-    }
-    seen[c] = true;
+    if (c < 0 || static_cast<size_t>(c) >= n) return false;
+    uint64_t& word = seen[static_cast<size_t>(c) >> 6];
+    const uint64_t bit = uint64_t{1} << (c & 63);
+    if ((word & bit) != 0) return false;
+    word |= bit;
   }
   return true;
 }

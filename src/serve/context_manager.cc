@@ -586,14 +586,37 @@ TableStats ContextManager::Stats(const std::string& name) const {
   return StatsFor(*Find(name));
 }
 
+const char* ContextManager::EvalRankingError(const Shard& shard,
+                                             const Ranking& ranking) {
+  if (ranking.size() != shard.table->num_candidates()) {
+    return "evaluated ranking size does not match table";
+  }
+  if (!Ranking::IsValidOrder(ranking.order())) {
+    return "evaluated ranking is not a permutation";
+  }
+  return nullptr;
+}
+
+void ContextManager::ScoreEval(const Shard& shard, const Ranking& ranking,
+                               const MethodSpec& method,
+                               const ConsensusOutput& consensus,
+                               EvalResult* result) {
+  result->method = method.id;
+  // One bitset pass; normalized exactly as NormalizedKendallTau does.
+  result->tau = KendallTau(ranking, consensus.consensus);
+  const int64_t pairs = TotalPairs(ranking.size());
+  result->normalized_tau =
+      pairs == 0 ? 0.0
+                 : static_cast<double>(result->tau) /
+                       static_cast<double>(pairs);
+  result->fairness = shard.ctx->EvaluateFairness(ranking);
+}
+
 EvalResult ContextManager::Eval(const std::string& name,
                                 const Ranking& ranking) {
   std::shared_ptr<Shard> shard = Find(name);
-  if (ranking.size() != shard->table->num_candidates()) {
-    throw std::invalid_argument("evaluated ranking size does not match table");
-  }
-  if (!Ranking::IsValidOrder(ranking.order())) {
-    throw std::invalid_argument("evaluated ranking is not a permutation");
+  if (const char* error = EvalRankingError(*shard, ranking)) {
+    throw std::invalid_argument(error);
   }
   // A3 Fair-Borda: fairness-aware, needs neither the retained profile
   // nor the precedence matrix, so EVAL serves every context flavor —
@@ -601,23 +624,34 @@ EvalResult ContextManager::Eval(const std::string& name,
   // Borda points.
   const MethodSpec* spec = FindMethod("A3");
   EvalResult result;
-  result.method = spec->id;
   // The consensus leg goes through the result cache (like Run, but
   // without draining the queue first — EVAL observes the applied
   // profile, queued mutations ride the next wave): repeated audits of an
-  // unchanged table pay only the O(n log n) tau below, not the method.
-  // Empty profiles throw inside RunMethod, under the gate, before any
-  // counter moves.
+  // unchanged table pay only the tau and fairness passes, not the
+  // method. Empty profiles throw inside RunMethod, under the gate, before
+  // any counter moves.
   const ConsensusOutput consensus =
       RunCachedOn(*shard, *spec, {}, &result.generation);
-  // One Fenwick pass; normalized exactly as NormalizedKendallTau does.
-  result.tau = KendallTau(ranking, consensus.consensus);
-  const int64_t pairs = TotalPairs(ranking.size());
-  result.normalized_tau =
-      pairs == 0 ? 0.0
-                 : static_cast<double>(result.tau) / static_cast<double>(pairs);
-  result.fairness = shard->ctx->EvaluateFairness(ranking);
+  ScoreEval(*shard, ranking, *spec, consensus, &result);
   return result;
+}
+
+bool ContextManager::TryEvalCached(const std::string& name,
+                                   const Ranking& ranking,
+                                   EvalResult* result) {
+  const std::shared_ptr<Shard> shard = TryFind(name);
+  if (shard == nullptr || EvalRankingError(*shard, ranking) != nullptr) {
+    return false;
+  }
+  // Eval never drains, so its lookup needs no apply lock: the same
+  // seqlock-generation lookup Eval's RunCachedOn makes first.
+  const MethodSpec* spec = FindMethod("A3");
+  ConsensusOutput consensus;
+  if (!LookupRunOn(*shard, *spec, {}, &consensus, &result->generation)) {
+    return false;
+  }
+  ScoreEval(*shard, ranking, *spec, consensus, result);
+  return true;
 }
 
 TableSnapshot ContextManager::SnapshotTable(const std::string& name,

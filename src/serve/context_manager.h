@@ -231,10 +231,10 @@ class ContextManager {
   TableStats Stats(const std::string& name) const;
 
   /// Scores a submitted ranking against the applied profile: consensus
-  /// via A3 Fair-Borda under the shared gate, Kendall tau (Fenwick path)
-  /// of the submitted ranking vs that consensus, and the submitted
-  /// ranking's own fairness report (ARP per attribute via the favored-
-  /// pair counters, IRP last). Read-only and non-draining — like STATS
+  /// via A3 Fair-Borda under the shared gate, Kendall tau of the
+  /// submitted ranking vs that consensus, and the submitted ranking's own
+  /// fairness report (ARP per attribute via the favored-pair counters,
+  /// IRP last). Read-only and non-draining — like STATS
   /// it observes the applied profile, so queued mutations ride the next
   /// wave. Throws std::invalid_argument for unknown tables, malformed
   /// rankings, and empty profiles.
@@ -346,15 +346,17 @@ class ContextManager {
 
   // --- cache-only, non-blocking reads (async front ends) --------------
   //
-  // An event loop may answer a RUN or SELECT itself when the result
-  // cache already holds the answer, skipping the worker handoff. These
-  // entries never block, drain or compute: each either serves exactly
-  // what the blocking verb would serve at this instant — same output,
-  // same generation, same counter movement (`runs`, `cache_hits`) — or
-  // returns false ("not served") with no counter moved, and the caller
-  // falls back to the blocking verb. Unknown tables, unknown or
-  // unsupported methods, malformed queries, empty profiles and cache
-  // misses are all "not served": none of them can have a cache entry.
+  // An event loop may answer a RUN, SELECT or EVAL itself when the
+  // result cache already holds the consensus, skipping the worker
+  // handoff. These entries never block, drain or run a consensus method
+  // (an EVAL hit still scores the submitted ranking, O(n log n)): each
+  // either serves exactly what the blocking verb would serve at this
+  // instant — same output, same generation, same counter movement
+  // (`runs`, `cache_hits`) — or returns false ("not served") with no
+  // counter moved, and the caller falls back to the blocking verb.
+  // Unknown tables, unknown or unsupported methods, malformed requests,
+  // empty profiles and cache misses are all "not served": none of them
+  // can have a cache entry.
 
   /// Run (`method` non-null) or RunSupported (`method` == nullptr, the
   /// `all` sweep, served only when every supported method hits) from the
@@ -371,6 +373,13 @@ class ContextManager {
   /// it).
   bool TrySelectCached(const std::string& name, const SelectQuery& query,
                        SelectOutcome* outcome);
+
+  /// Eval from the cache: Eval's size and permutation checks, its A3
+  /// lookup at the applied generation (EVAL never drains either), then
+  /// the same tau and fairness pass. Not served for unknown tables,
+  /// rankings Eval would reject, and a consensus miss.
+  bool TryEvalCached(const std::string& name, const Ranking& ranking,
+                     EvalResult* result);
 
   // --- non-blocking drain scheduling hooks (async front ends) ---------
   //
@@ -503,6 +512,15 @@ class ContextManager {
                             const std::vector<const MethodSpec*>& supported,
                             const ConsensusOptions& options,
                             MethodResults* results, uint64_t* generation_out);
+  /// Why Eval rejects `ranking` for this shard's table (size first, then
+  /// permutation), or nullptr when it accepts it.
+  static const char* EvalRankingError(const Shard& shard,
+                                      const Ranking& ranking);
+  /// Eval's scoring against a served consensus: everything in `result`
+  /// but the generation.
+  static void ScoreEval(const Shard& shard, const Ranking& ranking,
+                        const MethodSpec& method,
+                        const ConsensusOutput& consensus, EvalResult* result);
   /// Select's cache hit for an already validated (or cached, hence
   /// valid) query: false (nothing moved) on a miss.
   static bool LookupSelectOn(Shard& shard, const SelectQuery& query,

@@ -127,12 +127,13 @@ struct ServeExecutor::Request {
   std::string table;
   bool barrier = false;
   bool draining = false;
-  /// Compute verb (EVAL / SELECT): never executed on the loop (a
-  /// cold-cache consensus run there would stall every connection) and
+  /// Compute verb (EVAL / SELECT): a miss never executes on the loop (a
+  /// cold-cache consensus run there would stall every connection);
   /// billed kComputeWeight in the WFQ.
   bool compute = false;
-  /// RUN / SELECT: returned to the loop for a result-cache probe when
-  /// dependency-free (see ExecuteNode); a miss takes the worker path.
+  /// RUN / SELECT / EVAL: returned to the loop for a result-cache probe
+  /// when dependency-free (see ExecuteNode); a miss takes the worker
+  /// path.
   bool cacheable = false;
   /// Non-empty: respond with this without executing (oversize ERR).
   std::string synthetic_response;
@@ -978,8 +979,9 @@ ServeExecutor::Request* ServeExecutor::ScheduleLine(
       // Loop-thread fast path for a small dependency-free per-table verb,
       // skipping the worker handoff and its wakeups: a light verb (STATS,
       // small APPEND, REMOVE — all non-blocking on the gate) executes
-      // where it was parsed, and a RUN / SELECT is answered there if it
-      // hits the result cache. The caller executes the returned node.
+      // where it was parsed, and a RUN / SELECT / EVAL is answered there
+      // if it hits the result cache. The caller executes the returned
+      // node.
       return node;
     }
     DispatchLocked(node);
@@ -1093,8 +1095,8 @@ void ServeExecutor::ExecuteNode(Request* node, bool inline_on_loop) {
   bool served = true;
   try {
     if (inline_on_loop && node->cacheable) {
-      // Non-blocking: a RUN / SELECT is served here only on a clean
-      // result-cache hit, with the bytes Handle would write.
+      // Non-blocking: a RUN / SELECT / EVAL is served here only on a
+      // clean result-cache hit, with the bytes Handle would write.
       served = dispatcher_.TryHandleCached(node->line, &response);
     } else {
       response = dispatcher_.Handle(node->line);

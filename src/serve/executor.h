@@ -35,9 +35,9 @@
 ///    not ParallelFor pool workers, so an engine kernel a request enters
 ///    still fans out. Small per-table requests with no in-flight
 ///    predecessor skip the handoff: STATS, APPEND and REMOVE execute
-///    inline on the loop, and a RUN or SELECT whose answer the result
-///    cache already holds is answered there too (a non-blocking probe;
-///    anything else takes the worker path unchanged).
+///    inline on the loop, and a RUN, SELECT or EVAL whose consensus the
+///    result cache already holds is answered there too (a non-blocking
+///    probe; anything else takes the worker path unchanged).
 ///
 /// Scheduling preserves the observable semantics of serial execution:
 /// requests addressing the same table execute in arrival order, requests
@@ -58,14 +58,14 @@
 /// table's deep backlog cannot starve a light table's single request —
 /// the light request's virtual start snaps to the current virtual time
 /// and sorts ahead of the backlog's already-billed slots, where plain
-/// arrival-order FIFO would queue it behind every one of them. Nothing
-/// that computes runs on the event loop: the loop answers a RUN or
-/// SELECT only from the result cache (ContextManager::TryRunCached /
-/// TrySelectCached — a RUN only when no fold is queued or running on
-/// its table), and a miss — a cold-cache consensus run, SELECT's ILP
-/// fallback — is dispatched to a worker exactly as before. EVAL always
-/// executes on a worker: its tau and fairness pass costs tens of
-/// microseconds even on a cache hit.
+/// arrival-order FIFO would queue it behind every one of them. No
+/// consensus method runs on the event loop: the loop answers a RUN,
+/// SELECT or EVAL only from the result cache (ContextManager::
+/// TryRunCached / TrySelectCached / TryEvalCached — a RUN only when no
+/// fold is queued or running on its table; an EVAL hit then scores the
+/// submitted ranking there, a few microseconds at n = 1000), and a miss
+/// — a cold-cache consensus run, SELECT's ILP fallback — is dispatched
+/// to a worker exactly as before.
 ///
 /// Draining verbs additionally consult the ContextManager's non-blocking
 /// scheduling hooks: a RUN or FLUSH aimed at a table whose backlog is
@@ -276,8 +276,9 @@ class ServeExecutor {
   void WorkerMain();
   /// Executes one node's request (no executor lock held), completes it,
   /// and — on the worker path — flushes the response. On the loop a
-  /// cacheable node (RUN / SELECT) is only probed against the result
-  /// cache; when not served it is dispatched to the workers instead.
+  /// cacheable node (RUN / SELECT / EVAL) is only probed against the
+  /// result cache; when not served it is dispatched to the workers
+  /// instead.
   void ExecuteNode(Request* node, bool inline_on_loop);
   /// sched_mu_ held: record the response, resolve dependents, sequence,
   /// bump counters, and (unless the caller IS the loop) queue the

@@ -48,8 +48,22 @@ std::optional<long> ParseLong(std::string_view token) {
 }
 
 /// ParseLong bound-checked before the int32 cast: ids beyond CandidateId
-/// would otherwise truncate and alias a valid candidate.
+/// would otherwise truncate and alias a valid candidate. One to nine
+/// plain digits — every id of a payload line in practice — are decoded
+/// inline: they are their own decimal value, at most 999999999. A sign,
+/// a leading '\v' or '\f', ten or more digits or any other byte takes
+/// ParseLong's full grammar.
 std::optional<CandidateId> ParseCandidateId(std::string_view token) {
+  if (token.size() <= 9) {
+    CandidateId value = 0;
+    size_t i = 0;
+    for (; i < token.size(); ++i) {
+      const unsigned digit = static_cast<unsigned char>(token[i]) - '0';
+      if (digit > 9) break;
+      value = value * 10 + static_cast<CandidateId>(digit);
+    }
+    if (i == token.size() && i != 0) return value;
+  }
   const auto c = ParseLong(token);
   if (!c || *c < 0 || *c > std::numeric_limits<CandidateId>::max()) {
     return std::nullopt;
@@ -259,14 +273,23 @@ std::string HandleAppend(ContextManager* manager, RequestTokenizer* tokens) {
   return std::move(os).str();
 }
 
-/// EVAL parses its ranking straight off the tokenizer, like APPEND.
-std::string HandleEval(ContextManager* manager, RequestTokenizer* tokens) {
+/// EVAL <table> <c0> <c1> ... as parsed.
+struct EvalRequest {
+  std::string table;
+  std::vector<CandidateId> order;
+};
+
+/// Parses an EVAL request straight off the tokenizer, like APPEND: every
+/// id is decoded before the permutation check, so a bad token wins over
+/// an earlier duplicate. Returns the ERR response for a malformed
+/// request, or an empty string.
+std::string ParseEval(RequestTokenizer* tokens, EvalRequest* request) {
   const std::string_view table = tokens->Next();
   std::string_view token = tokens->Next();
   if (token.empty()) {
     return Err("bad-request", "EVAL <table> <c0> <c1> ...");
   }
-  std::vector<CandidateId> order;
+  std::vector<CandidateId>& order = request->order;
   // Every id takes at least one byte plus a separator.
   order.reserve(tokens->remaining() / 2 + 1);
   for (; !token.empty(); token = tokens->Next()) {
@@ -277,10 +300,13 @@ std::string HandleEval(ContextManager* manager, RequestTokenizer* tokens) {
   if (!Ranking::IsValidOrder(order)) {
     return Err("bad-ranking", "EVAL payload is not a permutation of 0..n-1");
   }
-  const std::string name(table);
-  const EvalResult result = manager->Eval(name, Ranking(std::move(order)));
+  request->table = std::string(table);
+  return {};
+}
+
+std::string FormatEval(const std::string& table, const EvalResult& result) {
   ResponseLine os;
-  os << "OK EVAL " << name << " gen=" << result.generation
+  os << "OK EVAL " << table << " gen=" << result.generation
      << " method=" << result.method << " tau=" << result.tau
      << " ntau=" << result.normalized_tau << " parity=";
   for (size_t i = 0; i < result.fairness.parity.size(); ++i) {
@@ -315,6 +341,30 @@ std::string HandleEval(ContextManager* manager, RequestTokenizer* tokens) {
        << " ifpr_min=" << min_g << ':' << inter[min_g];
   }
   return std::move(os).str();
+}
+
+std::string HandleEval(ContextManager* manager, RequestTokenizer* tokens) {
+  EvalRequest request;
+  const std::string error = ParseEval(tokens, &request);
+  if (!error.empty()) return error;
+  return FormatEval(request.table,
+                    manager->Eval(request.table,
+                                  Ranking(std::move(request.order))));
+}
+
+/// EVAL answered from the result cache alone (ContextManager::
+/// TryEvalCached): false when the request is malformed or not a hit.
+bool EvalFromCache(ContextManager* manager, RequestTokenizer* tokens,
+                   std::string* response) {
+  EvalRequest request;
+  if (!ParseEval(tokens, &request).empty()) return false;
+  EvalResult result;
+  if (!manager->TryEvalCached(request.table,
+                              Ranking(std::move(request.order)), &result)) {
+    return false;
+  }
+  *response = FormatEval(request.table, result);
+  return true;
 }
 
 /// Parses a SELECT request into `table` and `query`. Returns the ERR
@@ -665,6 +715,7 @@ bool Dispatcher::TryHandleCached(const std::string& line,
                                  std::string* response) {
   RequestTokenizer tokenizer(line);
   const std::string_view verb = tokenizer.Next();
+  if (verb == "EVAL") return EvalFromCache(manager_, &tokenizer, response);
   if (verb != "RUN" && verb != "SELECT") return false;
   const Tokens tokens = SplitTokens(verb, &tokenizer);
   return verb == "RUN" ? RunFromCache(manager_, tokens, response)
@@ -872,7 +923,7 @@ RequestClass ClassifyRequest(const std::string& line) {
     cls.table = std::string(table);
     cls.draining = verb == "RUN" || verb == "FLUSH";
     cls.compute = verb == "EVAL" || verb == "SELECT";
-    cls.cacheable = verb == "RUN" || verb == "SELECT";
+    cls.cacheable = verb == "RUN" || verb == "SELECT" || verb == "EVAL";
   } else {
     // Namespace verbs (CREATE / RESTORE / DROP / TABLES), unknown verbs,
     // and malformed per-table requests (no table token) all serialize

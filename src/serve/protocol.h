@@ -65,9 +65,11 @@ namespace manirank::serve {
 /// EVAL scores a client-submitted ranking against the live table without
 /// mutating anything: the consensus comparison runs A3 Fair-Borda under
 /// the shared gate (servable on every table flavor, followers included),
-/// Kendall tau against that consensus uses the Fenwick-tree distance
-/// path, and the submitted ranking's own fairness (ARP per attribute,
-/// IRP last) comes from the cached favored-pair denominators. Response:
+/// Kendall tau against that consensus is one inversion-counting pass, and
+/// the submitted ranking's own fairness (ARP per attribute, IRP last)
+/// comes from one favored-pair pass over every constrained grouping.
+/// A hit on the cached consensus is answered on an async front end's
+/// event loop (Dispatcher::TryHandleCached). Response:
 /// "OK EVAL <table> gen=<g> method=A3 tau=<t> ntau=<x>
 /// parity=<p0,p1,...> max_parity=<m> fpr=<...> ifpr_max=<g>:<v>
 /// ifpr_min=<g>:<v>". fpr= lists the per-group favored pair rate
@@ -237,15 +239,16 @@ class Dispatcher {
   /// caller must check `out` afterwards and report the I/O failure.
   int ServeStream(std::istream& in, std::ostream& out, bool echo = false);
 
-  /// Answers a RUN or SELECT line from the result cache alone, without
-  /// blocking, draining or computing (ContextManager::TryRunCached /
-  /// TrySelectCached). Returns true with `*response` set to exactly the
-  /// bytes Handle would return now — the two share one parser and one
-  /// formatter — and the same counter movement. Returns false, with
-  /// nothing moved, for every other verb, a malformed request, or
-  /// anything that is not a cache hit; the caller then calls Handle. For
-  /// front ends that drive snapshot policies themselves (no inline
-  /// policy tick, see set_durability).
+  /// Answers a RUN, SELECT or EVAL line from the result cache alone,
+  /// without blocking, draining or running a consensus method
+  /// (ContextManager::TryRunCached / TrySelectCached / TryEvalCached; an
+  /// EVAL hit still pays its own tau and fairness pass). Returns true
+  /// with `*response` set to exactly the bytes Handle would return now —
+  /// the two share one parser and one formatter — and the same counter
+  /// movement. Returns false, with nothing moved, for every other verb, a
+  /// malformed request, or anything that is not a cache hit; the caller
+  /// then calls Handle. For front ends that drive snapshot policies
+  /// themselves (no inline policy tick, see set_durability).
   bool TryHandleCached(const std::string& line, std::string* response);
 
   /// Installs the METRICS data source. The serving executor points its
@@ -303,10 +306,11 @@ class Dispatcher {
 ///  - A `compute` verb (EVAL / SELECT) runs a consensus method (or an
 ///    ILP fallback) without draining: cheap on a warm result cache but
 ///    unboundedly expensive cold, so schedulers bill it a middle
-///    fair-queue weight and execute it off event-loop threads.
-///  - A `cacheable` verb (RUN / SELECT) may be answered on an event loop
-///    by Dispatcher::TryHandleCached when the result cache holds the
-///    answer; anything else it executes like its draining/compute class.
+///    fair-queue weight and execute a miss off event-loop threads.
+///  - A `cacheable` verb (RUN / SELECT / EVAL) may be answered on an
+///    event loop by Dispatcher::TryHandleCached when the result cache
+///    holds its consensus; anything else it executes like its
+///    draining/compute class.
 struct RequestClass {
   /// Scheduling key; empty for barriers and no-response lines.
   std::string table;
@@ -315,11 +319,11 @@ struct RequestClass {
   /// May block on the table's exclusive gate (RUN / FLUSH).
   bool draining = false;
   /// Method-running read-only verb (EVAL / SELECT): executed off the
-  /// event loop (save a SELECT cache hit), billed kComputeWeight in the
-  /// fair queue.
+  /// event loop (save a cache hit), billed kComputeWeight in the fair
+  /// queue.
   bool compute = false;
-  /// RUN / SELECT: Dispatcher::TryHandleCached may answer it from the
-  /// result cache without blocking.
+  /// RUN / SELECT / EVAL: Dispatcher::TryHandleCached may answer it from
+  /// the result cache without blocking.
   bool cacheable = false;
   /// Blank or comment line: Dispatcher::Handle returns no response and
   /// the request needs no scheduling at all.

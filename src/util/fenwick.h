@@ -9,9 +9,8 @@ namespace manirank {
 /// Fenwick (binary indexed) tree over `int64_t` counts.
 ///
 /// Supports point update and prefix-sum query in O(log n). Used by the
-/// O(n log n) Kendall-tau inversion counter and by the indexed
-/// Make-MR-Fair engine (one tree per protected group tracks which ranking
-/// positions the group occupies).
+/// Mallows sampler, which claims the k-th free slot of a ranking through
+/// LowerBound.
 class Fenwick {
  public:
   Fenwick() = default;

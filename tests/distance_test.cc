@@ -78,7 +78,8 @@ TEST_P(KendallTauPropertyTest, IsAMetric) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, KendallTauPropertyTest,
-                         ::testing::Values(2, 3, 5, 8, 13, 21, 50));
+                         ::testing::Values(2, 3, 5, 8, 13, 21, 50, 63, 64,
+                                           65, 127, 128, 129, 1000));
 
 TEST(PdLossTest, ZeroWhenAllRankingsEqualConsensus) {
   Ranking r = Ranking::Identity(8);

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
+#include "core/profile.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -234,6 +236,118 @@ TEST_P(FprPropertyTest, ReversalMirrorsFprAroundHalf) {
     }
     // Parity is invariant under reversal.
     ASSERT_NEAR(RankParityFromFpr(fpr), RankParityFromFpr(fpr_rev), 1e-12);
+  }
+}
+
+/// Doubles compared as bytes: EvaluateFairness's one pass over every
+/// grouping must reproduce the per-grouping path exactly, not merely
+/// within a tolerance.
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool SameBits(const FairnessReport& a, const FairnessReport& b) {
+  if (a.fpr.size() != b.fpr.size() || !SameBits(a.parity, b.parity)) {
+    return false;
+  }
+  for (size_t i = 0; i < a.fpr.size(); ++i) {
+    if (!SameBits(a.fpr[i], b.fpr[i])) return false;
+  }
+  return true;
+}
+
+/// `report` against GroupFpr / RankParity of each constrained grouping,
+/// and (when `brute_force`) against the O(n^2) favored-pair definition.
+void ExpectMatchesPerGrouping(const FairnessReport& report, const Ranking& r,
+                              const CandidateTable& t, bool brute_force) {
+  const std::vector<const Grouping*> groupings = t.constrained_groupings();
+  ASSERT_EQ(report.fpr.size(), groupings.size());
+  ASSERT_EQ(report.parity.size(), groupings.size());
+  for (size_t i = 0; i < groupings.size(); ++i) {
+    const Grouping& g = *groupings[i];
+    EXPECT_TRUE(SameBits(report.fpr[i], GroupFpr(r, g))) << g.name;
+    EXPECT_TRUE(SameBits(report.parity[i], RankParity(r, g))) << g.name;
+    if (brute_force) {
+      EXPECT_TRUE(SameBits(report.fpr[i], FprBruteForce(r, g))) << g.name;
+    }
+  }
+}
+
+/// A two-attribute table whose intersection leaves the cell (1, 1)
+/// empty: candidates cycle through (0,0), (0,1), (1,0) only.
+CandidateTable TableWithEmptyIntersectionCell(int n) {
+  std::vector<Attribute> attrs = {{"A", {"a0", "a1"}}, {"B", {"b0", "b1"}}};
+  std::vector<std::vector<AttributeValue>> values(n);
+  for (int c = 0; c < n; ++c) {
+    values[c] = {static_cast<AttributeValue>(c % 3 == 2),
+                 static_cast<AttributeValue>(c % 3 == 1)};
+  }
+  return CandidateTable(std::move(attrs), std::move(values));
+}
+
+TEST(EvaluateFairnessTest, OnePassMatchesPerGroupingBitForBit) {
+  Rng rng(2024);
+  // Sizes straddle the accumulator copies (4) and the 64-bit words.
+  for (int n : {1, 2, 3, 4, 5, 7, 63, 64, 65, 129, 300}) {
+    std::vector<CandidateTable> tables;
+    tables.push_back(BinaryTable(n));  // q = 1: no intersection entry
+    tables.push_back(testing::CyclicTable(n, 2, 3));
+    tables.push_back(testing::RandomTable(n, {3, 4}, &rng));
+    tables.push_back(testing::RandomTable(n, {2, 2, 3}, &rng));
+    tables.push_back(TableWithEmptyIntersectionCell(n));
+    for (const CandidateTable& t : tables) {
+      for (int trial = 0; trial < 3; ++trial) {
+        const Ranking r = testing::RandomRanking(n, &rng);
+        SCOPED_TRACE("n=" + std::to_string(n) + " q=" +
+                     std::to_string(t.num_attributes()));
+        ExpectMatchesPerGrouping(EvaluateFairness(r, t), r, t, true);
+      }
+    }
+  }
+}
+
+TEST(EvaluateFairnessTest, SingleAttributeAndEmptyCellShapes) {
+  Rng rng(7);
+  const CandidateTable single = BinaryTable(10);
+  EXPECT_EQ(EvaluateFairness(Ranking::Identity(10), single).fpr.size(), 1u);
+  // The empty (1, 1) cell is not materialised: three intersection groups.
+  const CandidateTable holed = TableWithEmptyIntersectionCell(9);
+  ASSERT_EQ(holed.intersection_grouping().num_groups(), 3);
+  const FairnessReport report =
+      EvaluateFairness(testing::RandomRanking(9, &rng), holed);
+  ASSERT_EQ(report.fpr.size(), 3u);
+  EXPECT_EQ(report.fpr.back().size(), 3u);
+  // n = 1: every group covers the database, so every FPR is 0.5.
+  const FairnessReport lone =
+      EvaluateFairness(Ranking::Identity(1), testing::CyclicTable(1, 2, 3));
+  for (const std::vector<double>& fpr : lone.fpr) {
+    EXPECT_EQ(fpr, std::vector<double>{0.5});
+  }
+}
+
+TEST(EvaluateFairnessTest, ProfileRowsMatchMaterializedRankings) {
+  Rng rng(99);
+  // 2-byte rows (n <= 65535) and 4-byte rows (n > 65535).
+  for (int n : {65, Profile::kMaxNarrowCandidates + 65}) {
+    const CandidateTable t = testing::CyclicTable(n, 2, 3);
+    std::vector<Ranking> rankings;
+    for (int i = 0; i < 3; ++i) {
+      rankings.push_back(testing::RandomRanking(n, &rng));
+    }
+    const Profile profile(rankings);
+    ASSERT_EQ(profile.id_bytes(), n > Profile::kMaxNarrowCandidates ? 4u : 2u);
+    for (size_t i = 0; i < rankings.size(); ++i) {
+      const FairnessReport from_row = EvaluateFairness(profile, i, t);
+      EXPECT_TRUE(SameBits(from_row, EvaluateFairness(rankings[i], t)))
+          << "n=" << n << " ranking " << i;
+      ExpectMatchesPerGrouping(from_row, rankings[i], t, n <= 65);
+    }
   }
 }
 

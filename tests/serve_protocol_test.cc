@@ -426,6 +426,101 @@ TEST_F(ProtocolTest, IntegerTokenGrammarIsPinnedInEveryPlace) {
   }
 }
 
+/// The EVAL grammar and its error precedence on both paths. For every
+/// hostile line the event loop's cache-only probe (Dispatcher::
+/// TryHandleCached) must either decline with no counter moved or answer
+/// exactly Handle's bytes, and STATS must then agree with a twin that
+/// only ever calls Handle. The twin's answers to the precedence lines are
+/// pinned too.
+TEST(EvalBothPathsTest, HostileLinesAnswerHandlesBytesOrAreDeclined) {
+  ContextManager probed_manager;
+  ContextManager reference_manager;
+  Dispatcher probed(&probed_manager);
+  Dispatcher reference(&reference_manager);
+  const auto both = [&](const std::string& line) {
+    const std::string answer = reference.Handle(line);
+    EXPECT_EQ(probed.Handle(line), answer) << line;
+    return answer;
+  };
+  const auto stats = [](Dispatcher* d) {
+    return d->Handle("STATS t") + " | " + d->Handle("STATS hollow");
+  };
+  for (const std::string line :
+       {"CREATE t CYCLIC 6 2 3", "APPEND t 0 1 2 3 4 5 ; 5 4 3 2 1 0",
+        "FLUSH t", "CREATE hollow CYCLIC 6 2 2"}) {
+    both(line);
+  }
+  // The first EVAL misses and fills the A3 entry the rest hit.
+  std::string response;
+  EXPECT_FALSE(probed.TryHandleCached("EVAL t 0 1 2 3 4 5", &response));
+  both("EVAL t 0 1 2 3 4 5");
+
+  const std::string bad_x =
+      "ERR bad-ranking: candidate id must be a non-negative integer, got "
+      "'x'";
+  const std::string bad_semicolon =
+      "ERR bad-ranking: candidate id must be a non-negative integer, got "
+      "';'";
+  const std::string not_perm =
+      "ERR bad-ranking: EVAL payload is not a permutation of 0..n-1";
+  const std::string wrong_size =
+      "ERR bad-ranking: evaluated ranking size does not match table";
+  const std::string usage = "ERR bad-request: EVAL <table> <c0> <c1> ...";
+  const std::string ok = "OK EVAL t gen=2 method=A3 tau=8 ";
+  // {line, Handle's answer or, when it ends in ':' or ' ', its first
+  // bytes; empty when pinned elsewhere}
+  std::vector<std::pair<std::string, std::string>> lines;
+  // Every integer token of CI's golden replay, in an id position
+  // (IntegerTokenGrammarIsPinnedInEveryPlace pins Handle's bytes).
+  for (const std::string token :
+       {"0", "007", "+3", "-0", "\v3", "\f3", "-1", "3x", "0x3", "1e3",
+        "2147483647", "2147483648", "99999999999999999999", ";"}) {
+    lines.push_back({"EVAL t 0 1 2 " + token + " 4 5", ""});
+  }
+  const std::vector<std::pair<std::string, std::string>> precedence = {
+      {"EVAL t 0 0 2 3 4 x", bad_x},  // a duplicate, then a bad token
+      {"EVAL nosuch 0 x", bad_x},     // a bad token before the lookup
+      {"EVAL nosuch 0 1 2 3 4 5", "ERR no-such-table:"},
+      {"EVAL t 0 1 2 3 4 6", not_perm},  // an id >= count
+      {"EVAL t 0 1 2", wrong_size},
+      {"EVAL t 0 1 2 3 4 5 6", wrong_size},
+      {"EVAL t ;", bad_semicolon},
+      {"EVAL t 0 1 2 ; 3 4 5", bad_semicolon},
+      {"EVAL t", usage},
+      {"EVAL", usage},
+      {"EVAL hollow 0 1 2 3 4 5", "ERR empty-table:"},  // nothing cached
+      {"EVAL\tt 5 4 3\t2 1 0\r", ok},
+      {"EVAL t 5 4 3 2 1 0", ok},
+  };
+  lines.insert(lines.end(), precedence.begin(), precedence.end());
+  size_t served = 0;
+  for (const auto& [line, expected] : lines) {
+    const std::string before = stats(&probed);
+    response.clear();
+    std::string answer;
+    if (probed.TryHandleCached(line, &response)) {
+      ++served;
+      answer = reference.Handle(line);
+      EXPECT_EQ(response, answer) << "request '" << line << "'";
+    } else {
+      EXPECT_TRUE(response.empty()) << line;
+      EXPECT_EQ(stats(&probed), before)
+          << "declined probe '" << line << "' moved a counter";
+      answer = both(line);
+    }
+    if (!expected.empty() &&
+        (expected.back() == ':' || expected.back() == ' ')) {
+      EXPECT_EQ(answer.rfind(expected, 0), 0u) << line << " -> " << answer;
+    } else if (!expected.empty()) {
+      EXPECT_EQ(answer, expected) << line;
+    }
+    EXPECT_EQ(stats(&probed), stats(&reference)) << "after '" << line << "'";
+  }
+  // The five permutations: "+3", "\v3", "\f3", the tab/CR line and the
+  // reversal.
+  EXPECT_EQ(served, 5u);
+}
+
 TEST_F(ProtocolTest, ReplicateIsUnavailableWithoutAStreamingFrontEnd) {
   // The plain dispatcher (stdin / --script replay) has no
   // durability layer and no binary stream to switch into: every arity

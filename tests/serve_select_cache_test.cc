@@ -427,7 +427,7 @@ TEST_F(CacheTierTest, PartlyCachedRunAllSweepCountsNoHits) {
 }
 
 /// Dispatcher::TryHandleCached, the cache-only entry an event loop
-/// answers RUN / SELECT hits with, against a twin that only ever calls
+/// answers RUN / SELECT / EVAL hits with, against a twin that only ever calls
 /// Handle: a served probe must return the twin's exact bytes, and a probe
 /// that is not served must leave STATS byte-identical (no counter moved)
 /// before the fallback Handle catches up. Either way both STATS lines
@@ -493,11 +493,19 @@ TEST_F(CacheOnlyProbeTest, ServesOnlyCleanHitsWithHandlesBytes) {
   Both("RUN t A3 DELTA 1");
   EXPECT_FALSE(Probe("RUN t all DELTA 1"));  // one of eight cached
 
+  // EVAL is non-draining like SELECT: its A3 leg misses once per
+  // generation, then hits, and a queued APPEND does not block the hit.
+  EXPECT_FALSE(Probe("EVAL t 0 1 2 3 4 5"));
+  EXPECT_TRUE(Probe("EVAL t 0 1 2 3 4 5"));
+  Both("APPEND t 4 5 0 1 2 3");
+  EXPECT_TRUE(Probe("EVAL t 5 4 3 2 1 0"));
+
   // Never served: errors, unknown names, and the other verbs.
   for (const std::string line :
        {"RUN t A9", "RUN nosuch A3", "RUN t A3 DELTA", "RUN t A3 DELTA -1",
         "RUN t", "SELECT t 0", "SELECT t 9", "SELECT t 2 ATTR 7 0 0 1",
-        "SELECT nosuch 2", "SELECT t 2 BOGUS", "EVAL t 0 1 2 3 4 5",
+        "SELECT nosuch 2", "SELECT t 2 BOGUS", "EVAL t 0 1 2",
+        "EVAL t 0 1 2 3 4 4", "EVAL nosuch 0 1 2 3 4 5", "EVAL t",
         "STATS t", "FLUSH t", "TABLES", "", "# RUN t A3"}) {
     EXPECT_FALSE(Probe(line)) << "request '" << line << "'";
   }

@@ -316,9 +316,10 @@ TEST(ServeSocketTest, ExecutorLoopCacheHitsAreNeverStale) {
   server.Shutdown();
 }
 
-/// METRICS inline= advances by exactly the RUN/SELECT cache hits of a
-/// mixed hit/miss/ERR script, and a probe that is not served moves no
-/// counter: the table's STATS line equals the synchronous replay's.
+/// METRICS inline= advances by exactly the RUN/SELECT/EVAL cache hits
+/// (plus the light verbs) of a mixed hit/miss/ERR script, and a probe
+/// that is not served moves no counter: the table's STATS line equals
+/// the synchronous replay's.
 TEST(ServeSocketTest, ExecutorInlineCountsExactlyTheCacheHits) {
   ContextManager manager;
   ServeExecutor server(&manager, ServerOptions{});
@@ -328,8 +329,9 @@ TEST(ServeSocketTest, ExecutorInlineCountsExactlyTheCacheHits) {
   const std::vector<std::string> setup = {
       "CREATE t CYCLIC 6 2 3",
       "APPEND t 0 1 2 3 4 5 ; 5 4 3 2 1 0 ; 1 0 3 2 5 4", "FLUSH t"};
-  // {request, is a cache hit}
+  // {request, answered on the loop}: a cache hit, or a light verb
   const std::vector<std::pair<std::string, bool>> script = {
+      {"EVAL t 0 1 2 3 4 5", false},  // first EVAL after the FLUSH: a miss
       {"RUN t A3", false},
       {"RUN t A3", true},
       {"RUN t A4", false},
@@ -345,13 +347,21 @@ TEST(ServeSocketTest, ExecutorInlineCountsExactlyTheCacheHits) {
       {"SELECT t 2 ATTR 7 0 0 1", false},
       {"SELECT t 1 ATTR 0 0 1 1 ATTR 0 1 1 1", false},  // ERR infeasible
       {"SELECT t 1 ATTR 0 0 1 1 ATTR 0 1 1 1", true},
-      {"EVAL t 0 1 2 3 4 5", false},  // a hit, but EVAL stays on workers
+      {"EVAL t 0 1 2 3 4 5", true},
+      {"EVAL t 5 4 3 2 1 0", true},
+      {"EVAL t 0 1 2 3 4 4", false},  // ERR bad-ranking
+      {"EVAL nosuch 0 1 2 3 4 5", false},
+      // A fold moves the generation: the next EVAL misses, then hits.
+      {"APPEND t 2 3 0 1 4 5", true},
+      {"FLUSH t", false},
+      {"EVAL t 0 1 2 3 4 5", false},
+      {"EVAL t 0 1 2 3 4 5", true},
   };
   std::vector<std::string> requests = setup;
-  uint64_t hits = 0;
-  for (const auto& [line, hit] : script) {
+  uint64_t on_loop = 0;
+  for (const auto& [line, inline_served] : script) {
     requests.push_back(line);
-    hits += hit ? 1 : 0;
+    on_loop += inline_served ? 1 : 0;
   }
   requests.push_back("STATS t");
   ContextManager reference_manager;
@@ -367,7 +377,7 @@ TEST(ServeSocketTest, ExecutorInlineCountsExactlyTheCacheHits) {
   for (size_t i = setup.size(); i + 1 < requests.size(); ++i) {
     EXPECT_EQ(Ask(&client, requests[i]), expected[i]) << requests[i];
   }
-  EXPECT_EQ(InlineServed(Ask(&client, "METRICS")) - inline_before, hits);
+  EXPECT_EQ(InlineServed(Ask(&client, "METRICS")) - inline_before, on_loop);
   EXPECT_EQ(Ask(&client, "STATS t"), expected.back());
   client.HalfClose();
   EXPECT_TRUE(client.ReadLinesUntilEof().empty());
