@@ -311,16 +311,13 @@ struct SelectCacheBench {
   int select_reps = 0;
   double greedy_mean_us = 0.0;
   double ilp_mean_us = 0.0;
-  // Large-n EVAL: Borda consensus leg cached, tau + fairness per call —
-  // the counting paths the cache can NOT absorb.
+  // Large-n EVAL: Borda consensus leg cached, Fenwick tau + fairness per
+  // call — the counting paths the cache can NOT absorb.
   int eval_n = 0;
   int eval_rankings = 0;
   int eval_requests = 0;
   double eval_cold_seconds = 0.0;
   double eval_warm_seconds = 0.0;
-  // One warm n = 1000 EVAL line through Dispatcher::Handle (median of
-  // kTimedReps reps), microseconds per line.
-  double eval_line_us = 0.0;
 };
 
 /// Replays one read-heavy request mix through a Dispatcher and returns
@@ -513,8 +510,8 @@ SelectCacheBench RunSelectCacheBench(bool quick) {
   }
 
   // Large-n EVAL: A3 needs only Borda points (no O(n^2) precedence
-  // matrix), so n reaches 1e4/1e5 — the regime where the O(n log n) tau
-  // and the fairness pass dominate. The first
+  // matrix), so n reaches 1e4/1e5 — the regime where the Fenwick tau
+  // O(n log n) and the per-grouping fairness passes dominate. The first
   // EVAL pays the consensus build; the rest hit the cache and time the
   // counting paths alone.
   result.eval_n = quick ? 10000 : 100000;
@@ -544,40 +541,6 @@ SelectCacheBench RunSelectCacheBench(bool quick) {
       manager.Eval("big", ranking);
     }
     result.eval_warm_seconds = timer.Seconds() / result.eval_requests;
-  }
-
-  // One warm EVAL line at n = 1000, perfbench read_mix's shape: the
-  // whole request (parse, both permutation checks, the cached A3 lookup,
-  // tau, fairness, format) an event loop pays per cache hit.
-  {
-    constexpr int kLineN = 1000;
-    constexpr int kLinesPerRep = 200;
-    serve::ContextManager manager;
-    serve::Dispatcher dispatcher(&manager);
-    manager.Create("line", MakeCyclicTable(kLineN, 2, 3));
-    std::vector<CandidateId> order(kLineN);
-    for (int i = 0; i < kLineN; ++i) order[i] = i;
-    std::vector<Ranking> profile;
-    for (int r = 0; r < 6; ++r) {
-      rng.Shuffle(&order);
-      profile.emplace_back(order);
-    }
-    manager.Append("line", profile);
-    manager.Flush("line");
-    rng.Shuffle(&order);
-    std::string line = "EVAL line";
-    for (CandidateId c : order) line += ' ' + std::to_string(c);
-    const std::string cold = dispatcher.Handle(line);
-    if (cold.rfind("OK EVAL", 0) != 0) std::abort();
-    std::vector<double> us;
-    for (int rep = 0; rep < kTimedReps; ++rep) {
-      Stopwatch timer;
-      for (int i = 0; i < kLinesPerRep; ++i) {
-        if (dispatcher.Handle(line) != cold) std::abort();
-      }
-      us.push_back(timer.Seconds() * 1e6 / kLinesPerRep);
-    }
-    result.eval_line_us = Median(us);
   }
   return result;
 }
@@ -919,8 +882,7 @@ int main() {
       "    \"select_n\": %d, \"select_reps\": %d, "
       "\"greedy_mean_us\": %.2f, \"ilp_mean_us\": %.2f,\n"
       "    \"eval_n\": %d, \"eval_rankings\": %d, "
-      "\"eval_cold_seconds\": %.6f, \"eval_warm_seconds\": %.6f, "
-      "\"eval_line_us\": %.2f},\n",
+      "\"eval_cold_seconds\": %.6f, \"eval_warm_seconds\": %.6f},\n",
       select_cache.n, select_cache.base_rankings, select_cache.requests,
       select_cache.cached_seconds, select_cache.uncached_seconds,
       cached_speedup, select_cache.equivalent ? "true" : "false",
@@ -930,8 +892,7 @@ int main() {
       select_cache.select_n, select_cache.select_reps,
       select_cache.greedy_mean_us, select_cache.ilp_mean_us,
       select_cache.eval_n, select_cache.eval_rankings,
-      select_cache.eval_cold_seconds, select_cache.eval_warm_seconds,
-      select_cache.eval_line_us);
+      select_cache.eval_cold_seconds, select_cache.eval_warm_seconds);
   std::fprintf(f,
                "  \"snapshot\": {\"rankings\": %zu, \"n\": %d, "
                "\"snapshot_bytes\": %ld, \"write_seconds\": %.6f, "
@@ -980,8 +941,7 @@ int main() {
               "uncached %.4fs -> %.2fx, equivalent; past capacity %d "
               "SELECTs x %d generations: %llu A3 runs, cached %.4fs vs "
               "uncached %.4fs; SELECT greedy %.1fus vs "
-              "ilp %.1fus; EVAL n=%d cold %.4fs warm %.4fs, n=1000 line "
-              "%.1fus\n",
+              "ilp %.1fus; EVAL n=%d cold %.4fs warm %.4fs\n",
               select_cache.n, select_cache.base_rankings,
               select_cache.requests, select_cache.cached_seconds,
               select_cache.uncached_seconds, cached_speedup,
@@ -991,7 +951,7 @@ int main() {
               select_cache.flood_uncached_seconds,
               select_cache.greedy_mean_us, select_cache.ilp_mean_us,
               select_cache.eval_n, select_cache.eval_cold_seconds,
-              select_cache.eval_warm_seconds, select_cache.eval_line_us);
+              select_cache.eval_warm_seconds);
   std::printf("snapshot restore (%zu rankings, %ld bytes): %.4fs vs "
               "replay %.4fs  ->  %.0fx\n",
               snapshot.rankings, snapshot.snapshot_bytes,

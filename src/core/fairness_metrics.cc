@@ -15,37 +15,28 @@ namespace {
 /// below it. The pairs among g's own members are not mixed, and summed
 /// over g's members they number exactly C(|g|, 2), so
 ///   favored[g] = sum over members of (n - 1 - t)  -  C(|g|, 2).
-/// The sums live in four interleaved copies (step t adds to copy t % 4):
-/// consecutive members of one group add to different addresses instead
-/// of each add waiting on the previous one's store.
 template <class Id>
 std::vector<int64_t> FavoredPairsOfOrder(const Id* order, int n,
                                          const Grouping* const* groupings,
                                          size_t count) {
-  constexpr size_t kCopies = 4;
   std::vector<const int*> group_of(count);
   std::vector<size_t> first(count + 1, 0);  // first group's flat index
   for (size_t k = 0; k < count; ++k) {
     group_of[k] = groupings[k]->group_of.data();
     first[k + 1] = first[k] + static_cast<size_t>(groupings[k]->num_groups());
   }
-  std::vector<int64_t> sums(first[count] * kCopies, 0);
+  std::vector<int64_t> favored(first[count], 0);
   for (int t = 0; t < n; ++t) {
     const size_t c = static_cast<size_t>(order[t]);
     const int64_t below = n - 1 - t;
-    int64_t* copy = sums.data() + (t & (kCopies - 1));
     for (size_t k = 0; k < count; ++k) {
-      copy[(first[k] + static_cast<size_t>(group_of[k][c])) * kCopies] +=
-          below;
+      favored[first[k] + static_cast<size_t>(group_of[k][c])] += below;
     }
   }
-  std::vector<int64_t> favored(first[count]);
   for (size_t k = 0; k < count; ++k) {
     for (int g = 0; g < groupings[k]->num_groups(); ++g) {
-      const size_t i = first[k] + static_cast<size_t>(g);
-      const int64_t* s = &sums[i * kCopies];
-      favored[i] = s[0] + s[1] + s[2] + s[3] -
-                   TotalPairs(groupings[k]->group_size(g));
+      favored[first[k] + static_cast<size_t>(g)] -=
+          TotalPairs(groupings[k]->group_size(g));
     }
   }
   return favored;

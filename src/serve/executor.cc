@@ -25,8 +25,18 @@ namespace {
 
 /// Longest request line eligible for the loop-thread inline fast path.
 /// Small enough that parsing + a non-blocking table op cannot stall the
-/// loop's other connections; anything bigger goes to the workers.
+/// loop's other connections; anything bigger goes to the workers. The cap
+/// also bounds an EVAL hit's O(n log n) scoring on the loop: a 4,096-byte
+/// line holds about n = 1000 ids, which cost about 25 us to tokenize,
+/// check and score.
 constexpr size_t kInlineMaxLineBytes = 4096;
+
+/// EVAL hits the loop may score in one service pass, and only in a pass
+/// that services a single connection. A pass with several connections
+/// means requests queued up behind the loop; their EVALs go to the
+/// workers, which share the scoring, so the loop's share of it shrinks
+/// as load grows instead of capping throughput at one core.
+constexpr int kLoopEvalsPerPass = 1;
 
 /// WFQ billing: one draining verb (RUN/FLUSH — seconds of gate-holding
 /// work) costs this many virtual slots, a light verb costs one. A hot
@@ -135,6 +145,9 @@ struct ServeExecutor::Request {
   /// when dependency-free (see ExecuteNode); a miss takes the worker
   /// path.
   bool cacheable = false;
+  /// EVAL: a hit still scores the ranking, so it is probed on the loop
+  /// only while the pass's budget lasts (kLoopEvalsPerPass).
+  bool hit_computes = false;
   /// Non-empty: respond with this without executing (oversize ERR).
   std::string synthetic_response;
   /// Unfinished predecessors; dispatched when this reaches zero.
@@ -254,6 +267,9 @@ struct ServeExecutor::IoLoop {
   std::vector<std::shared_ptr<Conn>> pending;
   bool accept_ready = false;
   std::chrono::steady_clock::time_point accept_backoff_until{};
+  /// EVAL hits this service pass may still score on the loop; a miss
+  /// spends none.
+  int eval_budget = 0;
 
   // --- guarded by sched_mu_ ---
   /// Connections with completion-side news for the loop; ground truth
@@ -458,6 +474,7 @@ void ServeExecutor::LoopMain() {
     // another pass (read budget, self-unblocked flush) re-queues itself
     // onto the pending list for the next iteration.
     for (const std::shared_ptr<Conn>& conn : work) conn->in_service = false;
+    loop_->eval_budget = work.size() == 1 ? kLoopEvalsPerPass : 0;
     for (const std::shared_ptr<Conn>& conn : work) ServiceConn(conn);
     if (stopping && loop_->conns.empty()) break;
     const bool backing_off =
@@ -948,6 +965,7 @@ ServeExecutor::Request* ServeExecutor::ScheduleLine(
   node->draining = cls.draining;
   node->compute = cls.compute;
   node->cacheable = cls.cacheable;
+  node->hit_computes = cls.hit_computes;
   node->synthetic_response = std::move(synthetic);
   live_nodes_.emplace(node, std::move(owned));
   const auto depend_on = [node](Request* pred) {
@@ -975,13 +993,14 @@ ServeExecutor::Request* ServeExecutor::ScheduleLine(
   if (node->deps == 0) {
     const bool light = !node->draining && !node->compute;
     if (!node->barrier && (light || node->cacheable) && !stopping_.load() &&
-        node->line.size() <= kInlineMaxLineBytes) {
+        node->line.size() <= kInlineMaxLineBytes &&
+        (!node->hit_computes || loop_->eval_budget > 0)) {
       // Loop-thread fast path for a small dependency-free per-table verb,
       // skipping the worker handoff and its wakeups: a light verb (STATS,
       // small APPEND, REMOVE — all non-blocking on the gate) executes
       // where it was parsed, and a RUN / SELECT / EVAL is answered there
-      // if it hits the result cache. The caller executes the returned
-      // node.
+      // if it hits the result cache (an EVAL only while the pass's
+      // budget lasts). The caller executes the returned node.
       return node;
     }
     DispatchLocked(node);
@@ -1116,7 +1135,10 @@ void ServeExecutor::ExecuteNode(Request* node, bool inline_on_loop) {
       DispatchLocked(node);
       return;
     }
-    if (inline_on_loop) ++counters_.inline_served;
+    if (inline_on_loop) {
+      ++counters_.inline_served;
+      if (node->hit_computes) --loop_->eval_budget;
+    }
     CompleteLocked(node, std::move(response), !inline_on_loop);
   }
   // Flush from the worker instead of waiting for the loop: on an

@@ -37,7 +37,10 @@
 ///    predecessor skip the handoff: STATS, APPEND and REMOVE execute
 ///    inline on the loop, and a RUN, SELECT or EVAL whose consensus the
 ///    result cache already holds is answered there too (a non-blocking
-///    probe; anything else takes the worker path unchanged).
+///    probe; anything else takes the worker path unchanged). An EVAL is
+///    probed there only in a service pass that handles one connection,
+///    and at most one per pass: under load its scoring stays with the
+///    workers.
 ///
 /// Scheduling preserves the observable semantics of serial execution:
 /// requests addressing the same table execute in arrival order, requests
@@ -63,9 +66,10 @@
 /// SELECT or EVAL only from the result cache (ContextManager::
 /// TryRunCached / TrySelectCached / TryEvalCached — a RUN only when no
 /// fold is queued or running on its table; an EVAL hit then scores the
-/// submitted ranking there, a few microseconds at n = 1000), and a miss
-/// — a cold-cache consensus run, SELECT's ILP fallback — is dispatched
-/// to a worker exactly as before.
+/// submitted ranking there, about 25 us per n = 1000 line to tokenize,
+/// check, and run tau and fairness, which the 4,096-byte inline line cap
+/// bounds), and a miss — a cold-cache consensus run, SELECT's ILP
+/// fallback — is dispatched to a worker exactly as before.
 ///
 /// Draining verbs additionally consult the ContextManager's non-blocking
 /// scheduling hooks: a RUN or FLUSH aimed at a table whose backlog is

@@ -48,22 +48,8 @@ std::optional<long> ParseLong(std::string_view token) {
 }
 
 /// ParseLong bound-checked before the int32 cast: ids beyond CandidateId
-/// would otherwise truncate and alias a valid candidate. One to nine
-/// plain digits — every id of a payload line in practice — are decoded
-/// inline: they are their own decimal value, at most 999999999. A sign,
-/// a leading '\v' or '\f', ten or more digits or any other byte takes
-/// ParseLong's full grammar.
+/// would otherwise truncate and alias a valid candidate.
 std::optional<CandidateId> ParseCandidateId(std::string_view token) {
-  if (token.size() <= 9) {
-    CandidateId value = 0;
-    size_t i = 0;
-    for (; i < token.size(); ++i) {
-      const unsigned digit = static_cast<unsigned char>(token[i]) - '0';
-      if (digit > 9) break;
-      value = value * 10 + static_cast<CandidateId>(digit);
-    }
-    if (i == token.size() && i != 0) return value;
-  }
   const auto c = ParseLong(token);
   if (!c || *c < 0 || *c > std::numeric_limits<CandidateId>::max()) {
     return std::nullopt;
@@ -924,6 +910,7 @@ RequestClass ClassifyRequest(const std::string& line) {
     cls.draining = verb == "RUN" || verb == "FLUSH";
     cls.compute = verb == "EVAL" || verb == "SELECT";
     cls.cacheable = verb == "RUN" || verb == "SELECT" || verb == "EVAL";
+    cls.hit_computes = verb == "EVAL";
   } else {
     // Namespace verbs (CREATE / RESTORE / DROP / TABLES), unknown verbs,
     // and malformed per-table requests (no table token) all serialize

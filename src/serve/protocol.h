@@ -68,7 +68,7 @@ namespace manirank::serve {
 /// Kendall tau against that consensus is one inversion-counting pass, and
 /// the submitted ranking's own fairness (ARP per attribute, IRP last)
 /// comes from one favored-pair pass over every constrained grouping.
-/// A hit on the cached consensus is answered on an async front end's
+/// A hit on the cached consensus may be answered on an async front end's
 /// event loop (Dispatcher::TryHandleCached). Response:
 /// "OK EVAL <table> gen=<g> method=A3 tau=<t> ntau=<x>
 /// parity=<p0,p1,...> max_parity=<m> fpr=<...> ifpr_max=<g>:<v>
@@ -325,6 +325,10 @@ struct RequestClass {
   /// RUN / SELECT / EVAL: Dispatcher::TryHandleCached may answer it from
   /// the result cache without blocking.
   bool cacheable = false;
+  /// EVAL: even a cache hit scores the submitted ranking (tau and
+  /// fairness, O(n log n); about 25 us at n = 1000), so an event loop
+  /// bounds how many it answers itself.
+  bool hit_computes = false;
   /// Blank or comment line: Dispatcher::Handle returns no response and
   /// the request needs no scheduling at all.
   bool no_response = false;

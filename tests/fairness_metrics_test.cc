@@ -293,7 +293,8 @@ CandidateTable TableWithEmptyIntersectionCell(int n) {
 
 TEST(EvaluateFairnessTest, OnePassMatchesPerGroupingBitForBit) {
   Rng rng(2024);
-  // Sizes straddle the accumulator copies (4) and the 64-bit words.
+  // Small sizes, where some groups are empty or single, and sizes
+  // around multiples of 64.
   for (int n : {1, 2, 3, 4, 5, 7, 63, 64, 65, 129, 300}) {
     std::vector<CandidateTable> tables;
     tables.push_back(BinaryTable(n));  // q = 1: no intersection entry

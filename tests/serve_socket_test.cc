@@ -384,6 +384,44 @@ TEST(ServeSocketTest, ExecutorInlineCountsExactlyTheCacheHits) {
   server.Shutdown();
 }
 
+TEST(ServeSocketTest, ExecutorScoresOneEvalHitPerLoopPass) {
+  ContextManager manager;
+  ServeExecutor server(&manager, ServerOptions{});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  const std::vector<std::string> setup = {
+      "CREATE t CYCLIC 6 2 3",
+      "APPEND t 0 1 2 3 4 5 ; 5 4 3 2 1 0 ; 1 0 3 2 5 4", "FLUSH t",
+      "EVAL t 0 1 2 3 4 5"};  // fills the A3 cache
+  const std::vector<std::string> burst = {
+      "EVAL t 5 4 3 2 1 0", "EVAL t 1 0 3 2 5 4", "EVAL t 0 1 2 3 4 5"};
+  std::vector<std::string> requests = setup;
+  requests.insert(requests.end(), burst.begin(), burst.end());
+  ContextManager reference_manager;
+  const std::vector<std::string> expected =
+      SyncReference(requests, &reference_manager);
+  ASSERT_EQ(expected.size(), requests.size());
+
+  Client client(server.port());
+  for (size_t i = 0; i < setup.size(); ++i) {
+    ASSERT_EQ(Ask(&client, requests[i]), expected[i]) << requests[i];
+  }
+  const uint64_t inline_before = InlineServed(Ask(&client, "METRICS"));
+  // Three cache hits in one send reach the loop in one pass: it scores
+  // the first and hands the other two to the workers.
+  std::string bytes;
+  for (const std::string& line : burst) bytes += line + "\n";
+  ASSERT_TRUE(client.Send(bytes));
+  EXPECT_EQ(client.ReadLines(burst.size()),
+            std::vector<std::string>(expected.begin() + setup.size(),
+                                     expected.end()));
+  EXPECT_EQ(InlineServed(Ask(&client, "METRICS")) - inline_before, 1u);
+  client.HalfClose();
+  EXPECT_TRUE(client.ReadLinesUntilEof().empty());
+  server.Shutdown();
+}
+
 TEST(ServeSocketTest, ExecutorAnswersFinalRequestWithoutNewline) {
   ContextManager manager;
   ServeExecutor server(&manager, ServerOptions{});
