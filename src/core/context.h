@@ -25,8 +25,8 @@ struct ConsensusOptions {
   /// Desired proximity to statistical parity (ignored by fairness-unaware
   /// baselines B1-B3).
   double delta = 0.1;
-  /// Budget forwarded to ILP-backed methods.
-  long max_nodes = 1000000;
+  /// Wall-clock budget forwarded to ILP-backed methods (<= 0: unlimited).
+  /// Their node budget is the solvers' own default.
   double time_limit_seconds = 0.0;
 };
 

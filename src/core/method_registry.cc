@@ -21,7 +21,6 @@ MakeMrFairOptions MmfOptions(const ConsensusOptions& opts) {
 
 KemenyOptions IlpOptions(const ConsensusOptions& opts) {
   KemenyOptions options;
-  options.max_nodes = opts.max_nodes;
   options.time_limit_seconds = opts.time_limit_seconds;
   return options;
 }
@@ -31,7 +30,6 @@ ConsensusOutput RunFairKemeny(const ConsensusContext& ctx,
   Stopwatch timer;
   FairKemenyOptions options;
   options.delta = opts.delta;
-  options.max_nodes = opts.max_nodes;
   options.time_limit_seconds = opts.time_limit_seconds;
   FairKemenyResult r =
       FairKemenyAggregate(ctx.Precedence(), ctx.table(), options);

@@ -1420,15 +1420,14 @@ void ServeExecutor::CloseConn(const std::shared_ptr<Conn>& conn) {
 
 std::string ServeExecutor::MetricsResponse() const {
   // METRICS is a barrier verb, so it runs on a worker holding no executor
-  // lock. The poller=, io_loops= and loop0= tokens predate the single
-  // epoll loop and stay so the wire format is unchanged.
+  // lock.
   Counters s;
   {
     std::lock_guard<std::mutex> lock(sched_mu_);
     s = counters_;
   }
   std::ostringstream out;
-  out << "OK METRICS poller=epoll io_loops=1 workers=" << options_.workers
+  out << "OK METRICS poller=epoll workers=" << options_.workers
       << " accepted=" << s.accepted << " served=" << s.served
       << " inline=" << s.inline_served
       << " parked_drains=" << s.parked_drains
@@ -1445,10 +1444,6 @@ std::string ServeExecutor::MetricsResponse() const {
         << " result_cache_misses=" << cache.misses
         << " result_cache_entries=" << cache.entries;
   }
-  out << " loop0=accepted:" << s.accepted << ",served:" << s.served
-      << ",inline:" << s.inline_served << ",bytes_in:" << s.bytes_in
-      << ",bytes_out:" << s.bytes_out << ",stalls:" << s.backpressure_stalls
-      << ",parked:" << s.parked_drains << ",emfile:" << s.emfile_rejected;
   if (options_.durability != nullptr) {
     out << options_.durability->MetricsSuffix();
   }

@@ -155,10 +155,10 @@ namespace manirank::serve {
 /// application is a success in its own right, never rolled back by a
 /// later failure in the same request).
 ///
-/// METRICS reports the serving front end's per-event-loop counters (see
-/// ServeExecutor::MetricsResponse); it answers "ERR unavailable:" on
-/// front ends without an executor (stdin / --script replay), which have
-/// no event loops to report on.
+/// METRICS reports the executor's counters (connections, requests,
+/// bytes, stalls, result-cache totals; see ServeExecutor::MetricsResponse);
+/// it answers "ERR unavailable:" on front ends without an executor
+/// (stdin / --script replay), which have no event loop to report on.
 ///
 /// With durability attached, STATS gains oplog_* fields (committed log
 /// records/bytes, truncations, cold-start replay counters, health) for

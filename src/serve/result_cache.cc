@@ -19,7 +19,7 @@ uint64_t Bits(double value) {
 ResultCache::RunKey ResultCache::MakeRunKey(const std::string& method,
                                             const ConsensusOptions& options,
                                             uint64_t generation) {
-  return RunKey{generation, method, Bits(options.delta), options.max_nodes,
+  return RunKey{generation, method, Bits(options.delta),
                 Bits(options.time_limit_seconds)};
 }
 

@@ -181,7 +181,7 @@ class ResultCache {
 
   // Doubles enter keys by bit pattern: exact, and a strict weak order
   // even for NaN. Generation leads both keys.
-  using RunKey = std::tuple<uint64_t, std::string, uint64_t, long, uint64_t>;
+  using RunKey = std::tuple<uint64_t, std::string, uint64_t, uint64_t>;
   using SelectKey =
       std::tuple<uint64_t, int, std::vector<std::array<int, 4>>, uint64_t>;
 

@@ -37,11 +37,14 @@
 //                                       (stdin/script modes only)
 //
 // The request grammar is documented in serve/protocol.h (CREATE / APPEND /
-// REMOVE / RUN / STATS / FLUSH / SNAPSHOT / RESTORE / DROP / TABLES). Every
-// connection gets its own Dispatcher over the shared ContextManager; the
-// executor overlaps requests for different tables (responses stay in
-// per-connection request order) while same-table requests respect the
-// per-table gates and mutation queues.
+// REMOVE / RUN / EVAL / SELECT / STATS / FLUSH / SNAPSHOT /
+// SNAPSHOT-POLICY / RESTORE / DROP / TABLES / METRICS / REPLICATE). This
+// binary is the one front end for stateful work; the manirank CLI is a
+// single pass over one profile. The executor runs every connection's
+// requests through one stateless Dispatcher over the shared
+// ContextManager; it overlaps requests for different tables (responses
+// stay in per-connection request order) while same-table requests respect
+// the per-table gates and mutation queues.
 //
 // --restore-dir combines with any serving mode: each DIR/<name>.snap is
 // restored as table <name> (data/snapshot.h format) without replaying its

@@ -144,16 +144,19 @@ TEST(ServeSchedulingTest, MetricsSurface) {
   const std::vector<std::string> lines = client.ReadLines(2);
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(lines[0].rfind("ERR no-such-table:", 0), 0u) << lines[0];
-  // The token order of the multi-loop era is part of the wire format.
-  EXPECT_EQ(lines[1].rfind("OK METRICS poller=epoll io_loops=1 workers=", 0),
-            0u)
+  // poller= stays: perfbench reads it into its JSON.
+  EXPECT_EQ(lines[1].rfind("OK METRICS poller=epoll workers=", 0), 0u)
       << lines[1];
   for (const char* field :
-       {" io_loops=", " workers=", " accepted=", " served=", " inline=",
-        " parked_drains=", " bytes_in=", " bytes_out=",
-        " backpressure_stalls=", " emfile_rejected=", " loop0="}) {
+       {" workers=", " accepted=", " served=", " inline=", " parked_drains=",
+        " bytes_in=", " bytes_out=", " backpressure_stalls=",
+        " emfile_rejected="}) {
     EXPECT_NE(lines[1].find(field), std::string::npos)
         << "missing " << field << " in " << lines[1];
+  }
+  for (const char* gone : {" io_loops=", " loop0="}) {
+    EXPECT_EQ(lines[1].find(gone), std::string::npos)
+        << "leftover " << gone << " in " << lines[1];
   }
   server.Shutdown();
 }
